@@ -132,6 +132,18 @@ is the ``train_throughput`` stage of
 windowed retraining >= 3x faster per update than the full refit at 5k
 accumulated records with the final best cost within 5%.
 
+Each retrain is itself vectorized (:mod:`repro.cost_model.gbdt`): a fit
+computes the quantile bin edges and the binned feature matrix once and
+shares them across all boosting rounds, and every tree node scores all its
+candidate features from one offset ``np.bincount`` histogram instead of a
+Python loop over features.  The trees are bit-identical to the per-feature
+scan (same RNG draws, summation order and tie-breaking), so seeded
+trajectories, stores and saved models are unchanged; fitted trees no longer
+keep their bin edges, which shrinks saved models and island payloads.
+``tests/cost_model/test_gbdt_train_parity.py`` enforces the parity against
+the per-feature reference trainer.  Retrain time per session is
+``cost_model.update_s`` in ``python3 perfbench/run.py --trace 1``.
+
 Tuning results persist across sessions through a
 :class:`repro.store.ScheduleStore` — an indexed, compactable store of best
 schedules keyed by ``(workload fingerprint, hardware target)``, layered

@@ -11,16 +11,32 @@ model needs:
 * support for custom per-round pseudo-residuals through
   :meth:`GBDTRegressor.fit_boosting`, which the program-level cost model uses
   to implement the grouped loss ``y * (sum_s f(s) - y)^2`` of §5.2.
+
+Training cost: the cost model retrains after every measurement round, so
+the fit is a search-time cost.  The quantile bin edges and the binned
+matrix depend only on ``X``, which every boosting round shares, so
+:meth:`GBDTRegressor.fit_boosting` bins once per fit, not once per tree.
+Each node then scores all its candidate features from one ``np.bincount``
+histogram: the features sit side by side, padded to one bin width, and
+split positions past a feature's highest bin in the node are masked out.
+Every bin still sums its rows in row order, the candidate features come
+from the same RNG draws, and ties still go to the first feature drawn and
+then its first bin, so the trees are bit-identical to a per-feature scan.
+``perfbench/run.py --trace 1`` reports the retrain time of a session as
+``cost_model.update_s``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 __all__ = ["RegressionTree", "GBDTRegressor"]
+
+#: quantile bins per feature
+_N_BINS = 16
 
 
 @dataclass
@@ -33,6 +49,35 @@ class _Node:
     is_leaf: bool = True
 
 
+class _BinnedMatrix(NamedTuple):
+    """A training matrix in per-feature quantile bins (needed during one fit only)."""
+
+    #: per feature, the sorted bin edges (empty for a constant feature)
+    edges: List[np.ndarray]
+    #: ``(n, d)`` bin of every value: the number of edges ``<= x``
+    bins: np.ndarray
+    #: ``(d,)`` whether the feature has any edge, i.e. is not constant
+    splittable: np.ndarray
+
+
+def _bin_matrix(X: np.ndarray, n_bins: int) -> _BinnedMatrix:
+    n, d = X.shape
+    edges_list: List[np.ndarray] = []
+    bins = np.empty((n, d), dtype=np.int16)
+    for j in range(d):
+        col = X[:, j]
+        unique = np.unique(col)
+        if len(unique) <= 1:
+            edges = np.array([])
+        else:
+            qs = np.linspace(0, 1, min(n_bins, len(unique)) + 1)[1:-1]
+            edges = np.unique(np.quantile(col, qs))
+        edges_list.append(edges)
+        bins[:, j] = np.searchsorted(edges, col, side="right") if len(edges) else 0
+    splittable = np.fromiter((len(e) > 0 for e in edges_list), dtype=bool, count=d)
+    return _BinnedMatrix(edges_list, bins, splittable)
+
+
 class RegressionTree:
     """A depth-limited regression tree minimizing weighted squared error."""
 
@@ -40,7 +85,7 @@ class RegressionTree:
         self,
         max_depth: int = 4,
         min_samples_leaf: int = 4,
-        n_bins: int = 16,
+        n_bins: int = _N_BINS,
         feature_fraction: float = 1.0,
         min_gain: float = 1e-12,
     ):
@@ -51,6 +96,12 @@ class RegressionTree:
         self.min_gain = min_gain
         self.nodes: List[_Node] = []
 
+    def __setstate__(self, state: dict) -> None:
+        # Trees pickled by earlier releases carry their training bin edges,
+        # which predict never reads.
+        state.pop("_edges", None)
+        self.__dict__.update(state)
+
     # ------------------------------------------------------------------
     def fit(
         self,
@@ -60,27 +111,21 @@ class RegressionTree:
         rng: Optional[np.random.Generator] = None,
     ) -> "RegressionTree":
         X = np.asarray(X, dtype=np.float64)
+        return self._grow(_bin_matrix(X, self.n_bins), y, sample_weight, rng)
+
+    def _grow(
+        self,
+        binned: _BinnedMatrix,
+        y: np.ndarray,
+        sample_weight: Optional[np.ndarray],
+        rng: Optional[np.random.Generator],
+    ) -> "RegressionTree":
         y = np.asarray(y, dtype=np.float64)
-        n, d = X.shape
+        n = len(y)
         w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
         rng = rng or np.random.default_rng(0)
-
-        # Pre-compute per-feature bin edges (quantiles) and binned values.
-        self._edges: List[np.ndarray] = []
-        binned = np.empty((n, d), dtype=np.int16)
-        for j in range(d):
-            col = X[:, j]
-            unique = np.unique(col)
-            if len(unique) <= 1:
-                edges = np.array([])
-            else:
-                qs = np.linspace(0, 1, min(self.n_bins, len(unique)) + 1)[1:-1]
-                edges = np.unique(np.quantile(col, qs))
-            self._edges.append(edges)
-            binned[:, j] = np.searchsorted(edges, col, side="right") if len(edges) else 0
-
         self.nodes = []
-        self._build(binned, X, y, w, np.arange(n), depth=0, rng=rng)
+        self._build(binned, y, w, np.arange(n), depth=0, rng=rng)
         self._flatten()
         return self
 
@@ -96,8 +141,7 @@ class RegressionTree:
 
     def _build(
         self,
-        binned: np.ndarray,
-        X: np.ndarray,
+        binned: _BinnedMatrix,
         y: np.ndarray,
         w: np.ndarray,
         idx: np.ndarray,
@@ -108,21 +152,22 @@ class RegressionTree:
         node = _Node()
         self.nodes.append(node)
         w_node = w[idx]
-        y_node = y[idx]
+        wy = w_node * y[idx]
         w_sum = w_node.sum()
-        node.value = float((w_node * y_node).sum() / w_sum) if w_sum > 0 else 0.0
+        wy_sum = wy.sum()
+        node.value = float(wy_sum / w_sum) if w_sum > 0 else 0.0
 
         if depth >= self.max_depth or len(idx) < 2 * self.min_samples_leaf:
             return node_id
 
-        best = self._best_split(binned, y, w, idx, rng)
+        best = self._best_split(binned, w_node, wy, w_sum, wy_sum, idx, rng)
         if best is None:
             return node_id
         feature, bin_threshold, gain = best
         if gain <= self.min_gain:
             return node_id
 
-        mask = binned[idx, feature] <= bin_threshold
+        mask = binned.bins[idx, feature] <= bin_threshold
         left_idx = idx[mask]
         right_idx = idx[~mask]
         if len(left_idx) < self.min_samples_leaf or len(right_idx) < self.min_samples_leaf:
@@ -130,62 +175,65 @@ class RegressionTree:
 
         node.is_leaf = False
         node.feature = feature
-        edges = self._edges[feature]
-        node.threshold = float(edges[bin_threshold]) if bin_threshold < len(edges) else float("inf")
-        node.left = self._build(binned, X, y, w, left_idx, depth + 1, rng)
-        node.right = self._build(binned, X, y, w, right_idx, depth + 1, rng)
+        # Known defect, kept for seeded parity: x == threshold trains right (bin <= b is x < edges[b]), predicts left.
+        node.threshold = float(binned.edges[feature][bin_threshold])
+        node.left = self._build(binned, y, w, left_idx, depth + 1, rng)
+        node.right = self._build(binned, y, w, right_idx, depth + 1, rng)
         return node_id
 
     def _best_split(
         self,
-        binned: np.ndarray,
-        y: np.ndarray,
-        w: np.ndarray,
+        binned: _BinnedMatrix,
+        w_node: np.ndarray,
+        wy: np.ndarray,
+        total_w: float,
+        total_wy: float,
         idx: np.ndarray,
         rng: np.random.Generator,
     ) -> Optional[Tuple[int, int, float]]:
-        n, d = binned.shape[0], binned.shape[1]
+        """The ``(feature, bin, gain)`` of the node's best split ``bin <= b``."""
+        d = binned.bins.shape[1]
         features = np.arange(d)
         if self.feature_fraction < 1.0:
             k = max(1, int(d * self.feature_fraction))
             features = rng.choice(d, size=k, replace=False)
-
-        y_node = y[idx]
-        w_node = w[idx]
-        wy = w_node * y_node
-        total_w = w_node.sum()
-        total_wy = wy.sum()
-        if total_w <= 0:
+        # Constant features never split; dropping them after the draw keeps
+        # the RNG stream.
+        features = features[binned.splittable[features]]
+        if total_w <= 0 or not len(features):
             return None
         base_score = total_wy * total_wy / total_w
 
-        best_gain = 0.0
-        best_feature = -1
-        best_bin = -1
-        for j in features:
-            bins = binned[idx, j]
-            n_bins = int(bins.max()) + 1 if len(bins) else 1
-            if n_bins <= 1:
-                continue
-            sum_w = np.bincount(bins, weights=w_node, minlength=n_bins)
-            sum_wy = np.bincount(bins, weights=wy, minlength=n_bins)
-            cw = np.cumsum(sum_w)[:-1]
-            cwy = np.cumsum(sum_wy)[:-1]
-            rw = total_w - cw
-            rwy = total_wy - cwy
-            valid = (cw > 0) & (rw > 0)
-            if not valid.any():
-                continue
-            score = np.where(valid, cwy**2 / np.maximum(cw, 1e-12) + rwy**2 / np.maximum(rw, 1e-12), -np.inf)
-            gain = score - base_score
-            k = int(np.argmax(gain))
-            if gain[k] > best_gain:
-                best_gain = float(gain[k])
-                best_feature = int(j)
-                best_bin = k
-        if best_feature < 0:
+        node_bins = binned.bins[idx[:, None], features]
+        top = node_bins.max(axis=0)
+        width = int(top.max()) + 1
+        if width <= 1:
             return None
-        return best_feature, best_bin, best_gain
+        # One histogram for every candidate: feature slot s owns the cells
+        # [s * width, (s + 1) * width).  Flattened row-major, each cell adds
+        # its rows in row order, exactly as a per-feature bincount does.
+        k = len(features)
+        cells = (node_bins + np.arange(k) * width).ravel()
+        sum_w = np.bincount(cells, weights=np.repeat(w_node, k), minlength=k * width)
+        sum_wy = np.bincount(cells, weights=np.repeat(wy, k), minlength=k * width)
+        cw = np.cumsum(sum_w.reshape(k, width), axis=1)[:, :-1]
+        cwy = np.cumsum(sum_wy.reshape(k, width), axis=1)[:, :-1]
+        rw = total_w - cw
+        rwy = total_wy - cwy
+        # Splits at or past a feature's top bin in the node leave nothing on
+        # the right but rounding residue of the padded cumsum.
+        valid = (cw > 0) & (rw > 0) & (np.arange(width - 1) < top[:, None])
+        score = np.where(valid, cwy**2 / np.maximum(cw, 1e-12) + rwy**2 / np.maximum(rw, 1e-12), -np.inf)
+        gain = score - base_score
+        # The sequential scan's tie rule: first feature drawn with the largest
+        # gain, then its first bin; a NaN gain never wins.
+        best_bin = gain.argmax(axis=1)
+        best_gain = gain[np.arange(k), best_bin]
+        best_gain[np.isnan(best_gain)] = -np.inf
+        f = int(best_gain.argmax())
+        if not best_gain[f] > 0:
+            return None
+        return int(features[f]), int(best_bin[f]), float(best_gain[f])
 
     # ------------------------------------------------------------------
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -283,6 +331,7 @@ class GBDTRegressor:
         n = len(X)
         w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
         rng = np.random.default_rng(self.seed)
+        binned = _bin_matrix(X, _N_BINS)
 
         if base_target is not None and w.sum() > 0:
             self.base_score = float((w * base_target).sum() / w.sum())
@@ -297,7 +346,7 @@ class GBDTRegressor:
                 min_samples_leaf=self.min_samples_leaf,
                 feature_fraction=self.feature_fraction,
             )
-            tree.fit(X, residual, sample_weight=w, rng=rng)
+            tree._grow(binned, residual, w, rng)
             update = tree.predict(X)
             pred = pred + self.learning_rate * update
             self.trees.append(tree)

@@ -185,15 +185,6 @@ def test_retrain_interval_defers_refits(task):
     assert model.retrains_run == 1
 
 
-def test_retrain_every_is_a_legacy_alias():
-    model = LearnedCostModel(retrain_every=3)
-    assert model.retrain_interval == 3
-    model.retrain_every = 5
-    assert model.retrain_interval == 5
-    with pytest.raises(ValueError, match="not both"):
-        LearnedCostModel(retrain_every=2, retrain_interval=2)
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [

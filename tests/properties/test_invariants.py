@@ -8,12 +8,14 @@ The invariants checked here are the ones the whole search relies on:
   writes,
 * tile-size mutation preserves the iteration space,
 * the GBDT handles arbitrary regression data without crashing and predicts
-  finite values.
+  finite values, and its trainer grows the same trees as the per-feature
+  reference trainer.
 """
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro import te
 from repro.codegen.lowering import lower_state
@@ -28,6 +30,8 @@ from repro.search import (
 )
 from repro.task import SearchTask
 from repro.te.dag import ComputeDAG
+
+from ..cost_model.test_gbdt_train_parity import assert_same_boosters, reference_fit
 
 
 def _matmul_relu(m, n, k):
@@ -133,3 +137,45 @@ def test_gbdt_never_produces_nan(n_samples, n_features, seed):
     model = GBDTRegressor(n_rounds=5, max_depth=3, seed=seed).fit(X, y, sample_weight=w)
     pred = model.predict(rng.random((20, n_features)))
     assert np.isfinite(pred).all()
+
+
+# Low-cardinality values put rows exactly on bin edges; the full float range
+# makes the histogram sums overflow.
+_GBDT_VALUES = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0]),
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _training_sets(draw):
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 6))
+    X = draw(arrays(np.float64, (n, d), elements=_GBDT_VALUES))
+    y = draw(arrays(np.float64, n, elements=_GBDT_VALUES))
+    w = draw(arrays(np.float64, n, elements=_GBDT_VALUES))
+    return X, y, w
+
+
+@given(
+    data=_training_sets(),
+    feature_fraction=st.floats(0.01, 1.0),
+    max_depth=st.integers(0, 5),
+    min_samples_leaf=st.integers(1, 5),
+    seed=st.integers(0, 1000),
+)
+@settings(max_examples=60, deadline=None)
+def test_gbdt_fit_matches_reference_trainer(data, feature_fraction, max_depth, min_samples_leaf, seed):
+    X, y, w = data
+    params = dict(
+        n_rounds=3,
+        max_depth=max_depth,
+        min_samples_leaf=min_samples_leaf,
+        feature_fraction=feature_fraction,
+        seed=seed,
+    )
+    with np.errstate(all="ignore"):
+        new = GBDTRegressor(**params).fit(X, y, sample_weight=w)
+        ref = reference_fit(GBDTRegressor(**params), X, y, sample_weight=w)
+    assert_same_boosters(new, ref)

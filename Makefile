@@ -4,7 +4,7 @@
 # (predicted states/sec), `make search-parallel` the island-model search
 # stage (serial vs `search_workers` islands, plus cost-model training
 # throughput), `make measure-throughput` the measurement-pipeline
-# benchmark (measured trials/sec: parallel builder vs the serial shim, the
+# benchmark (measured trials/sec: parallel builder vs the serial builder, the
 # rpc stage — process-pool vs thread-pool builds on CPU-bound compile cost —
 # and the async-session stage: one-round-lookahead overlap vs the sync
 # breed|measure schedule, gated >= 1.3x when device latency dominates),
@@ -43,7 +43,7 @@ throughput:
 search-parallel:
 	$(PYTEST) -q -s benchmarks/test_search_throughput.py::test_parallel_search_throughput benchmarks/test_search_throughput.py::test_training_throughput
 
-# Measurement-throughput baseline: parallel builder vs the serial shim, the
+# Measurement-throughput baseline: parallel builder vs the serial builder, the
 # rpc (process-pool) builder vs the thread-pool builder, and the async
 # session overlap vs the synchronous round schedule.
 measure-throughput:

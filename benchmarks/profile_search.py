@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from repro.cost_model import LearnedCostModel
-from repro.hardware import MeasureInput, ProgramMeasurer, intel_cpu
+from repro.hardware import MeasureInput, MeasurePipeline, intel_cpu
 from repro.search import EvolutionarySearch, generate_sketches, sample_initial_population
 from repro.task import SearchTask
 from repro.utils.procpool import LazyProcessPool
@@ -52,7 +52,7 @@ def main() -> int:
     population = sample_initial_population(
         task, generate_sketches(task), args.population, rng
     )
-    measurer = ProgramMeasurer(intel_cpu(), seed=0)
+    measurer = MeasurePipeline(intel_cpu(), seed=0)
     inputs = [MeasureInput(task, s) for s in population[:16]]
     model = LearnedCostModel(seed=0)
     model.update(inputs, measurer.measure(inputs))

@@ -10,8 +10,8 @@ Compares, on one conv2d task and a fixed measurement budget:
 
 import pytest
 
-from repro import SearchTask, TuningOptions, intel_cpu
-from repro.hardware import ProgramMeasurer
+from repro import SearchTask, Tuner, TuningOptions, intel_cpu
+from repro.hardware import MeasurePipeline
 from repro.search import SketchPolicy, random_search_policy
 from repro.workloads import conv2d
 
@@ -25,7 +25,8 @@ def run_evolution_ablation(trials=None, seed=0):
 
     results = {}
     full = SketchPolicy(task, seed=seed)
-    full.tune(budget, ProgramMeasurer(task.hardware_params, seed=seed))
+    Tuner(task, policy=full, options=budget,
+          measurer=MeasurePipeline(task.hardware_params, seed=seed)).tune()
     results["mutation + crossover"] = full.best_throughput()
 
     mutation_only = SketchPolicy(task, seed=seed)
@@ -41,13 +42,15 @@ def run_evolution_ablation(trials=None, seed=0):
 
     EvolutionarySearch.__init__ = patched_init
     try:
-        mutation_only.tune(budget, ProgramMeasurer(task.hardware_params, seed=seed))
+        Tuner(task, policy=mutation_only, options=budget,
+              measurer=MeasurePipeline(task.hardware_params, seed=seed)).tune()
     finally:
         EvolutionarySearch.__init__ = original_init
     results["mutation only"] = mutation_only.best_throughput()
 
     random_only = random_search_policy(task, seed=seed)
-    random_only.tune(budget, ProgramMeasurer(task.hardware_params, seed=seed))
+    Tuner(task, policy=random_only, options=budget,
+          measurer=MeasurePipeline(task.hardware_params, seed=seed)).tune()
     results["no evolution (random)"] = random_only.best_throughput()
     return results
 

@@ -11,8 +11,8 @@ Two targeted experiments on the rules that create *new nodes*:
 
 import pytest
 
-from repro import SearchTask, TuningOptions, intel_cpu
-from repro.hardware import ProgramMeasurer
+from repro import SearchTask, Tuner, TuningOptions, intel_cpu
+from repro.hardware import MeasurePipeline
 from repro.search import SketchPolicy
 from repro.search.space import SearchSpaceOptions
 from repro.workloads import matmul, matrix_norm
@@ -23,8 +23,9 @@ from harness import BENCH_TRIALS
 def _tune(task, space, seed=0, trials=None):
     trials = trials or BENCH_TRIALS
     policy = SketchPolicy(task, space=space, seed=seed)
-    policy.tune(TuningOptions(num_measure_trials=trials, num_measures_per_round=16),
-                ProgramMeasurer(task.hardware_params, seed=seed))
+    Tuner(task, policy=policy,
+          options=TuningOptions(num_measure_trials=trials, num_measures_per_round=16),
+          measurer=MeasurePipeline(task.hardware_params, seed=seed)).tune()
     return policy.best_throughput()
 
 

@@ -17,7 +17,7 @@ import os
 
 import pytest
 
-from repro.hardware import ProgramMeasurer, intel_cpu
+from repro.hardware import MeasurePipeline, intel_cpu
 from repro.scheduler import TaskScheduler
 from repro.search import SketchPolicy, limited_space_policy, random_search_policy
 from repro.workloads import extract_tasks
@@ -59,7 +59,7 @@ def _run_variant(networks, variant, trials):
         policy_factory=variant["policy"], strategy=variant["strategy"], seed=0,
     )
     scheduler.tune(num_measure_trials=trials, num_measures_per_round=8,
-                   measurer=ProgramMeasurer(intel_cpu(), seed=0))
+                   measurer=MeasurePipeline(intel_cpu(), seed=0))
     curve = [(r.total_trials, r.objective_value) for r in scheduler.records]
     total_latency = sum(scheduler.dnn_latency(i) for i in range(len(networks)))
     return total_latency, curve

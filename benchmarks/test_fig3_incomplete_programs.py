@@ -14,7 +14,7 @@ import pytest
 
 from repro import SearchTask, intel_cpu
 from repro.cost_model import LearnedCostModel
-from repro.hardware import MeasureInput, ProgramMeasurer
+from repro.hardware import MeasureInput, MeasurePipeline
 from repro.ir.state import State
 from repro.search import generate_sketches, sample_initial_population
 from repro.workloads import matmul
@@ -53,7 +53,7 @@ def run_figure3(n_programs=96, seed=0):
     rng = np.random.default_rng(seed)
     sketches = generate_sketches(task)
     states = sample_initial_population(task, sketches, n_programs, rng)
-    measurer = ProgramMeasurer(task.hardware_params, seed=seed)
+    measurer = MeasurePipeline(task.hardware_params, seed=seed)
     inputs = [MeasureInput(task, s) for s in states]
     results = measurer.measure(inputs)
 

@@ -15,8 +15,8 @@ the large space or the fine-tuning loses significantly.
 
 import pytest
 
-from repro import SearchTask, TuningOptions, intel_cpu
-from repro.hardware import ProgramMeasurer
+from repro import SearchTask, Tuner, TuningOptions, intel_cpu
+from repro.hardware import MeasurePipeline
 from repro.search import BeamSearchPolicy, SketchPolicy, limited_space_policy, random_search_policy
 from repro.workloads import conv2d
 
@@ -47,8 +47,9 @@ def run_figure7(trials=None, seed=3):
     }
     curves = {}
     for name, policy in variants.items():
-        measurer = ProgramMeasurer(task.hardware_params, seed=seed)
-        policy.tune(TuningOptions(num_measure_trials=trials, num_measures_per_round=16), measurer)
+        measurer = MeasurePipeline(task.hardware_params, seed=seed)
+        Tuner(task, policy=policy, measurer=measurer,
+              options=TuningOptions(num_measure_trials=trials, num_measures_per_round=16)).tune()
         curves[name] = {
             "history": list(policy.history),
             "final_throughput": policy.best_throughput(),

@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from repro.hardware import ProgramMeasurer, arm_cpu, intel_cpu, intel_cpu_avx512, nvidia_gpu
+from repro.hardware import MeasurePipeline, arm_cpu, intel_cpu, intel_cpu_avx512, nvidia_gpu
 from repro.scheduler import TaskScheduler
 from repro.search import LibraryBaseline, SketchPolicy, limited_space_policy
 from repro.workloads import extract_tasks
@@ -47,7 +47,7 @@ def _tuned_latency(tasks, weights, dnn, policy_factory, trials, strategy="gradie
         policy_factory=policy_factory, strategy=strategy, seed=SEED,
     )
     scheduler.tune(num_measure_trials=trials, num_measures_per_round=8,
-                   measurer=ProgramMeasurer(tasks[0].hardware_params, seed=SEED))
+                   measurer=MeasurePipeline(tasks[0].hardware_params, seed=SEED))
     return scheduler.dnn_latency(0)
 
 

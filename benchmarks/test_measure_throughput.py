@@ -6,9 +6,9 @@ compiler subprocess invocation taking O(seconds)) dominates and Ansor runs
 its builders in parallel.  This benchmark gates that parallelism: the same
 candidate batch is measured through
 
-* **serial**: the legacy ``ProgramMeasurer`` configuration — a
-  :class:`~repro.hardware.measure.MeasurePipeline` with a one-worker
-  builder, candidates built strictly one after another,
+* **serial**: the default
+  :class:`~repro.hardware.measure.MeasurePipeline` configuration — a
+  one-worker builder, candidates built strictly one after another,
 * **parallel**: the same pipeline with ``n_parallel`` builder threads.
 
 Each build carries ``BUILD_LATENCY`` of emulated compile cost on top of the
@@ -274,13 +274,13 @@ def test_measure_throughput_parallel_vs_serial():
     result = run_measure_throughput()
     print("\n=== measurement throughput: measured trials/sec ===")
     print(f"candidates x build latency : {result['candidates']} x {BUILD_LATENCY*1e3:.0f}ms")
-    print(f"serial builder (the shim)  : {result['serial_trials_per_sec']:.0f} trials/s")
+    print(f"serial builder (default)   : {result['serial_trials_per_sec']:.0f} trials/s")
     print(f"parallel builder (x{N_PARALLEL})    : {result['parallel_trials_per_sec']:.0f} trials/s")
     print(f"speedup                    : {result['speedup']:.1f}x")
     print(f"results merged into        : {RESULT_PATH.name}")
     assert result["parity"], "parallel-build costs diverged from the serial path"
     assert result["speedup"] >= MIN_SPEEDUP, (
-        f"parallel builder is only {result['speedup']:.2f}x the serial shim "
+        f"parallel builder is only {result['speedup']:.2f}x the serial builder "
         f"(need >= {MIN_SPEEDUP}x)"
     )
 

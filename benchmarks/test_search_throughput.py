@@ -40,7 +40,7 @@ from harness import merge_benchmark_result
 from repro.codegen.lowering import clear_lowering_cache
 from repro.cost_model import LearnedCostModel
 from repro.cost_model.features import clear_feature_cache, extract_program_features
-from repro.hardware import MeasureInput, ProgramMeasurer, intel_cpu
+from repro.hardware import MeasureInput, MeasurePipeline, intel_cpu
 from repro.search import generate_sketches, sample_initial_population
 from repro.search.evolutionary import EvolutionarySearch
 from repro.task import SearchTask
@@ -68,7 +68,7 @@ def _setup():
     task = SearchTask(matmul_relu(64, 64, 64), intel_cpu())
     rng = np.random.default_rng(0)
     population = sample_initial_population(task, generate_sketches(task), POPULATION, rng)
-    measurer = ProgramMeasurer(intel_cpu(), seed=0)
+    measurer = MeasurePipeline(intel_cpu(), seed=0)
     inputs = [MeasureInput(task, s) for s in population[:12]]
     model = LearnedCostModel(n_rounds=30, seed=0)
     model.update(inputs, measurer.measure(inputs))
@@ -123,7 +123,7 @@ def run_throughput():
 
 
 def _trained_model_for(task, population):
-    measurer = ProgramMeasurer(task.hardware_params, seed=0)
+    measurer = MeasurePipeline(task.hardware_params, seed=0)
     inputs = [MeasureInput(task, s) for s in population[:16]]
     model = LearnedCostModel(n_rounds=30, seed=0)
     model.update(inputs, measurer.measure(inputs))
@@ -280,7 +280,7 @@ def run_training_throughput():
     population = sample_initial_population(
         task, generate_sketches(task), PARALLEL_POPULATION, rng
     )
-    measurer = ProgramMeasurer(intel_cpu(), seed=0)
+    measurer = MeasurePipeline(intel_cpu(), seed=0)
     inputs = [MeasureInput(task, s) for s in population]
     results = measurer.measure(inputs)
 

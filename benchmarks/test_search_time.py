@@ -9,7 +9,7 @@ matches that latency.
 
 import pytest
 
-from repro.hardware import ProgramMeasurer, intel_cpu
+from repro.hardware import MeasurePipeline, intel_cpu
 from repro.scheduler import TaskScheduler
 from repro.search import SketchPolicy, limited_space_policy
 from repro.workloads import extract_tasks
@@ -28,14 +28,14 @@ def run_search_time(trials=None):
         policy_factory=lambda t, m, s: limited_space_policy(t, cost_model=m, seed=s),
         strategy="round_robin", seed=0,
     )
-    autotvm.tune(trials, num_measures_per_round=8, measurer=ProgramMeasurer(intel_cpu(), seed=0))
+    autotvm.tune(trials, num_measures_per_round=8, measurer=MeasurePipeline(intel_cpu(), seed=0))
     reference = autotvm.dnn_latency(0)
 
     ansor = TaskScheduler(
         tasks, task_weights=weights, task_to_dnn=dnn,
         policy_factory=lambda t, m, s: SketchPolicy(t, cost_model=m, seed=s), seed=0,
     )
-    ansor.tune(trials, num_measures_per_round=8, measurer=ProgramMeasurer(intel_cpu(), seed=0))
+    ansor.tune(trials, num_measures_per_round=8, measurer=MeasurePipeline(intel_cpu(), seed=0))
 
     match_trials = None
     for record in ansor.records:

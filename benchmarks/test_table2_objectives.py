@@ -12,7 +12,7 @@ and allocation splits.  The expected behaviour:
 
 import pytest
 
-from repro.hardware import ProgramMeasurer, intel_cpu
+from repro.hardware import MeasurePipeline, intel_cpu
 from repro.scheduler import (
     EarlyStoppingLatency,
     GeomeanSpeedup,
@@ -42,7 +42,7 @@ def run_table2(trials=None):
             tasks, task_weights=weights, task_to_dnn=dnn, objective=objective, seed=0
         )
         scheduler.tune(trials, num_measures_per_round=8,
-                       measurer=ProgramMeasurer(intel_cpu(), seed=0))
+                       measurer=MeasurePipeline(intel_cpu(), seed=0))
         rows[name] = {
             "dcgan_ms": scheduler.dnn_latency(0) * 1e3,
             "bert_ms": scheduler.dnn_latency(1) * 1e3,

@@ -66,7 +66,7 @@ devices=...)``), and transient ``RUN_ERROR`` faults are retried up to
 ``TuningOptions.n_retry`` times instead of discarding the trial.  The
 tracked baseline is ``benchmarks/test_measure_throughput.py`` (measured
 trials/sec, merged into the same JSON); the no-fault path is bit-identical
-to the legacy serial measurer, enforced by
+to the serial reference measurer kept in
 ``tests/hardware/test_measure_pipeline.py``.
 
 Measurement can also be *asynchronous* — the overlap model the paper uses
@@ -75,16 +75,16 @@ round through a :class:`repro.hardware.measure.MeasureSession`
 (``submit()`` returning :class:`repro.hardware.measure.MeasureFuture`
 handles, ``as_completed()`` streaming outcomes in completion order): search
 policies expose their round as a ``propose_candidates(num)`` /
-``ingest_results(inputs, results)`` split, and the drivers
-(:meth:`repro.search.policy.SearchPolicy.tune`,
-:meth:`repro.scheduler.task_scheduler.TaskScheduler.tune`, :class:`Tuner`)
-breed round *k+1* while round *k* occupies the devices — at the price of a
+``ingest_results(inputs, results)`` split, and the one round driver
+(:meth:`repro.scheduler.task_scheduler.TaskScheduler.tune`, which every
+:class:`Tuner` session runs on — a single task is a one-task scheduler)
+breeds round *k+1* while round *k* occupies the devices — at the price of a
 one-round-stale cost model.  Callbacks observe results as they land through
 the streaming ``on_result`` hook (``RecordToFile`` appends records the
 moment they complete; ``EarlyStopper(target_cost=...)`` can stop a session
-mid-round, cancelling the queued remainder).  The synchronous default is a
-submit-then-drain shim over the same sessions and stays bit-identical to
-the historical batch path; the async overlap is gated (>= 1.3x measured
+mid-round, cancelling the queued remainder).  The synchronous default is
+the same driver with no lookahead over synchronous sessions, bit-identical
+to the historical batch path; the async overlap is gated (>= 1.3x measured
 trials/sec when device latency dominates) by the same measurement
 benchmark.
 
@@ -183,7 +183,6 @@ cross-target winner flip.
 """
 
 from . import te
-from .auto_schedule import auto_schedule, auto_schedule_networks
 from .callbacks import (
     EarlyStopper,
     MeasureCallback,
@@ -226,7 +225,6 @@ from .hardware.measure import (
     resolve_runner,
 )
 from .hardware.fleet import CircuitBreakerConfig, DeviceFleet, EstimatedProfile
-from .hardware.measurer import ProgramMeasurer
 from .hardware.rpc import DeviceProfile, RpcBuilder, RpcRunner
 from .hardware.simulator import CostSimulator
 from .ir.state import State
@@ -272,8 +270,6 @@ __all__ = [
     "TuningOptions",
     "Tuner",
     "TuningResult",
-    "auto_schedule",
-    "auto_schedule_networks",
     "MeasureCallback",
     "MeasureEvent",
     "MeasureResultEvent",
@@ -299,7 +295,6 @@ __all__ = [
     "edge_cpu",
     "target_from_name",
     "CostSimulator",
-    "ProgramMeasurer",
     "MeasurePipeline",
     "MeasureSession",
     "MeasureFuture",

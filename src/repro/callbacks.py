@@ -3,27 +3,27 @@
 Every search round ends with a batch of measurements.  Instead of wiring
 record logging, progress printing and early stopping into each search policy
 (or special-casing them in the top-level API), they are expressed as
-:class:`MeasureCallback` objects threaded through
-:meth:`repro.search.policy.SearchPolicy.continue_search_one_round` and
-:meth:`repro.scheduler.task_scheduler.TaskScheduler.tune`.  A callback sees
+:class:`MeasureCallback` objects threaded through the one round driver,
+:meth:`repro.scheduler.task_scheduler.TaskScheduler.tune` (which every
+:class:`~repro.tuner.Tuner` session runs on).  A callback sees
 
 * ``on_tuning_start(subject)`` / ``on_tuning_end(subject)`` once per tuning
-  session (the subject is the driving ``SearchPolicy`` or ``TaskScheduler``),
+  session (the subject is the driving ``TaskScheduler``),
 * ``on_result(event)`` as every single measurement lands — in completion
   order when an asynchronous :class:`~repro.hardware.measure.MeasureSession`
-  streams results off the devices, and immediately before ``on_round`` on
-  the batch-synchronous path — with a :class:`MeasureResultEvent`,
-* ``on_round(event)`` after every measured batch, with a
+  streams results off the devices, in submission order on the
+  batch-synchronous path — with a :class:`MeasureResultEvent`, before the
+  policy ingests the batch,
+* ``on_round(event)`` after every measured batch is ingested, with a
   :class:`MeasureEvent` describing the batch and the policy's best-so-far,
 * ``on_scheduler_round(scheduler, record)`` after every task-scheduler
   allocation round.
 
-A callback stops the session by raising :class:`StopTuning` from
-``on_round`` or ``on_result``; all callbacks of the round still run (so a
-recorder ordered after an early stopper does not lose the final batch),
-then the driver unwinds — an async driver cancels the queued remainder,
-waits out the running measurements, and ingests/records them before
-stopping, so no future leaks and nothing is counted twice.
+A callback stops a task by raising :class:`StopTuning` from ``on_round`` or
+``on_result``; all callbacks of the event still run (so a recorder ordered
+after an early stopper does not lose the final batch), then the driver
+recalls the task's queued measurements, waits out the running ones, and
+ingests/records them, so no future leaks and nothing is counted twice.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ __all__ = [
     "EarlyStopper",
     "fire_round",
     "fire_result",
-    "fire_round_events",
     "fire_scheduler_round",
 ]
 
@@ -87,9 +86,10 @@ class MeasureResultEvent:
 
     Async sessions fire one of these per candidate *in completion order*,
     while the round is still in flight; the batch-synchronous path fires
-    them in submission order just before the round event.  A callback that
-    raises :class:`StopTuning` here stops the session mid-round (queued
-    work is cancelled, running work is drained and still observed).
+    them in submission order once the batch is measured.  Either way they
+    precede the round's ingestion and its round event.  A callback that
+    raises :class:`StopTuning` here stops the task mid-round (queued work
+    is cancelled, running work is drained and still observed).
     """
 
     #: the task the measurement belongs to
@@ -112,7 +112,7 @@ class MeasureCallback:
 
     def on_result(self, event: MeasureResultEvent) -> None:
         """Called as every single measurement lands (completion order on the
-        async path, submission order just before ``on_round`` otherwise)."""
+        async path, submission order otherwise), before ``on_round``."""
 
     def on_round(self, event: MeasureEvent) -> None:
         """Called after every measured round of a search policy."""
@@ -150,34 +150,6 @@ def fire_result(callbacks: Sequence[MeasureCallback], event: MeasureResultEvent)
     _fire(callbacks, lambda cb: cb.on_result(event))
 
 
-def fire_round_events(callbacks: Sequence[MeasureCallback], event: MeasureEvent) -> None:
-    """Dispatch a synchronous round: one ``on_result`` per measurement (in
-    submission order) followed by the ``on_round`` event.  Every callback
-    sees every event before the first :class:`StopTuning` is re-raised, so
-    the streaming and round-level views of the batch never diverge."""
-    stop: Optional[StopTuning] = None
-    for inp, res in zip(event.inputs, event.results):
-        try:
-            fire_result(
-                callbacks,
-                MeasureResultEvent(
-                    task=event.task,
-                    policy=event.policy,
-                    input=inp,
-                    result=res,
-                    measurer=event.measurer,
-                ),
-            )
-        except StopTuning as exc:
-            stop = stop or exc
-    try:
-        fire_round(callbacks, event)
-    except StopTuning as exc:
-        stop = stop or exc
-    if stop is not None:
-        raise stop
-
-
 def fire_scheduler_round(
     callbacks: Sequence[MeasureCallback], scheduler, record
 ) -> None:
@@ -188,9 +160,8 @@ def fire_scheduler_round(
 class RecordToFile(MeasureCallback):
     """Append every measurement to a JSON-lines tuning log.
 
-    Replaces the old ``auto_schedule(..., log_file=...)`` special case: the
-    log can be replayed with :func:`repro.records.load_records` or deployed
-    with :func:`repro.records.apply_history_best`.
+    The log can be replayed with :func:`repro.records.load_records` or
+    deployed with :func:`repro.records.apply_history_best`.
 
     Records stream: every measurement is appended from ``on_result`` the
     moment it lands (async sessions deliver these in completion order, so a
@@ -309,8 +280,8 @@ class ProgressLogger(MeasureCallback):
             self._log_cost_model(subject)
         if not self.log_device_stats:
             return
-        # The scheduler exposes its pipelines directly; policies surface
-        # theirs through the round/result events tracked above.
+        # The scheduler exposes its pipelines directly; anything else
+        # surfaces them through the round/result events tracked above.
         for measurer in getattr(subject, "measurers", None) or ():
             self._track_measurer(measurer)
         for measurer in self._measurers.values():
@@ -352,6 +323,10 @@ class ProgressLogger(MeasureCallback):
         path).  ``subject`` is a scheduler (exposes ``cost_model_service``)
         or a policy (exposes ``cost_model`` — a service view or a plain
         model); anything without retrain counters stays silent."""
+        policies = getattr(subject, "policies", ())
+        if len(policies) == 1:
+            # A one-task session reports the model its policy trained.
+            subject = policies[0]
         service = getattr(subject, "cost_model_service", None)
         model = getattr(subject, "cost_model", None)
         if service is None:
@@ -402,7 +377,8 @@ class ProgressLogger(MeasureCallback):
         self._print(line)
 
     def on_scheduler_round(self, scheduler, record) -> None:
-        if not self.log_scheduler_rounds:
+        # A one-task session's allocation is trivial: its round lines say it all.
+        if not self.log_scheduler_rounds or len(scheduler.tasks) == 1:
             return
         task = scheduler.tasks[record.selected_task]
         self._print(

@@ -28,8 +28,6 @@ Layout:
   :class:`DeviceFleet` of named devices, each with its own
   :class:`DeviceProfile` (noise, fault rates, queue latency, slowdown).
   Registered as ``"rpc"`` in both registries.
-* :mod:`~repro.hardware.measurer` — the legacy :class:`ProgramMeasurer`,
-  now a thin serial/no-fault shim over :class:`MeasurePipeline`.
 """
 
 from .measure import (
@@ -60,7 +58,6 @@ from .fleet import (
     DeviceState,
     EstimatedProfile,
 )
-from .measurer import ProgramMeasurer
 from .platform import (
     CacheLevel,
     HardwareParams,
@@ -111,7 +108,6 @@ __all__ = [
     "MeasurePipeline",
     "MeasureSession",
     "MeasureFuture",
-    "ProgramMeasurer",
     "register_builder",
     "registered_builders",
     "resolve_builder",

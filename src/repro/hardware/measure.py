@@ -1215,8 +1215,9 @@ class MeasurePipeline:
         #: a faster or healthier device and genuinely recover
         self.retry_timeouts = retry_timeouts
         #: default mode for sessions opened via :meth:`session` — True means
-        #: drivers (Tuner / SearchPolicy.tune / TaskScheduler.tune) overlap
-        #: candidate generation with measurement through an async session
+        #: the round driver (TaskScheduler.tune, under every Tuner session)
+        #: overlaps candidate generation with measurement through an async
+        #: session
         self.async_measure = async_measure
         #: serializes the run stage and all counter/best-state accounting
         #: across session workers and direct measure() calls
@@ -1333,7 +1334,7 @@ class MeasurePipeline:
             async_measure=options.async_measure,
         )
 
-    # -- compat accessors (the old ProgramMeasurer surface) ---------------
+    # -- runner accessors (machine, noise model, seed) --------------------
     @property
     def hardware(self) -> HardwareParams:
         return self.runner.hardware

@@ -19,24 +19,25 @@ achieved on a similar task k.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..callbacks import (
     MeasureCallback,
+    MeasureEvent,
     MeasureResultEvent,
     ProgressLogger,
     StopTuning,
     fire_result,
     fire_round,
-    fire_round_events,
     fire_scheduler_round,
 )
 from ..cost_model.model import CostModel
 from ..cost_model.service import CostModelService
-from ..hardware.measure import MeasureInput, MeasurePipeline, MeasureSession
+from ..hardware.measure import MeasureFuture, MeasureInput, MeasurePipeline, MeasureSession
 from ..hardware.platform import HardwareParams
 from ..ir.state import State
 from ..search.policy import SearchPolicy
@@ -217,34 +218,26 @@ class TaskScheduler:
         gradient = df_dg * (self.alpha * backward + (1 - self.alpha) * forward)
         return min(gradient, 0.0)
 
-    def _remaining_limit(
-        self, index: int, pending_trials: Optional[Sequence[int]] = None
-    ) -> Optional[int]:
+    def _remaining_limit(self, index: int, pending_trials: Sequence[int]) -> Optional[int]:
         """Trials a task may still consume under its per-task cap (None =
-        uncapped); in-flight trials of the async driver count as spent."""
+        uncapped); in-flight trials count as spent."""
         if self.trial_limits is None:
             return None
         limit = self.trial_limits[index]
         if limit is None:
             return None
-        pending = pending_trials[index] if pending_trials is not None else 0
-        return max(0, limit - self.task_trials[index] - pending)
+        return max(0, limit - self.task_trials[index] - pending_trials[index])
 
     def _select_task(
-        self,
-        pending_alloc: Optional[Sequence[int]] = None,
-        pending_trials: Optional[Sequence[int]] = None,
+        self, pending_alloc: Sequence[int], pending_trials: Sequence[int]
     ) -> Optional[int]:
         """Pick the next task to allocate a round to.
 
         ``pending_alloc`` counts rounds already proposed but not yet
-        accounted (the async driver's in-flight lookahead), so warm-up and
-        round-robin do not re-pick a task whose first round is still on the
-        devices; ``pending_trials`` is the same for per-task trial caps."""
-        if pending_alloc is None:
-            alloc = self.allocations
-        else:
-            alloc = [a + p for a, p in zip(self.allocations, pending_alloc)]
+        accounted (the in-flight lookahead), so warm-up and round-robin do
+        not re-pick a task whose first round is still on the devices;
+        ``pending_trials`` is the same for per-task trial caps."""
+        alloc = [a + p for a, p in zip(self.allocations, pending_alloc)]
         live = [
             i
             for i, done in enumerate(self.exhausted)
@@ -284,8 +277,7 @@ class TaskScheduler:
         """
         if measurer is not None:
             # getattr: a custom runner may not expose .hardware — such a
-            # measurer cannot be validated and is accepted as-is (same
-            # guard Tuner._tune_single applies).
+            # measurer cannot be validated and is accepted as-is.
             measurer_hw = getattr(measurer, "hardware", None)
             if measurer_hw is None:
                 return [measurer] * len(self.tasks)
@@ -368,6 +360,11 @@ class TaskScheduler:
         """Distribute ``num_measure_trials`` over the tasks; returns the final
         best latency per task.
 
+        This is the one round driver of the package: a single-task
+        :class:`~repro.tuner.Tuner` session is a one-task scheduler, variant
+        groups and :class:`~repro.store.TuningService` batches are
+        multi-task ones.
+
         Each task is measured on *its own* hardware target: when no
         ``measurer`` is given, one :class:`~repro.hardware.measure.MeasurePipeline`
         is built per distinct hardware description — through
@@ -375,146 +372,53 @@ class TaskScheduler:
         thread builder/runner knobs through) — while a supplied measurer is
         validated against every task instead (see :meth:`_make_measurers`).
 
+        Every round goes through a :class:`~repro.hardware.measure.MeasureSession`
+        (one per distinct pipeline; tasks sharing hardware share it).  The
+        driver keeps ``lookahead`` rounds bred and submitted beyond the round
+        it is collecting: 1 when ``async_measure`` is set (here or on any
+        pipeline), so the next task is selected — against allocation state
+        that counts the in-flight round, one round staler than otherwise —
+        and its round bred while the current one occupies the devices; 0
+        otherwise, where a synchronous session measures each round as one
+        batch, exactly like :meth:`MeasurePipeline.measure`.  All accounting
+        (trials, allocations, histories, records) happens at collection
+        time, in round order.
+
         ``callbacks`` observe every measured round (see
         :mod:`repro.callbacks`).  A callback that raises
-        :class:`~repro.callbacks.StopTuning` for a round marks that task as
-        exhausted: the scheduler stops allocating to it but keeps tuning the
-        remaining tasks (an :class:`~repro.callbacks.EarlyStopper` tracks
-        improvement per task, so sharing one instance works as expected).
-
-        ``async_measure`` (or pipelines built with ``async_measure=True``)
-        switches to the pipelined driver when every policy implements the
-        propose/ingest split: while the selected round runs on its devices,
-        the scheduler speculatively selects the next task (on the current,
-        one-round-stale allocation state) and breeds its round, so devices
-        and the searcher stay busy simultaneously.  A task early-stopped by
-        a callback may therefore have one already-in-flight lookahead round,
-        which is still measured and ingested (the device time is spent
-        either way) before the task stops receiving allocations.
+        :class:`~repro.callbacks.StopTuning` from ``on_result`` or
+        ``on_round`` marks that task as exhausted: its queued measurements
+        in every in-flight round are recalled (running ones complete and are
+        kept), and the scheduler keeps tuning the remaining tasks (an
+        :class:`~repro.callbacks.EarlyStopper` tracks improvement per task,
+        so sharing one instance works as expected).  A stop from
+        ``on_scheduler_round`` ends the whole session.
         """
         self.measurers = self._make_measurers(measurer, measurer_factory)
         active = list(callbacks)
         if self.verbose and not any(isinstance(cb, ProgressLogger) for cb in active):
             active.append(ProgressLogger())
-        use_async = (
-            async_measure or any(getattr(m, "async_measure", False) for m in self.measurers)
-        ) and all(policy.supports_pipelining for policy in self.policies)
-        for cb in active:
-            cb.on_tuning_start(self)
-        try:
-            if use_async:
-                self._tune_pipelined(num_measure_trials, num_measures_per_round, active)
-            else:
-                self._tune_rounds(num_measure_trials, num_measures_per_round, active)
-        finally:
-            for cb in active:
-                cb.on_tuning_end(self)
-        return list(self.best_costs)
-
-    def _tune_rounds(
-        self,
-        num_measure_trials: int,
-        num_measures_per_round: int,
-        active: List[MeasureCallback],
-    ) -> None:
-        """The batch-synchronous allocation loop (the historical behaviour)."""
-        while self.total_trials < num_measure_trials:
-            index = self._select_task()
-            if index is None:  # every task early-stopped
-                break
-            policy = self.policies[index]
-            task_measurer = self.measurers[index]
-            budget = min(num_measures_per_round, num_measure_trials - self.total_trials)
-            remaining = self._remaining_limit(index)
-            if remaining is not None:
-                budget = min(budget, remaining)
-            # Two-argument call: pre-0.2.0 policies (no callbacks
-            # parameter) keep working; events fire here at the loop level.
-            inputs, results = policy.continue_search_one_round(budget, task_measurer)
-            consumed = len(inputs)
-            stopped = False
-            if active and inputs:
-                try:
-                    fire_round_events(active, policy._make_event(inputs, results, task_measurer))
-                except StopTuning:
-                    stopped = True
-            if consumed == 0:
-                # The policy produced no candidates.  Charge one phantom
-                # trial so the loop provably terminates, but track the
-                # dry spell: a task that is repeatedly empty (its space
-                # enumerated or fully deduplicated) is exhausted and must
-                # stop being selected — it used to be re-selectable
-                # forever, burning the remaining budget one phantom trial
-                # at a time while appending stale points to its latency
-                # history.  Empty rounds leave the history untouched.
-                self.total_trials += 1
-                self.allocations[index] += 1
-                self.empty_rounds[index] += 1
-                if self.empty_rounds[index] >= self.max_empty_rounds:
-                    self.exhausted[index] = True
-                continue
-            self.empty_rounds[index] = 0
-            if stopped:
-                self.exhausted[index] = True
-            self.total_trials += consumed
-            self.task_trials[index] += consumed
-            self.allocations[index] += 1
-            self.best_costs[index] = policy.best_cost
-            self.latency_history[index].append(policy.best_cost)
-            if isinstance(self.objective, EarlyStoppingLatency):
-                self.objective.observe(index, policy.best_cost)
-            record = TaskSchedulerRecord(
-                total_trials=self.total_trials,
-                objective_value=self.objective_value(),
-                best_costs=list(self.best_costs),
-                selected_task=index,
-            )
-            self.records.append(record)
-            try:
-                if active:
-                    fire_scheduler_round(active, self, record)
-            except StopTuning:
-                # A scheduler-level stop (e.g. a global budget callback)
-                # ends the whole session, not just one task.
-                break
-
-    # -- the pipelined (async) driver ------------------------------------
-    def _tune_pipelined(
-        self,
-        num_measure_trials: int,
-        num_measures_per_round: int,
-        active: List[MeasureCallback],
-    ) -> None:
-        """One-round-lookahead allocation over async measurement sessions.
-
-        One :class:`~repro.hardware.measure.MeasureSession` is opened per
-        distinct pipeline (tasks sharing hardware share a session).  While
-        the current round occupies its devices, the next task is selected —
-        against allocation state that includes the in-flight round, so
-        warm-up still visits every task exactly once — and its round is
-        bred and submitted.  Gradient-based selection therefore runs one
-        round staler than the synchronous driver, the documented price of
-        the overlap.  All accounting (trials, allocations, histories,
-        records) happens at ingest time, in round-completion order, exactly
-        as in the synchronous loop.
-        """
+        async_ = async_measure or any(getattr(m, "async_measure", False) for m in self.measurers)
+        lookahead = 1 if async_ else 0
         sessions: Dict[int, MeasureSession] = {}
         pending_alloc = [0] * len(self.tasks)
         pending_trials = [0] * len(self.tasks)
         submitted = 0  # trials in flight: proposed but not yet accounted
+        # rounds bred and submitted but not yet collected, oldest first
+        in_flight: Deque[Tuple[int, List[MeasureInput], List[MeasureFuture]]] = deque()
 
-        def _session_for(index: int) -> MeasureSession:
+        def session_for(index: int) -> MeasureSession:
             pipeline = self.measurers[index]
             session = sessions.get(id(pipeline))
             if session is None:
-                session = pipeline.session(async_=True)
+                session = pipeline.session(async_=async_)
                 sessions[id(pipeline)] = session
             return session
 
-        def _propose():
-            """Select a task and submit one bred round for it; handles the
-            empty-proposal accounting inline.  None = budget exhausted or no
-            live task."""
+        def propose() -> bool:
+            """Select a task and submit one bred round for it, handling the
+            empty-proposal accounting inline.  False = budget exhausted or
+            no live task."""
             nonlocal submitted
             while True:
                 budget = min(
@@ -522,17 +426,21 @@ class TaskScheduler:
                     num_measure_trials - self.total_trials - submitted,
                 )
                 if budget <= 0:
-                    return None
+                    return False
                 index = self._select_task(pending_alloc, pending_trials)
-                if index is None:
-                    return None
+                if index is None:  # every task exhausted or capped
+                    return False
                 remaining = self._remaining_limit(index, pending_trials)
                 if remaining is not None:
                     budget = min(budget, remaining)
                 states = self.policies[index].propose_candidates(budget)
                 if not states:
-                    # Same phantom-trial accounting as the synchronous loop:
-                    # guarantees termination and exhausts repeatedly-dry tasks.
+                    # The policy produced no candidates.  Charge one phantom
+                    # trial so the loop provably terminates, and track the
+                    # dry spell: a task that is repeatedly empty (its space
+                    # enumerated or fully deduplicated) is exhausted instead
+                    # of re-selected forever.  Its latency history is left
+                    # untouched.
                     self.total_trials += 1
                     self.allocations[index] += 1
                     self.empty_rounds[index] += 1
@@ -540,24 +448,34 @@ class TaskScheduler:
                         self.exhausted[index] = True
                     continue
                 inputs = [MeasureInput(self.tasks[index], state) for state in states]
-                futures = _session_for(index).submit(inputs)
+                in_flight.append((index, inputs, session_for(index).submit(inputs)))
                 submitted += len(inputs)
                 pending_alloc[index] += 1
                 pending_trials[index] += len(inputs)
-                return (index, inputs, futures)
+                return True
 
-        def _finish(round_, suppress_stop: bool = False) -> bool:
-            """Stream one in-flight round to completion, ingest and account
-            it; returns True on a scheduler-level stop."""
+        def stop_task(index: int, futures: List[MeasureFuture]) -> None:
+            """Recall the task's queued work: this round's remainder and its
+            in-flight lookahead rounds.  Only the task's own futures — tasks
+            on the same hardware share the session."""
+            for fut in futures:
+                fut.cancel()
+            for later_index, _, later in in_flight:
+                if later_index == index:
+                    for fut in later:
+                        fut.cancel()
+
+        def collect(suppress_stop: bool = False) -> bool:
+            """Stream the oldest in-flight round to completion, ingest and
+            account it; returns True on a scheduler-level stop."""
             nonlocal submitted
-            index, inputs, futures = round_
+            index, inputs, futures = in_flight.popleft()
             policy = self.policies[index]
             task_measurer = self.measurers[index]
-            session = _session_for(index)
-            stop_task = False
+            stopped = False
             kept_inputs: List[MeasureInput] = []
             results = []
-            for fut in session.as_completed(futures):
+            for fut in session_for(index).as_completed(futures):
                 if fut.cancelled():
                     continue
                 res = fut.result()
@@ -576,27 +494,35 @@ class TaskScheduler:
                             ),
                         )
                     except StopTuning:
-                        if not stop_task:
-                            stop_task = True
-                            # Mid-round stop: recall this round's queued
-                            # remainder; running work completes and is kept.
-                            for pending in futures:
-                                pending.cancel()
+                        if not stopped:
+                            stopped = True
+                            stop_task(index, futures)
             pending_alloc[index] -= 1
             pending_trials[index] -= len(inputs)
             submitted -= len(inputs)
             if not kept_inputs:
                 # Everything was cancelled before reaching a device: the
                 # round never happened, so nothing is charged.
-                if stop_task:
-                    self.exhausted[index] = True
                 return False
             policy.ingest_results(kept_inputs, results)
             if active:
                 try:
-                    fire_round(active, policy._make_event(kept_inputs, results, task_measurer))
+                    fire_round(
+                        active,
+                        MeasureEvent(
+                            task=self.tasks[index],
+                            policy=policy,
+                            inputs=kept_inputs,
+                            results=results,
+                            num_trials=policy.num_trials,
+                            best_cost=policy.best_cost,
+                            measurer=task_measurer,
+                        ),
+                    )
                 except StopTuning:
-                    stop_task = True
+                    if not stopped:
+                        stopped = True
+                        stop_task(index, futures)
             consumed = len(kept_inputs)
             self.total_trials += consumed
             self.task_trials[index] += consumed
@@ -606,7 +532,7 @@ class TaskScheduler:
             self.latency_history[index].append(policy.best_cost)
             if isinstance(self.objective, EarlyStoppingLatency):
                 self.objective.observe(index, policy.best_cost)
-            if stop_task:
+            if stopped:
                 self.exhausted[index] = True
             record = TaskSchedulerRecord(
                 total_trials=self.total_trials,
@@ -622,23 +548,30 @@ class TaskScheduler:
                 return not suppress_stop
             return False
 
+        for cb in active:
+            cb.on_tuning_start(self)
         try:
-            current = _propose()
-            while current is not None:
-                # Breed the lookahead round while the current one measures.
-                upcoming = _propose()
-                if _finish(current):
-                    # Scheduler-level stop: the lookahead round is already
-                    # in flight — recall what never started, keep the rest.
-                    if upcoming is not None:
-                        for fut in upcoming[2]:
-                            fut.cancel()
-                        _finish(upcoming, suppress_stop=True)
+            while True:
+                # Keep `lookahead` rounds bred beyond the one collected next.
+                while len(in_flight) <= lookahead and propose():
+                    pass
+                if not in_flight:
                     break
-                current = upcoming if upcoming is not None else _propose()
+                if collect():
+                    # Scheduler-level stop: the lookahead rounds are already
+                    # in flight — recall what never started, keep the rest.
+                    for _, _, later in in_flight:
+                        for fut in later:
+                            fut.cancel()
+                    while in_flight:
+                        collect(suppress_stop=True)
+                    break
         finally:
             for session in sessions.values():
                 session.close()
+            for cb in active:
+                cb.on_tuning_end(self)
+        return list(self.best_costs)
 
     # ------------------------------------------------------------------
     def _finite_costs(self) -> List[float]:

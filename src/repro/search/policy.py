@@ -1,11 +1,7 @@
 """Search policy interface shared by Ansor and the baseline strategies.
 
-A search policy optimizes one :class:`~repro.task.SearchTask`.  Policies are
-driven either standalone (through :meth:`SearchPolicy.tune`) or by the task
-scheduler (§6), which repeatedly asks for "one more round" of measurements
-via :meth:`SearchPolicy.continue_search_one_round`.
-
-The round itself is split into two halves so drivers can pipeline:
+A search policy optimizes one :class:`~repro.task.SearchTask` by
+implementing the two halves of a measurement round:
 
 * :meth:`SearchPolicy.propose_candidates` breeds the next batch of programs
   (sampling, evolution, ε-greedy selection — everything that happens *before*
@@ -13,15 +9,12 @@ The round itself is split into two halves so drivers can pipeline:
 * :meth:`SearchPolicy.ingest_results` absorbs a measured batch (best-state
   tracking, cost-model training, history).
 
-:meth:`SearchPolicy.continue_search_one_round` is now a default adapter —
-propose, measure, ingest — so subclasses implement the two halves and the
-old batch-synchronous entry point keeps working unchanged (and legacy
-subclasses that override ``continue_search_one_round`` directly still run
-on every synchronous path).  When measurement is asynchronous
-(``TuningOptions.async_measure``), :meth:`SearchPolicy.tune` drives the
-halves through a :class:`~repro.hardware.measure.MeasureSession` with one
-round of lookahead: round *k+1* is bred while round *k* occupies the
-devices, which is the overlap the paper uses to hide device latency.
+The measurement in between belongs to the one round driver,
+:meth:`repro.scheduler.task_scheduler.TaskScheduler.tune` — a single-task
+:class:`~repro.tuner.Tuner` session is a one-task scheduler.  With
+``TuningOptions.async_measure`` the driver breeds round *k+1* while round
+*k* occupies the devices, which is the overlap the paper uses to hide
+device latency; otherwise each round is measured as one batch.
 
 Policies are also available through a string-keyed registry so higher
 layers (most notably :class:`repro.tuner.Tuner`) can select a search
@@ -39,19 +32,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..callbacks import (
-    MeasureCallback,
-    MeasureEvent,
-    MeasureResultEvent,
-    ProgressLogger,
-    StopTuning,
-    fire_result,
-    fire_round,
-    fire_round_events,
-)
-from ..hardware.measure import MeasureInput, MeasurePipeline, MeasureResult, MeasureSession
+from ..hardware.measure import MeasureInput, MeasureResult
 from ..ir.state import State
-from ..task import SearchTask, TuningOptions
+from ..task import SearchTask
 
 __all__ = [
     "SearchPolicy",
@@ -137,14 +120,12 @@ class SearchPolicy:
 
         This is the search half of a round — everything that happens before
         hardware is involved.  A policy must not re-propose a program it has
-        already proposed (an async driver may call this again *before* the
-        previous batch's results are ingested).  Returning an empty list
-        means the policy is out of candidates and the session should end.
+        already proposed (with async measurement the driver calls this again
+        *before* the previous batch's results are ingested).  Returning an
+        empty list means the policy is out of candidates: the driver retires
+        the task after ``TaskScheduler.max_empty_rounds`` such rounds.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} implements neither propose_candidates() "
-            "nor continue_search_one_round()"
-        )
+        raise NotImplementedError(f"{type(self).__name__} does not implement propose_candidates()")
 
     def ingest_results(
         self, inputs: Sequence[MeasureInput], results: Sequence[MeasureResult]
@@ -159,12 +140,6 @@ class SearchPolicy:
                 self.best_state = inp.state
         self.history.append((self.num_trials, self.best_cost))
 
-    @property
-    def supports_pipelining(self) -> bool:
-        """Whether this policy implements the propose/ingest split (and can
-        therefore be driven through an async measurement session)."""
-        return type(self).propose_candidates is not SearchPolicy.propose_candidates
-
     def close(self) -> None:
         """Release any resources the policy holds (worker pools, handles).
 
@@ -175,259 +150,8 @@ class SearchPolicy:
         policy may lazily recreate its resources if it is driven again.
         """
 
-    # ------------------------------------------------------------------
-    def continue_search_one_round(
-        self,
-        num_measures: int,
-        measurer: MeasurePipeline,
-        callbacks: Sequence[MeasureCallback] = (),
-    ) -> Tuple[List[MeasureInput], List[MeasureResult]]:
-        """Generate, measure and learn from one batch of candidate programs.
-
-        The default adapter composes the two halves — propose, measure
-        through the pipeline's batch path, ingest — so policies implementing
-        :meth:`propose_candidates` / :meth:`ingest_results` get the classic
-        batch-synchronous entry point for free, and pre-split subclasses
-        that override this method directly keep working on every
-        synchronous driver.
-
-        ``callbacks`` observe the measured batch (see
-        :mod:`repro.callbacks`); a callback may raise
-        :class:`~repro.callbacks.StopTuning` to end the session.
-        """
-        candidates = self.propose_candidates(num_measures)
-        if not candidates:
-            return [], []
-        inputs = [MeasureInput(self.task, state) for state in candidates]
-        results = measurer.measure(inputs)
-        self.ingest_results(inputs, results)
-        if callbacks:
-            fire_round_events(callbacks, self._make_event(inputs, results, measurer))
-        return inputs, results
-
-    # ------------------------------------------------------------------
-    def _make_event(
-        self,
-        inputs: Sequence[MeasureInput],
-        results: Sequence[MeasureResult],
-        measurer: Optional[MeasurePipeline] = None,
-    ) -> MeasureEvent:
-        """The :class:`MeasureEvent` describing the policy's latest round."""
-        return MeasureEvent(
-            task=self.task,
-            policy=self,
-            inputs=list(inputs),
-            results=list(results),
-            num_trials=self.num_trials,
-            best_cost=self.best_cost,
-            measurer=measurer,
-        )
-
-    def _record_results(
-        self,
-        inputs: Sequence[MeasureInput],
-        results: Sequence[MeasureResult],
-        callbacks: Sequence[MeasureCallback] = (),
-        measurer: Optional[MeasurePipeline] = None,
-    ) -> None:
-        """Legacy helper for pre-split subclasses: the base book-keeping of
-        :meth:`ingest_results` plus optional event firing.  Calls the *base*
-        implementation on purpose — a subclass using this helper has already
-        done its own learning before calling it."""
-        SearchPolicy.ingest_results(self, inputs, results)
-        if callbacks:
-            fire_round_events(callbacks, self._make_event(inputs, results, measurer))
-
     def best_throughput(self) -> float:
         """Best achieved throughput in FLOP/s (0 when nothing measured yet)."""
         if not np.isfinite(self.best_cost) or self.best_cost <= 0:
             return 0.0
         return self.task.flop_count() / self.best_cost
-
-    # ------------------------------------------------------------------
-    def tune(
-        self,
-        options: Optional[TuningOptions] = None,
-        measurer: Optional[MeasurePipeline] = None,
-        callbacks: Sequence[MeasureCallback] = (),
-    ) -> Optional[State]:
-        """Run a full standalone tuning session on this task.
-
-        Recording, progress logging and early stopping are all measure
-        callbacks; ``options.verbose`` and ``options.early_stopping`` are
-        honored by appending the equivalent callback when none is given.
-
-        With ``options.async_measure`` (or a pipeline built with
-        ``async_measure=True``) and a policy implementing the
-        propose/ingest split, rounds are driven through an asynchronous
-        :class:`~repro.hardware.measure.MeasureSession` with one round of
-        lookahead — round *k+1* is bred while round *k* runs on the devices.
-        Policies without the split fall back to the batch-synchronous loop.
-        """
-        from ..callbacks import EarlyStopper  # local: keep top-level imports light
-
-        options = options or TuningOptions()
-        if measurer is None:
-            # Build the measurement pipeline from the options' builder/runner
-            # knobs (parallelism, timeouts), seeded like the old default.
-            measurer = MeasurePipeline.from_options(
-                self.task.hardware_params, options, seed=self.seed
-            )
-        active = list(callbacks)
-        if (options.verbose or self.verbose) and not any(
-            isinstance(cb, ProgressLogger) for cb in active
-        ):
-            active.append(ProgressLogger())
-        if options.early_stopping and not any(
-            isinstance(cb, EarlyStopper) for cb in active
-        ):
-            active.append(EarlyStopper(options.early_stopping))
-
-        use_async = (
-            options.async_measure or getattr(measurer, "async_measure", False)
-        ) and self.supports_pipelining
-
-        for cb in active:
-            cb.on_tuning_start(self)
-        try:
-            if use_async:
-                self._tune_pipelined(options, measurer, active)
-            else:
-                while self.num_trials < options.num_measure_trials:
-                    budget = min(
-                        options.num_measures_per_round,
-                        options.num_measure_trials - self.num_trials,
-                    )
-                    # The two-argument call keeps pre-0.2.0 subclasses (which
-                    # override without the callbacks parameter) working; events
-                    # are fired here, at the loop level, instead.
-                    inputs, results = self.continue_search_one_round(budget, measurer)
-                    if not inputs:
-                        break
-                    if active:
-                        fire_round_events(active, self._make_event(inputs, results, measurer))
-        except StopTuning:
-            pass
-        finally:
-            for cb in active:
-                cb.on_tuning_end(self)
-        return self.best_state
-
-    # -- the pipelined (async) driver ------------------------------------
-    def _tune_pipelined(
-        self,
-        options: TuningOptions,
-        measurer: MeasurePipeline,
-        callbacks: Sequence[MeasureCallback],
-    ) -> None:
-        """Drive rounds through an async session with one-round lookahead.
-
-        While round *k* occupies the devices, :meth:`propose_candidates`
-        breeds round *k+1* from everything ingested so far (the cost model
-        is therefore one round staler than on the synchronous path — the
-        price of the overlap, as in the paper).  A :class:`StopTuning` from
-        any callback cancels the queued remainder, waits out the running
-        measurements, and ingests/records them before unwinding, so no
-        future leaks and every executed trial is counted exactly once.
-        """
-        # Budget from the trials already consumed, like the sync loop: a
-        # reused policy resumes, it does not restart.  `submitted` then
-        # also reserves the in-flight lookahead trials.
-        submitted = self.num_trials
-        rounds: List[Tuple[List[MeasureInput], List["MeasureFuture"]]] = []
-
-        with measurer.session(async_=True) as session:
-
-            def propose_and_submit():
-                nonlocal submitted
-                budget = min(
-                    options.num_measures_per_round,
-                    options.num_measure_trials - submitted,
-                )
-                if budget <= 0:
-                    return None
-                candidates = self.propose_candidates(budget)
-                if not candidates:
-                    return None
-                inputs = [MeasureInput(self.task, state) for state in candidates]
-                futures = session.submit(inputs)
-                submitted += len(inputs)
-                return (inputs, futures)
-
-            first = propose_and_submit()
-            if first is not None:
-                rounds.append(first)
-            while rounds:
-                # Breed the lookahead round while the current one measures.
-                upcoming = propose_and_submit()
-                if upcoming is not None:
-                    rounds.append(upcoming)
-                try:
-                    self._collect_round(session, rounds[0], callbacks, measurer)
-                except StopTuning:
-                    # A policy-level stop ends the whole session: recall the
-                    # lookahead rounds' queued work, then drain and ingest
-                    # whatever already reached a device — nothing leaks,
-                    # nothing is measured that can still be cancelled.
-                    rounds.pop(0)
-                    for later in rounds:
-                        for fut in later[1]:
-                            fut.cancel()
-                        self._collect_round(
-                            session, later, callbacks, measurer, suppress_stop=True
-                        )
-                    raise
-                rounds.pop(0)
-
-    def _collect_round(
-        self,
-        session: MeasureSession,
-        round_: Tuple[List[MeasureInput], List["MeasureFuture"]],
-        callbacks: Sequence[MeasureCallback],
-        measurer: MeasurePipeline,
-        suppress_stop: bool = False,
-    ) -> None:
-        """Stream one in-flight round to completion: fire ``on_result`` as
-        measurements land, then ingest the batch and fire the round event.
-        On the first :class:`StopTuning` the round's queued remainder is
-        cancelled (running work still completes and is observed); the stop
-        re-raises after ingestion unless ``suppress_stop``."""
-        inputs, futures = round_
-        stop: Optional[StopTuning] = None
-        kept_inputs: List[MeasureInput] = []
-        results: List[MeasureResult] = []
-        for fut in session.as_completed(futures):
-            if fut.cancelled():
-                continue
-            res = fut.result()
-            kept_inputs.append(fut.input)
-            results.append(res)
-            if callbacks:
-                try:
-                    fire_result(
-                        callbacks,
-                        MeasureResultEvent(
-                            task=self.task,
-                            policy=self,
-                            input=fut.input,
-                            result=res,
-                            measurer=measurer,
-                        ),
-                    )
-                except StopTuning as exc:
-                    if stop is None:
-                        stop = exc
-                        # Stop paying for device time immediately: recall
-                        # everything still queued on the session (this
-                        # round's remainder and any lookahead round alike);
-                        # running measurements complete and are kept.
-                        session.cancel_pending()
-        if kept_inputs:
-            self.ingest_results(kept_inputs, results)
-            if callbacks:
-                try:
-                    fire_round(callbacks, self._make_event(kept_inputs, results, measurer))
-                except StopTuning as exc:
-                    stop = stop or exc
-        if stop is not None and not suppress_stop:
-            raise stop

@@ -13,10 +13,9 @@ This is the main loop described in §3–§5 of the paper.  Each round:
 
 Steps 1–4 are :meth:`SketchPolicy.propose_candidates` and step 6 is
 :meth:`SketchPolicy.ingest_results`; the measurement in between belongs to
-the driver, which either composes the halves batch-synchronously (the
-inherited ``continue_search_one_round``) or pipelines them through an async
-:class:`~repro.hardware.measure.MeasureSession` so breeding round *k+1*
-overlaps measuring round *k*.
+the round driver, :meth:`~repro.scheduler.task_scheduler.TaskScheduler.tune`,
+which measures each round as one batch or, with async measurement, breeds
+round *k+1* while round *k* is measured.
 """
 
 from __future__ import annotations
@@ -203,9 +202,9 @@ class SketchPolicy(SearchPolicy):
     def propose_candidates(self, num_measures: int) -> List[State]:
         """One search half-round: sample, evolve, pick ε-greedily.
 
-        Picked programs are marked measured immediately — an async driver
-        breeds round *k+1* before round *k*'s results are ingested, and the
-        in-flight programs must not be proposed twice.
+        Picked programs are marked measured immediately — with async
+        measurement the driver breeds round *k+1* before round *k*'s results
+        are ingested, and the in-flight programs must not be proposed twice.
 
         With a bound schedule store, the first round is *warm-started*:
         stored bests of this workload and of structurally similar ones join

@@ -23,8 +23,7 @@ append log that every consumer re-scans in full:
 
 Three consumer paths hang off the store:
 
-1. **Instant lookup** — ``Tuner(task, store=store)`` (or
-   ``TuningOptions(schedule_store=...)``) returns the cached best
+1. **Instant lookup** — ``Tuner(task, store=store)`` returns the cached best
    :class:`~repro.tuner.TuningResult` without consuming a single
    measurement trial when the key hits; ``store_min_trials`` /
    ``store_refresh`` are the escape hatches.
@@ -653,11 +652,6 @@ class TuningService:
         callbacks: Sequence[MeasureCallback] = (),
         cost_model_service: Optional[CostModelService] = None,
     ):
-        if options is not None and options.schedule_store not in (None, store):
-            raise ValueError(
-                "TuningService got a store and TuningOptions bound to a "
-                "different schedule_store; pass one or the other"
-            )
         self.store = store
         self.options = options or TuningOptions()
         self.policy = policy

@@ -17,7 +17,6 @@ from .te.dag import ComputeDAG
 if TYPE_CHECKING:  # pragma: no cover - types only (avoid an import cycle)
     from .hardware.fleet import CircuitBreakerConfig, DeviceLike
     from .hardware.measure import ProgramBuilder, ProgramRunner
-    from .store import ScheduleStore
 
 __all__ = ["SearchTask", "TuningOptions", "split_workload_key"]
 
@@ -184,15 +183,10 @@ class TuningOptions:
     #: The default False preserves the batch-synchronous behaviour (and its
     #: tuning logs) bit for bit.
     async_measure: bool = False
-    #: a :class:`~repro.store.ScheduleStore` consulted before searching:
-    #: a hit on ``(workload fingerprint, target)`` returns the cached best
-    #: without consuming trials, a miss (or a structurally similar entry)
-    #: warm-starts the search, and new bests stream back into the store.
-    #: Equivalent to ``Tuner(task, store=...)``.
-    schedule_store: "Optional[ScheduleStore]" = None
-    #: escape hatch: even on a store hit, spend this many fresh
-    #: (warm-started) measurement trials before returning — 0 means a hit
-    #: short-circuits the search entirely.
+    #: escape hatch: even on a hit in the session's schedule store
+    #: (``Tuner(task, store=...)``), spend this many fresh (warm-started)
+    #: measurement trials before returning — 0 means a hit short-circuits
+    #: the search entirely.
     store_min_trials: int = 0
     #: escape hatch: ignore store hits and run the full search (still
     #: warm-started, and the result still refreshes the store).
@@ -201,7 +195,7 @@ class TuningOptions:
     #: :class:`~repro.cost_model.service.CostModelService`: an existing file
     #: warm-starts every per-target cost model from it (bit-identical
     #: predictions after reload), and the session saves back at the end —
-    #: the cost-model analogue of ``schedule_store``.  None keeps the
+    #: the cost-model analogue of the schedule store.  None keeps the
     #: service in-memory for the session.
     cost_model_path: Optional[str] = None
     #: cost-model retraining mode: ``"window"`` (default) fits each retrain
@@ -216,14 +210,9 @@ class TuningOptions:
     #: model default (1024, which covers the whole default training-set cap
     #: — windowed mode then matches "full" bit for bit)
     cost_model_window: Optional[int] = None
-    #: tune a logical op through its competing algorithm variants (see
-    #: :mod:`repro.variants`): the session expands the workload through the
-    #: variant registry and a :class:`~repro.variants.VariantArbiter`
-    #: arbitrates the trial budget across the group.  Equivalent to
-    #: ``Tuner(..., variants=True)``; implied when the workload is a
-    #: :class:`~repro.variants.LogicalOp`.
-    variant_search: bool = False
-    #: early-pruning margin of a variant session: once a variant has
+    #: early-pruning margin of a variant session (a
+    #: :class:`~repro.variants.LogicalOp` workload or ``Tuner(task,
+    #: variants=True)``, see :mod:`repro.variants`): once a variant has
     #: ``variant_min_trials`` measurements and its best cost trails the
     #: group leader's by more than this factor, it is pruned and its share
     #: of the remaining budget flows to the survivors (successive-halving

@@ -5,8 +5,9 @@ tuner, task scheduler.  :class:`Tuner` is the session object that composes
 those layers behind one interface:
 
 * the **workload** is either a single :class:`~repro.task.SearchTask` or a
-  list of network names (resolved through the workload zoo and driven by the
-  gradient-descent task scheduler),
+  list of network names (resolved through the workload zoo); either way the
+  gradient-descent task scheduler drives the rounds — a single task is a
+  one-task allocation,
 * the **policy** is selected from the string-keyed registry
   (``"sketch"``, ``"beam"``, ``"random"``, ``"limited-space"``, plus
   anything user code registered with
@@ -38,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .callbacks import MeasureCallback
+from .callbacks import EarlyStopper, MeasureCallback
 from .cost_model.service import CostModelService
 from .hardware.measure import MeasurePipeline
 from .hardware.platform import HardwareParams
@@ -133,11 +134,14 @@ class TuningResult:
     history: List[Tuple[int, float]] = field(default_factory=list)
     #: estimated end-to-end latency per network (multi-network sessions)
     network_latencies: Dict[str, float] = field(default_factory=dict)
-    #: the driving scheduler of a multi-network session, for introspection
+    #: the :class:`~repro.scheduler.task_scheduler.TaskScheduler` that drove
+    #: the session, for introspection (a one-task scheduler for a
+    #: single-task session; ``None`` for a store hit)
     scheduler: Optional[TaskScheduler] = None
     #: total measurement trials consumed
     num_trials: int = 0
-    #: measurements that failed to build or run (invalid schedules)
+    #: measurements of this session that failed to build or run (invalid
+    #: schedules, faults) — not the lifetime count of a supplied measurer
     num_errors: int = 0
     #: True when the result was served from a :class:`~repro.store.ScheduleStore`
     #: hit without searching (``num_trials`` is then 0)
@@ -187,7 +191,7 @@ class Tuner:
         variant metadata (one produced by
         :func:`~repro.variants.expand_variants`): the whole group is
         rebuilt from the task's logical op and re-arbitrated.  Implied by a
-        LogicalOp workload or ``TuningOptions(variant_search=True)``.
+        LogicalOp workload.
     policy:
         A registered policy name (see
         :func:`repro.search.policy.registered_policies`), a ready
@@ -219,12 +223,11 @@ class Tuner:
         ``options.async_measure`` is the exception — it selects the session
         mode and is honored either way.
     store:
-        A :class:`~repro.store.ScheduleStore` (equivalent to
-        ``TuningOptions(schedule_store=...)``; giving both different stores
-        raises).  Single-task sessions consult it before searching: a hit on
-        the task's ``(workload fingerprint, target)`` key returns the cached
-        best as a zero-trial :class:`TuningResult` (``from_store=True``)
-        unless ``options.store_refresh`` forces a re-tune or
+        A :class:`~repro.store.ScheduleStore`.  Single-task sessions consult
+        it before searching: a hit on the task's ``(workload fingerprint,
+        target)`` key returns the cached best as a zero-trial
+        :class:`TuningResult` (``from_store=True``) unless
+        ``options.store_refresh`` forces a re-tune or
         ``options.store_min_trials`` asks for that many fresh warm-started
         trials instead.  On a miss the search warm-starts from the store's
         structurally similar bests, and every new best streams back into the
@@ -272,15 +275,9 @@ class Tuner:
         self.options = options or TuningOptions()
         self.callbacks = list(callbacks or [])
         self.policy_kwargs = dict(policy_kwargs or {})
-        options_store = self.options.schedule_store
-        if store is not None and options_store is not None and store is not options_store:
-            raise ValueError(
-                "Tuner got store= and TuningOptions(schedule_store=...) "
-                "pointing at different stores; pass one or the other"
-            )
         #: the schedule store consulted before searching (instant lookup),
         #: used for warm-starts, and refreshed with every new best
-        self.store = store if store is not None else options_store
+        self.store = store
         if (
             cost_model_service is not None
             and self.options.cost_model_path is not None
@@ -327,11 +324,8 @@ class Tuner:
 
         #: True when this session arbitrates a variant group instead of
         #: tuning one fixed DAG (implied by a LogicalOp workload; opted
-        #: into for an expanded SearchTask via ``variants=True`` or
-        #: ``TuningOptions(variant_search=True)``)
-        self.variant_session = (
-            variants or self.options.variant_search or isinstance(workload, LogicalOp)
-        )
+        #: into for an expanded SearchTask via ``variants=True``)
+        self.variant_session = variants or isinstance(workload, LogicalOp)
         if isinstance(workload, LogicalOp):
             self.networks: Optional[List[str]] = None
         elif isinstance(workload, SearchTask):
@@ -371,8 +365,7 @@ class Tuner:
         if self.networks is not None and self.variant_session:
             raise ValueError(
                 "variant search tunes one logical op; network sessions "
-                "cannot combine with variants=True / "
-                "TuningOptions(variant_search=True)"
+                "cannot combine with variants=True"
             )
         if self.variant_session and isinstance(policy, SearchPolicy):
             raise TypeError(
@@ -482,15 +475,47 @@ class Tuner:
             from_store=True,
         )
 
-    def _store_callbacks(self) -> List[MeasureCallback]:
-        """This session's callbacks plus a :class:`StoreWriter` streaming
-        new bests into the bound store (unless one is already attached)."""
+    def _session_callbacks(self) -> List[MeasureCallback]:
+        """This session's callbacks plus the ones its store and options
+        imply, unless already attached: a :class:`StoreWriter` streaming new
+        bests into the bound store and an :class:`EarlyStopper` for
+        ``options.early_stopping``."""
         callbacks = list(self.callbacks)
         if self.store is not None and not any(
             isinstance(cb, StoreWriter) and cb.store is self.store for cb in callbacks
         ):
             callbacks.append(StoreWriter(self.store))
+        if self.options.early_stopping and not any(
+            isinstance(cb, EarlyStopper) for cb in callbacks
+        ):
+            callbacks.append(EarlyStopper(self.options.early_stopping))
         return callbacks
+
+    def _errors_before(self) -> int:
+        """Failed trials a caller-supplied measurer counted before this
+        session: results report the session's errors, not its lifetime."""
+        return self.measurer.error_count if self.measurer is not None else 0
+
+    def _run_scheduler(
+        self, scheduler: TaskScheduler, num_measure_trials: int, options: TuningOptions
+    ) -> int:
+        """Drive ``scheduler`` with this session's measurer (or one pipeline
+        per hardware target built from the options) and callbacks; returns
+        the session's failed-trial count.  The cost model is saved even when
+        the session is interrupted: a partial model still warm-starts."""
+        errors_before = self._errors_before()
+        try:
+            scheduler.tune(
+                num_measure_trials,
+                options.num_measures_per_round,
+                measurer=self.measurer,
+                callbacks=self._session_callbacks(),
+                measurer_factory=lambda hw: MeasurePipeline.from_options(hw, options),
+                async_measure=options.async_measure,
+            )
+        finally:
+            self._save_cost_model()
+        return scheduler.measure_error_count() - errors_before
 
     def _tune_single(self, task: SearchTask) -> TuningResult:
         options = self.options
@@ -518,33 +543,27 @@ class Tuner:
             # Cross-session warm-start: the policy seeds its first round
             # from the store's bests (exact key and same structure class).
             policy.bind_store(self.store)
-        measurer = self.measurer
-        if measurer is None:
-            measurer = MeasurePipeline.from_options(task.hardware_params, options)
-        else:
-            # Same validation the scheduler applies to multi-task sessions:
-            # a supplied measurer must target the task's hardware.
-            measurer_hw = getattr(measurer, "hardware", None)
-            if measurer_hw is not None and measurer_hw != task.hardware_params:
-                raise ValueError(
-                    f"measurer targets {measurer_hw.name!r} but the task runs on "
-                    f"{task.hardware_params.name!r}; pass measurer=None to build a "
-                    "matching pipeline from the options"
-                )
+        # A single task is a one-task allocation of the task scheduler.
+        scheduler = TaskScheduler(
+            [task],
+            policy_factory=lambda *_: policy,
+            cost_model_service=self._service(),
+            seed=options.seed,
+            verbose=options.verbose or policy.verbose,
+        )
         # Report this session's consumption, not the lifetime counters of a
-        # caller-supplied (possibly pre-used) policy or measurer.
+        # caller-supplied (possibly pre-used) policy: a reused policy
+        # resumes from the trials it already consumed.
         trials_before = policy.num_trials
-        errors_before = measurer.error_count
         try:
-            policy.tune(options, measurer, self._store_callbacks())
+            num_errors = self._run_scheduler(
+                scheduler, options.num_measure_trials - trials_before, options
+            )
         finally:
             if not isinstance(self.policy, SearchPolicy):
                 # The session owns policies it built itself; release their
                 # worker pools (a user-supplied instance may be reused).
                 policy.close()
-            # Persist whatever trained even on an interrupted session — a
-            # partial model still warm-starts the next one.
-            self._save_cost_model()
         return TuningResult(
             tasks=[task],
             best_costs=[policy.best_cost],
@@ -553,8 +572,9 @@ class Tuner:
             # rebased so the curve starts at zero trials.
             history=[(t - trials_before, c) for t, c in policy.history
                      if t > trials_before],
+            scheduler=scheduler,
             num_trials=policy.num_trials - trials_before,
-            num_errors=measurer.error_count - errors_before,
+            num_errors=num_errors,
         )
 
     # -- variant groups --------------------------------------------------
@@ -632,21 +652,16 @@ class Tuner:
             merged.update(_search_worker_kwargs(factory, options, merged))
             return factory(task, **merged)
 
-        callbacks = self._store_callbacks()
-        if options.early_stopping:
-            from .callbacks import EarlyStopper
-
-            if not any(isinstance(cb, EarlyStopper) for cb in callbacks):
-                callbacks.append(EarlyStopper(options.early_stopping))
         arbiter = VariantArbiter(
             tasks,
             options=options,
             policy=arbiter_factory,
-            callbacks=callbacks,
+            callbacks=self._session_callbacks(),
             store=self.store,
             cost_model_service=self._service(),
             measurer=self.measurer,
         )
+        errors_before = self._errors_before()
         try:
             result = arbiter.tune()
         finally:
@@ -659,7 +674,7 @@ class Tuner:
             history=[(r.total_trials, r.objective_value) for r in scheduler.records],
             scheduler=scheduler,
             num_trials=result.total_trials,
-            num_errors=scheduler.measure_error_count(),
+            num_errors=scheduler.measure_error_count() - errors_before,
             variant_result=result,
         )
 
@@ -705,33 +720,14 @@ class Tuner:
             seed=options.seed,
             verbose=options.verbose,
         )
-        callbacks = self._store_callbacks()
-        if options.early_stopping:
-            from .callbacks import EarlyStopper
-
-            if not any(isinstance(cb, EarlyStopper) for cb in callbacks):
-                callbacks.append(EarlyStopper(options.early_stopping))
-        # No default measurer here: the scheduler builds one pipeline per
-        # distinct hardware target — from this session's options knobs
-        # (builder/runner, n_parallel, timeouts) — so a heterogeneous task
-        # list is measured on the right machines (a user-supplied measurer
-        # is validated against every task instead).
-        measurer = self.measurer
-        errors_before = measurer.error_count if measurer is not None else 0
-        try:
-            best_costs = scheduler.tune(
-                options.num_measure_trials,
-                options.num_measures_per_round,
-                measurer=measurer,
-                callbacks=callbacks,
-                measurer_factory=lambda hw: MeasurePipeline.from_options(hw, options),
-                async_measure=options.async_measure,
-            )
-        finally:
-            self._save_cost_model()
+        # Without a supplied measurer the scheduler builds one pipeline per
+        # distinct hardware target from this session's options knobs, so a
+        # heterogeneous task list is measured on the right machines (a
+        # user-supplied measurer is validated against every task instead).
+        num_errors = self._run_scheduler(scheduler, options.num_measure_trials, options)
         return TuningResult(
             tasks=list(tasks),
-            best_costs=list(best_costs),
+            best_costs=list(scheduler.best_costs),
             best_states=scheduler.best_states(),
             history=[(r.total_trials, r.objective_value) for r in scheduler.records],
             network_latencies={
@@ -739,5 +735,5 @@ class Tuner:
             },
             scheduler=scheduler,
             num_trials=scheduler.total_trials,
-            num_errors=scheduler.measure_error_count() - errors_before,
+            num_errors=num_errors,
         )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import te
-from repro.hardware import CostSimulator, ProgramMeasurer, intel_cpu
+from repro.hardware import CostSimulator, MeasureInput, MeasurePipeline, intel_cpu
 from repro.task import SearchTask
 from repro.workloads import matmul, matmul_relu
 
@@ -17,6 +17,18 @@ def make_matmul_dag(m=64, n=64, k=64):
 
 def make_matmul_relu_dag(m=64, n=64, k=64):
     return matmul_relu(m, n, k)
+
+
+def measure_one_round(policy, num_measures, measurer):
+    """Drive one search round by hand: propose, measure the batch, ingest.
+    Returns ``(inputs, results)``; both empty when nothing was proposed."""
+    states = policy.propose_candidates(num_measures)
+    if not states:
+        return [], []
+    inputs = [MeasureInput(policy.task, state) for state in states]
+    results = measurer.measure(inputs)
+    policy.ingest_results(inputs, results)
+    return inputs, results
 
 
 def make_norm_dag(batch=4, m=128, n=128):
@@ -60,7 +72,7 @@ def simulator(intel_hardware):
 
 @pytest.fixture
 def measurer(intel_hardware):
-    return ProgramMeasurer(intel_hardware, seed=0)
+    return MeasurePipeline(intel_hardware, seed=0)
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cost_model import LearnedCostModel, RandomCostModel
-from repro.hardware import CostSimulator, MeasureInput, ProgramMeasurer, intel_cpu
+from repro.hardware import CostSimulator, MeasureInput, MeasurePipeline, intel_cpu
 from repro.search import generate_sketches, sample_initial_population
 from repro.task import SearchTask
 
@@ -20,7 +20,7 @@ def _sample_and_measure(task, count, seed=0):
     rng = np.random.default_rng(seed)
     sketches = generate_sketches(task)
     states = sample_initial_population(task, sketches, count, rng)
-    measurer = ProgramMeasurer(task.hardware_params, seed=seed)
+    measurer = MeasurePipeline(task.hardware_params, seed=seed)
     inputs = [MeasureInput(task, s) for s in states]
     results = measurer.measure(inputs)
     return inputs, results
@@ -94,7 +94,7 @@ def test_learned_model_ignores_invalid_results(task):
     model = LearnedCostModel(n_rounds=5)
     state = task.compute_dag.init_state()
     state.split("C", 0, [None])  # incomplete -> measure error
-    measurer = ProgramMeasurer(task.hardware_params)
+    measurer = MeasurePipeline(task.hardware_params)
     inputs = [MeasureInput(task, state)]
     results = measurer.measure(inputs)
     model.update(inputs, results)
@@ -129,7 +129,7 @@ def test_zero_valid_batch_skips_the_refit_entirely(task):
 
     bad_state = task.compute_dag.init_state()
     bad_state.split("C", 0, [None])  # incomplete -> measure error
-    measurer = ProgramMeasurer(task.hardware_params)
+    measurer = MeasurePipeline(task.hardware_params)
     bad_inputs = [MeasureInput(task, bad_state)]
     bad_results = measurer.measure(bad_inputs)
     assert not any(r.valid for r in bad_results)

@@ -18,7 +18,7 @@ from repro.codegen.lowering import clear_lowering_cache
 from repro.cost_model import LearnedCostModel
 from repro.cost_model.features import clear_feature_cache, extract_program_features
 from repro.cost_model.gbdt import GBDTRegressor, RegressionTree
-from repro.hardware import MeasureInput, ProgramMeasurer, intel_cpu
+from repro.hardware import MeasureInput, MeasurePipeline, intel_cpu
 from repro.search import generate_sketches, sample_initial_population
 from repro.task import SearchTask
 
@@ -90,7 +90,7 @@ def trained_model_and_states():
     sketches = generate_sketches(task)
     states = sample_initial_population(task, sketches, 20, rng)
     assert len(states) >= 8
-    measurer = ProgramMeasurer(intel_cpu(), seed=0)
+    measurer = MeasurePipeline(intel_cpu(), seed=0)
     inputs = [MeasureInput(task, s) for s in states[:10]]
     results = measurer.measure(inputs)
     model = LearnedCostModel(n_rounds=10, seed=0)

@@ -1,9 +1,8 @@
 """Tests for the builder/runner measurement pipeline and its error taxonomy.
 
-Includes the no-fault parity gate: the pipeline (and the ``ProgramMeasurer``
-shim over it) must match a preserved copy of the pre-pipeline serial
-measurer bit for bit — costs, error strings, counters and best-state
-tracking.
+Includes the no-fault parity gate: the pipeline must match a preserved copy
+of the pre-pipeline serial measurer bit for bit — costs, error strings,
+counters and best-state tracking.
 """
 
 import hashlib
@@ -19,7 +18,6 @@ from repro.hardware import (
     MeasureInput,
     MeasurePipeline,
     MeasureResult,
-    ProgramMeasurer,
     RandomFaults,
     intel_cpu,
     registered_builders,
@@ -51,7 +49,7 @@ def _incomplete_state(task):
 
 
 # ---------------------------------------------------------------------------
-# Reference implementation: the pre-pipeline serial ProgramMeasurer,
+# Reference implementation: the pre-pipeline serial measurer,
 # preserved verbatim so the refactor can be checked against it forever.
 # ---------------------------------------------------------------------------
 
@@ -105,13 +103,12 @@ def _assert_result_parity(res_a, res_b):
 
 
 @pytest.mark.parametrize("make_new", [
-    lambda hw: ProgramMeasurer(hw, seed=7),
     lambda hw: MeasurePipeline(hw, seed=7),
     lambda hw: MeasurePipeline(hw, n_parallel=4, seed=7),
 ])
 def test_no_fault_parity_with_serial_reference(task, states, make_new):
-    """Shim, serial pipeline and parallel pipeline are all bit-identical to
-    the preserved pre-refactor measurer on the no-fault path."""
+    """Serial and parallel pipelines are both bit-identical to the
+    preserved pre-refactor measurer on the no-fault path."""
     inputs = [MeasureInput(task, s) for s in states] + [
         MeasureInput(task, _incomplete_state(task))
     ]

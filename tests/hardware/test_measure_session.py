@@ -260,12 +260,11 @@ def test_async_and_sync_tuner_sessions_reach_the_same_best_state(task):
     assert async_measurer.retry_count == sync_measurer.retry_count
 
 
-def test_pipelined_policy_tune_consumes_full_budget(task):
+def test_pipelined_single_task_session_consumes_full_budget(task):
     policy = SketchPolicy(task, seed=0)
     measurer = MeasurePipeline(intel_cpu(), seed=0, async_measure=True)
-    policy.tune(
-        TuningOptions(num_measure_trials=24, num_measures_per_round=8), measurer
-    )
+    Tuner(task, policy=policy, measurer=measurer,
+          options=TuningOptions(num_measure_trials=24, num_measures_per_round=8)).tune()
     assert policy.num_trials == 24
     assert policy.num_trials == measurer.measure_count
     assert len(policy.history) == 3
@@ -285,26 +284,6 @@ def test_pipelined_scheduler_visits_every_task(intel_hardware):
     assert scheduler.measure_error_count() == sum(
         m.error_count for m in {id(m): m for m in scheduler.measurers}.values()
     )
-
-
-def test_legacy_round_only_policies_fall_back_to_sync(task):
-    """A policy without the propose/ingest split cannot pipeline; async
-    sessions fall back to the batch-synchronous loop instead of breaking."""
-
-    policy = SketchPolicy(task, seed=0)
-    assert policy.supports_pipelining
-
-    from repro.search.policy import SearchPolicy
-
-    class Bare(SearchPolicy):
-        def continue_search_one_round(self, num_measures, measurer, callbacks=()):
-            return [], []
-
-    bare = Bare(task)
-    assert not bare.supports_pipelining
-    measurer = MeasurePipeline(intel_cpu(), seed=0, async_measure=True)
-    # async request + no split -> sync loop, which ends on the empty round
-    assert bare.tune(TuningOptions(num_measure_trials=8), measurer) is None
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +317,9 @@ def test_stop_tuning_mid_round_drains_and_cancels_cleanly(task, tmp_path):
         async_measure=True,
     )
     stopper = _StopAfter(2)
-    policy.tune(
-        TuningOptions(num_measure_trials=64, num_measures_per_round=8),
-        measurer,
-        [stopper, RecordToFile(log)],
-    )
+    Tuner(task, policy=policy, measurer=measurer,
+          options=TuningOptions(num_measure_trials=64, num_measures_per_round=8),
+          callbacks=[stopper, RecordToFile(log)]).tune()
     # the lookahead round was recalled: well under the full budget ran
     assert policy.num_trials < 64
     assert policy.num_trials == measurer.measure_count
@@ -364,11 +341,9 @@ def test_stop_tuning_mid_round_sync_path_still_observes_full_round(task):
     policy = SketchPolicy(task, seed=0)
     measurer = MeasurePipeline(intel_cpu(), seed=0)
     stopper = _StopAfter(2)
-    policy.tune(
-        TuningOptions(num_measure_trials=64, num_measures_per_round=8),
-        measurer,
-        [stopper],
-    )
+    Tuner(task, policy=policy, measurer=measurer,
+          options=TuningOptions(num_measure_trials=64, num_measures_per_round=8),
+          callbacks=[stopper]).tune()
     assert policy.num_trials == 8
     assert measurer.measure_count == 8
 
@@ -401,13 +376,13 @@ def test_pipelined_tune_resumes_a_reused_policy(task):
     policy = SketchPolicy(task, seed=0)
     measurer = MeasurePipeline(intel_cpu(), seed=0, async_measure=True)
     options = TuningOptions(num_measure_trials=16, num_measures_per_round=8)
-    policy.tune(options, measurer)
+    Tuner(task, policy=policy, options=options, measurer=measurer).tune()
     assert policy.num_trials == 16
-    policy.tune(options, measurer)  # same budget: already consumed
+    # same budget: already consumed
+    Tuner(task, policy=policy, options=options, measurer=measurer).tune()
     assert policy.num_trials == 16
-    policy.tune(
-        TuningOptions(num_measure_trials=24, num_measures_per_round=8), measurer
-    )
+    Tuner(task, policy=policy, measurer=measurer,
+          options=TuningOptions(num_measure_trials=24, num_measures_per_round=8)).tune()
     assert policy.num_trials == 24
 
 

@@ -1,4 +1,5 @@
-"""Tests for the legacy measurement harness (now a shim over the pipeline)."""
+"""Tests for the default measurement pipeline: ``MeasurePipeline(hw, ...)``
+with its serial local builder and no-fault local runner."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from repro.hardware import (
     MeasureInput,
     MeasurePipeline,
     MeasureResult,
-    ProgramMeasurer,
     intel_cpu,
 )
 from repro.task import SearchTask
@@ -22,7 +22,7 @@ def task():
 
 
 def test_measure_returns_costs(task):
-    measurer = ProgramMeasurer(intel_cpu(), seed=0)
+    measurer = MeasurePipeline(intel_cpu(), seed=0)
     result = measurer.measure_one(MeasureInput(task, task.compute_dag.init_state()))
     assert result.valid
     assert len(result.costs) == measurer.repeats
@@ -30,15 +30,15 @@ def test_measure_returns_costs(task):
 
 
 def test_measure_counts_trials(task):
-    measurer = ProgramMeasurer(intel_cpu(), seed=0)
+    measurer = MeasurePipeline(intel_cpu(), seed=0)
     inputs = [MeasureInput(task, task.compute_dag.init_state()) for _ in range(5)]
     measurer.measure(inputs)
     assert measurer.measure_count == 5
 
 
 def test_noise_is_deterministic_per_program(task):
-    m1 = ProgramMeasurer(intel_cpu(), seed=7)
-    m2 = ProgramMeasurer(intel_cpu(), seed=7)
+    m1 = MeasurePipeline(intel_cpu(), seed=7)
+    m2 = MeasurePipeline(intel_cpu(), seed=7)
     state = task.compute_dag.init_state()
     r1 = m1.measure_one(MeasureInput(task, state))
     r2 = m2.measure_one(MeasureInput(task, state))
@@ -47,13 +47,13 @@ def test_noise_is_deterministic_per_program(task):
 
 def test_noise_changes_with_seed(task):
     state = task.compute_dag.init_state()
-    r1 = ProgramMeasurer(intel_cpu(), seed=1).measure_one(MeasureInput(task, state))
-    r2 = ProgramMeasurer(intel_cpu(), seed=2).measure_one(MeasureInput(task, state))
+    r1 = MeasurePipeline(intel_cpu(), seed=1).measure_one(MeasureInput(task, state))
+    r2 = MeasurePipeline(intel_cpu(), seed=2).measure_one(MeasureInput(task, state))
     assert r1.costs != r2.costs
 
 
 def test_zero_noise_gives_identical_repeats(task):
-    measurer = ProgramMeasurer(intel_cpu(), noise=0.0)
+    measurer = MeasurePipeline(intel_cpu(), noise=0.0)
     result = measurer.measure_one(MeasureInput(task, task.compute_dag.init_state()))
     assert len(set(result.costs)) == 1
 
@@ -61,7 +61,7 @@ def test_zero_noise_gives_identical_repeats(task):
 def test_incomplete_program_is_a_measure_error(task):
     state = task.compute_dag.init_state()
     state.split("C", 0, [None])
-    measurer = ProgramMeasurer(intel_cpu())
+    measurer = MeasurePipeline(intel_cpu())
     result = measurer.measure_one(MeasureInput(task, state))
     assert not result.valid
     assert result.error is not None
@@ -70,7 +70,7 @@ def test_incomplete_program_is_a_measure_error(task):
 
 
 def test_best_state_tracked_per_workload(task):
-    measurer = ProgramMeasurer(intel_cpu(), seed=0)
+    measurer = MeasurePipeline(intel_cpu(), seed=0)
     naive = task.compute_dag.init_state()
     tiled = task.compute_dag.init_state()
     tiled.split("C", 0, [16])
@@ -86,12 +86,12 @@ def test_best_state_tracked_per_workload(task):
 
 
 def test_best_cost_unknown_workload_is_inf():
-    measurer = ProgramMeasurer(intel_cpu())
+    measurer = MeasurePipeline(intel_cpu())
     assert measurer.best_cost_for("nope") == float("inf")
 
 
 def test_measure_latency_accounting(task):
-    measurer = ProgramMeasurer(intel_cpu(), measure_latency_sec=1.5)
+    measurer = MeasurePipeline(intel_cpu(), measure_latency_sec=1.5)
     measurer.measure([MeasureInput(task, task.compute_dag.init_state())] * 3)
     assert measurer.elapsed_sec == pytest.approx(4.5)
 
@@ -100,7 +100,7 @@ def test_failed_builds_also_charge_latency(task):
     """Regression: a failed build used to count in measure_count and
     error_count but was never charged measure_latency_sec, so error-heavy
     searches undercounted simulated wall-clock."""
-    measurer = ProgramMeasurer(intel_cpu(), measure_latency_sec=1.5)
+    measurer = MeasurePipeline(intel_cpu(), measure_latency_sec=1.5)
     bad = task.compute_dag.init_state()
     bad.split("C", 0, [None])
     measurer.measure([MeasureInput(task, task.compute_dag.init_state()), MeasureInput(task, bad)])
@@ -109,10 +109,10 @@ def test_failed_builds_also_charge_latency(task):
     assert measurer.elapsed_sec == pytest.approx(3.0)
 
 
-def test_shim_is_a_pipeline(task):
-    """The shim exposes both the legacy surface and the pipeline surface."""
-    measurer = ProgramMeasurer(intel_cpu(), seed=0)
-    assert isinstance(measurer, MeasurePipeline)
+def test_pipeline_exposes_runner_surface(task):
+    """The pipeline exposes its runner's machine and noise model beside the
+    per-kind error counters."""
+    measurer = MeasurePipeline(intel_cpu(), seed=0)
     assert measurer.hardware.name == "intel-20c"
     assert measurer.repeats == 3
     bad = task.compute_dag.init_state()

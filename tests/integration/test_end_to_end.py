@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from repro import (
+    RecordToFile,
     SearchTask,
+    Tuner,
     TuningOptions,
-    auto_schedule,
-    auto_schedule_networks,
     intel_cpu,
     nvidia_gpu,
 )
-from repro.hardware import CostSimulator, ProgramMeasurer
+from repro.hardware import CostSimulator, MeasurePipeline
 from repro.records import load_records, apply_history_best, save_records
 from repro.scheduler import TaskScheduler
 from repro.search import LibraryBaseline, SketchPolicy, limited_space_policy, random_search_policy
@@ -29,11 +29,11 @@ def test_full_flow_single_operator_cpu(tmp_path):
     config = dict(in_channels=32, height=28, width=28, out_channels=32, kernel=3, stride=1, padding=1)
     task = SearchTask(make_op_dag("C2D", config, batch=1), intel_cpu(), desc="c2d-28")
     log = tmp_path / "c2d.json"
-    state, cost = auto_schedule(
+    Tuner(
         task,
-        TuningOptions(num_measure_trials=32, num_measures_per_round=8, seed=0),
-        log_file=str(log),
-    )
+        options=TuningOptions(num_measure_trials=32, num_measures_per_round=8, seed=0),
+        callbacks=[RecordToFile(log)],
+    ).tune()
     # The search happened and logged every trial.
     assert len(load_records(log)) == 32
     # The best recorded program is re-buildable and matches the claimed cost.
@@ -57,8 +57,9 @@ def test_ansor_approaches_library_on_conv_layer_with_small_budget():
     library = LibraryBaseline(task)
     library.run()
     policy = SketchPolicy(task, seed=0, population_size=32, num_generations=3, sample_init_population=32)
-    policy.tune(TuningOptions(num_measure_trials=64, num_measures_per_round=16),
-                ProgramMeasurer(task.hardware_params, seed=0))
+    Tuner(task, policy=policy,
+          options=TuningOptions(num_measure_trials=64, num_measures_per_round=16),
+          measurer=MeasurePipeline(task.hardware_params, seed=0)).tune()
     naive = CostSimulator(task.hardware_params).estimate(task.compute_dag.init_state())
     assert policy.best_cost < naive / 10
     assert policy.best_cost <= library.best_cost * 4.0
@@ -66,21 +67,19 @@ def test_ansor_approaches_library_on_conv_layer_with_small_budget():
 
 def test_gpu_target_end_to_end():
     task = SearchTask(make_matmul_relu_dag(256, 256, 256), nvidia_gpu(), desc="mm-gpu")
-    state, cost = auto_schedule(task, TuningOptions(num_measure_trials=24, num_measures_per_round=8))
+    cost = Tuner(task, options=TuningOptions(num_measure_trials=24, num_measures_per_round=8)).tune().best_cost
     naive = CostSimulator(task.hardware_params).estimate(task.compute_dag.init_state())
     assert cost < naive / 10
 
 
 def test_task_scheduler_network_flow_produces_schedules():
-    result = auto_schedule_networks(
+    result = Tuner(
         ["mobilenet-v2"],
+        options=TuningOptions(num_measure_trials=40, num_measures_per_round=8, seed=1),
         batch=1,
-        num_measure_trials=40,
-        num_measures_per_round=8,
         max_tasks_per_network=4,
-        seed=1,
-    )
-    scheduler: TaskScheduler = result["scheduler"]
+    ).tune()
+    scheduler: TaskScheduler = result.scheduler
     assert scheduler.total_trials >= 40
     assert all(a >= 1 for a in scheduler.allocations)
     assert all(math.isfinite(c) for c in scheduler.best_costs)
@@ -102,7 +101,8 @@ def test_ablation_ordering_on_matmul():
         ("limited", lambda: limited_space_policy(task, seed=2, population_size=32, num_generations=3)),
     ]:
         policy = factory()
-        policy.tune(budget, ProgramMeasurer(task.hardware_params, seed=2))
+        Tuner(task, policy=policy, options=budget,
+              measurer=MeasurePipeline(task.hardware_params, seed=2)).tune()
         results[name] = policy.best_cost
 
     assert all(cost < naive for cost in results.values())

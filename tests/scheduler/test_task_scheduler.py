@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.hardware import MeasurePipeline, ProgramMeasurer, arm_cpu, intel_cpu
+from repro.hardware import MeasurePipeline, MeasureResult, arm_cpu, intel_cpu
 from repro.scheduler import GeomeanSpeedup, TaskScheduler, WeightedSumLatency
 from repro.search.policy import SearchPolicy
 from repro.task import SearchTask
@@ -18,7 +18,9 @@ class FakePolicy(SearchPolicy):
 
     Task i starts at ``initial`` seconds and converges towards
     ``initial * floor_fraction`` — a controllable stand-in that lets the
-    scheduler's allocation behaviour be tested without running real search.
+    scheduler's allocation behaviour be tested without running real search:
+    it proposes the naive program and ingests its scripted cost in place of
+    what the pipeline measured.
     """
 
     def __init__(self, task, initial: float, floor_fraction: float = 0.1, seed: int = 0):
@@ -27,17 +29,14 @@ class FakePolicy(SearchPolicy):
         self.floor_fraction = floor_fraction
         self.rounds = 0
 
-    def continue_search_one_round(self, num_measures, measurer):
+    def propose_candidates(self, num_measures):
+        return [self.task.compute_dag.init_state() for _ in range(num_measures)]
+
+    def ingest_results(self, inputs, results):
         self.rounds += 1
         floor = self.initial * self.floor_fraction
         cost = floor + (self.initial - floor) / self.rounds
-        self.best_cost = min(self.best_cost, cost)
-        from repro.hardware import MeasureInput, MeasureResult
-
-        inputs = [MeasureInput(self.task, self.task.compute_dag.init_state()) for _ in range(num_measures)]
-        results = [MeasureResult(costs=[cost]) for _ in range(num_measures)]
-        self._record_results(inputs, results)
-        return inputs, results
+        super().ingest_results(inputs, [MeasureResult(costs=[cost]) for _ in inputs])
 
 
 def _make_tasks():
@@ -215,7 +214,7 @@ def test_supplied_measurer_accepted_when_hardware_matches():
     tasks = _make_tasks()
     factory = _fake_factory([0.1, 0.1, 0.1])
     scheduler = TaskScheduler(tasks, strategy="round_robin", policy_factory=factory)
-    measurer = ProgramMeasurer(intel_cpu(), seed=0)
+    measurer = MeasurePipeline(intel_cpu(), seed=0)
     scheduler.tune(num_measure_trials=30, num_measures_per_round=10, measurer=measurer)
     assert all(m is measurer for m in scheduler.measurers)
 
@@ -242,8 +241,8 @@ def test_multi_dnn_objective_with_geomean():
 class EmptyPolicy(SearchPolicy):
     """A policy whose search space is exhausted: it never produces candidates."""
 
-    def continue_search_one_round(self, num_measures, measurer):
-        return [], []
+    def propose_candidates(self, num_measures):
+        return []
 
 
 def test_unmeasured_tasks_use_one_consistent_placeholder():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cost_model import RandomCostModel
-from repro.hardware import CostSimulator, ProgramMeasurer, intel_cpu, intel_cpu_avx512
+from repro.hardware import CostSimulator, MeasurePipeline, intel_cpu, intel_cpu_avx512
 from repro.search import (
     BeamSearchPolicy,
     LibraryBaseline,
@@ -14,8 +14,9 @@ from repro.search import (
 )
 from repro.search.space import LIMITED_SPACE
 from repro.task import SearchTask, TuningOptions
+from repro.tuner import Tuner
 
-from ..conftest import make_matmul_relu_dag
+from ..conftest import make_matmul_relu_dag, measure_one_round
 
 
 @pytest.fixture
@@ -31,7 +32,7 @@ def test_random_search_policy_has_no_evolution(task):
 
 def test_random_search_policy_runs(task, measurer):
     policy = random_search_policy(task, seed=0, sample_init_population=16)
-    inputs, results = policy.continue_search_one_round(8, measurer)
+    inputs, results = measure_one_round(policy, 8, measurer)
     assert len(inputs) == 8
     assert np.isfinite(policy.best_cost)
 
@@ -47,8 +48,10 @@ def test_limited_space_policy_uses_restricted_space(task):
 
 def test_beam_search_policy_runs_and_improves_over_naive(task):
     policy = BeamSearchPolicy(task, seed=0, beam_width=6, expansions_per_decision=3)
-    measurer = ProgramMeasurer(task.hardware_params, seed=0)
-    policy.tune(TuningOptions(num_measure_trials=16, num_measures_per_round=8), measurer)
+    measurer = MeasurePipeline(task.hardware_params, seed=0)
+    Tuner(task, policy=policy,
+          options=TuningOptions(num_measure_trials=16, num_measures_per_round=8),
+          measurer=measurer).tune()
     naive = CostSimulator(task.hardware_params).estimate(task.compute_dag.init_state())
     assert policy.best_cost < naive
 
@@ -57,7 +60,7 @@ def test_beam_search_does_not_remeasure(task, measurer):
     policy = BeamSearchPolicy(task, seed=0, beam_width=4, expansions_per_decision=2)
     seen = set()
     for _ in range(2):
-        inputs, _ = policy.continue_search_one_round(4, measurer)
+        inputs, _ = measure_one_round(policy, 4, measurer)
         for inp in inputs:
             key = repr(inp.state.serialize_steps())
             assert key not in seen
@@ -104,9 +107,11 @@ def test_ansor_matches_or_beats_limited_space(task):
 
     budget = TuningOptions(num_measure_trials=80, num_measures_per_round=16)
     ansor = SketchPolicy(task, seed=1, population_size=32, num_generations=3, sample_init_population=32)
-    ansor.tune(budget, ProgramMeasurer(task.hardware_params, seed=1))
+    Tuner(task, policy=ansor, options=budget,
+          measurer=MeasurePipeline(task.hardware_params, seed=1)).tune()
     limited = limited_space_policy(
         task, seed=1, population_size=32, num_generations=3, sample_init_population=32
     )
-    limited.tune(budget, ProgramMeasurer(task.hardware_params, seed=1))
+    Tuner(task, policy=limited, options=budget,
+          measurer=MeasurePipeline(task.hardware_params, seed=1)).tune()
     assert ansor.best_cost <= limited.best_cost * 1.2

@@ -19,7 +19,7 @@ from repro.scheduler import TaskScheduler
 from repro.search import EvolutionarySearch, SketchPolicy, generate_sketches, sample_initial_population
 from repro.task import SearchTask
 
-from ..conftest import make_matmul_dag, make_matmul_relu_dag
+from ..conftest import make_matmul_dag, make_matmul_relu_dag, measure_one_round
 
 
 @pytest.fixture
@@ -70,7 +70,7 @@ def test_sketch_policy_survives_all_errors(task):
     nothing becomes a best program, and nothing is retrained."""
     policy = SketchPolicy(task, num_generations=1, sample_init_population=16, seed=0)
     measurer = _faulty_pipeline(build_error_prob=1.0, seed=1)
-    inputs, results = policy.continue_search_one_round(6, measurer)
+    inputs, results = measure_one_round(policy, 6, measurer)
     assert len(inputs) == 6
     assert all(r.error_kind == MeasureErrorNo.BUILD_ERROR for r in results)
     assert policy.best_state is None
@@ -85,7 +85,7 @@ def test_sketch_policy_skips_invalid_best_tracking(task):
     measured-key set still records the failures (no pointless re-measuring)."""
     policy = SketchPolicy(task, num_generations=1, sample_init_population=16, seed=0)
     measurer = _faulty_pipeline(run_timeout_prob=0.5, seed=3)
-    inputs, results = policy.continue_search_one_round(8, measurer)
+    inputs, results = measure_one_round(policy, 8, measurer)
     invalid = [r for r in results if not r.valid]
     valid = [r for r in results if r.valid]
     assert invalid and valid  # the seed gives a mixed batch
@@ -100,7 +100,7 @@ def test_evolution_continues_after_faulty_round(task):
     policy = SketchPolicy(task, num_generations=1, sample_init_population=16, seed=0)
     measurer = _faulty_pipeline(run_error_prob=0.6, seed=5)
     for _ in range(3):
-        policy.continue_search_one_round(6, measurer)
+        measure_one_round(policy, 6, measurer)
     assert policy.num_trials == 18
     assert policy.best_state is not None
     assert math.isfinite(policy.best_cost)

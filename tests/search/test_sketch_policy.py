@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.cost_model import LearnedCostModel, RandomCostModel
-from repro.hardware import CostSimulator, ProgramMeasurer, intel_cpu
+from repro.hardware import CostSimulator, MeasurePipeline, intel_cpu
 from repro.search import SketchPolicy
 from repro.task import SearchTask, TuningOptions
+from repro.tuner import Tuner
 
-from ..conftest import make_matmul_relu_dag
+from ..conftest import make_matmul_relu_dag, measure_one_round
 
 
 @pytest.fixture
@@ -24,7 +25,7 @@ def _policy(task, **kwargs):
 
 def test_one_round_measures_and_updates(task, measurer):
     policy = _policy(task)
-    inputs, results = policy.continue_search_one_round(8, measurer)
+    inputs, results = measure_one_round(policy, 8, measurer)
     assert len(inputs) == 8
     assert len(results) == 8
     assert policy.num_trials == 8
@@ -38,7 +39,7 @@ def test_rounds_do_not_remeasure_programs(task, measurer):
     policy = _policy(task)
     seen = set()
     for _ in range(3):
-        inputs, _ = policy.continue_search_one_round(6, measurer)
+        inputs, _ = measure_one_round(policy, 6, measurer)
         for inp in inputs:
             key = repr(inp.state.serialize_steps())
             assert key not in seen
@@ -48,21 +49,23 @@ def test_rounds_do_not_remeasure_programs(task, measurer):
 def test_tune_respects_trial_budget(task):
     policy = _policy(task)
     options = TuningOptions(num_measure_trials=20, num_measures_per_round=8)
-    best = policy.tune(options)
+    best = Tuner(task, policy=policy, options=options).tune().best_state
     assert policy.num_trials == 20
     assert best is not None
 
 
 def test_history_is_monotonically_improving(task):
     policy = _policy(task)
-    policy.tune(TuningOptions(num_measure_trials=24, num_measures_per_round=8))
+    Tuner(task, policy=policy,
+          options=TuningOptions(num_measure_trials=24, num_measures_per_round=8)).tune()
     costs = [cost for _, cost in policy.history]
     assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
 
 
 def test_search_beats_naive_schedule(task):
     policy = _policy(task)
-    policy.tune(TuningOptions(num_measure_trials=32, num_measures_per_round=8))
+    Tuner(task, policy=policy,
+          options=TuningOptions(num_measure_trials=32, num_measures_per_round=8)).tune()
     naive = CostSimulator(task.hardware_params).estimate(task.compute_dag.init_state())
     assert policy.best_cost < naive / 5
 
@@ -73,21 +76,23 @@ def test_search_finds_programs_better_than_random_sampling(task):
     measurement budget (the Figure 7 'No fine-tuning' comparison)."""
     budget = TuningOptions(num_measure_trials=48, num_measures_per_round=12)
     ansor = _policy(task, seed=3)
-    ansor.tune(budget, ProgramMeasurer(task.hardware_params, seed=3))
+    Tuner(task, policy=ansor, options=budget,
+          measurer=MeasurePipeline(task.hardware_params, seed=3)).tune()
     random_policy = _policy(task, seed=3, cost_model=RandomCostModel(seed=3), use_evolutionary_search=False)
-    random_policy.tune(budget, ProgramMeasurer(task.hardware_params, seed=3))
+    Tuner(task, policy=random_policy, options=budget,
+          measurer=MeasurePipeline(task.hardware_params, seed=3)).tune()
     assert ansor.best_cost <= random_policy.best_cost * 1.1
 
 
 def test_best_throughput_consistency(task, measurer):
     policy = _policy(task)
-    policy.continue_search_one_round(8, measurer)
+    measure_one_round(policy, 8, measurer)
     assert policy.best_throughput() == pytest.approx(task.flop_count() / policy.best_cost)
 
 
 def test_eps_greedy_includes_random_candidates(task, measurer):
     policy = _policy(task, eps_greedy=0.5)
-    inputs, _ = policy.continue_search_one_round(8, measurer)
+    inputs, _ = measure_one_round(policy, 8, measurer)
     assert len(inputs) == 8
 
 
@@ -101,5 +106,5 @@ def test_sketches_cached(task):
 def test_early_stopping(task):
     policy = _policy(task)
     options = TuningOptions(num_measure_trials=1000, num_measures_per_round=8, early_stopping=2)
-    policy.tune(options)
+    Tuner(task, policy=policy, options=options).tune()
     assert policy.num_trials < 1000

@@ -12,11 +12,12 @@ from repro import (
     RecordToFile,
     SearchTask,
     StopTuning,
+    Tuner,
     TuningOptions,
     intel_cpu,
 )
 from repro.callbacks import fire_round
-from repro.hardware import ProgramMeasurer
+from repro.hardware import MeasurePipeline
 from repro.scheduler import TaskScheduler
 from repro.search import SketchPolicy
 
@@ -98,7 +99,7 @@ def test_fire_round_runs_every_callback_before_reraising(task):
 
 
 def test_progress_logger_reports_measure_errors(task):
-    from repro.hardware.measurer import MeasureResult
+    from repro.hardware import MeasureResult
 
     stream = io.StringIO()
     logger = ProgressLogger(stream=stream)
@@ -115,7 +116,7 @@ def test_scheduler_marks_early_stopped_tasks_exhausted(intel_hardware):
         SearchTask(make_matmul_relu_dag(96, 96, 96), intel_hardware, desc="b"),
     ]
     scheduler = TaskScheduler(tasks, seed=0)
-    measurer = ProgramMeasurer(intel_hardware, seed=0)
+    measurer = MeasurePipeline(intel_hardware, seed=0)
     # patience 1: each task stops after its first non-improving round
     scheduler.tune(200, num_measures_per_round=8, measurer=measurer,
                    callbacks=[EarlyStopper(patience=1)])
@@ -135,7 +136,7 @@ def test_scheduler_fires_scheduler_round_hook(intel_hardware):
     tasks = [SearchTask(make_matmul_relu_dag(64, 64, 64), intel_hardware, desc="a")]
     scheduler = TaskScheduler(tasks, seed=0)
     scheduler.tune(16, num_measures_per_round=8,
-                   measurer=ProgramMeasurer(intel_hardware, seed=0),
+                   measurer=MeasurePipeline(intel_hardware, seed=0),
                    callbacks=[SchedulerWatcher()])
     assert rounds == [(0, 8), (0, 16)]
 
@@ -149,48 +150,11 @@ def test_stop_tuning_from_scheduler_round_hook_stops_gracefully(intel_hardware):
     tasks = [SearchTask(make_matmul_relu_dag(64, 64, 64), intel_hardware, desc="a")]
     scheduler = TaskScheduler(tasks, seed=0)
     best = scheduler.tune(64, num_measures_per_round=8,
-                          measurer=ProgramMeasurer(intel_hardware, seed=0),
+                          measurer=MeasurePipeline(intel_hardware, seed=0),
                           callbacks=[GlobalBudget()])
     # the session ended gracefully with results instead of raising
     assert scheduler.total_trials == 16
     assert len(best) == 1
-
-
-def test_policy_tune_supports_legacy_two_argument_subclasses(task):
-    """Pre-0.2.0 subclasses override continue_search_one_round without the
-    callbacks parameter; tune() fires events at the loop level so they keep
-    working — including with callbacks, verbose and early stopping."""
-
-    class LegacyPolicy(SketchPolicy):
-        def continue_search_one_round(self, num_measures, measurer):
-            return super().continue_search_one_round(num_measures, measurer)
-
-    policy = LegacyPolicy(task, seed=0)
-    policy.tune(TuningOptions(num_measure_trials=16, num_measures_per_round=8),
-                ProgramMeasurer(task.hardware_params, seed=0))
-    assert policy.num_trials == 16
-
-    # with callbacks and options-driven early stopping
-    rounds = []
-
-    class Watcher(MeasureCallback):
-        def on_round(self, event):
-            rounds.append(event.num_trials)
-
-    policy2 = LegacyPolicy(task, seed=0)
-    policy2.tune(TuningOptions(num_measure_trials=96, num_measures_per_round=8,
-                               early_stopping=1),
-                 ProgramMeasurer(task.hardware_params, seed=0),
-                 callbacks=[Watcher()])
-    assert policy2.num_trials < 96  # early stopping honored
-    assert rounds  # the watcher observed every round
-
-    # and driven by the task scheduler with callbacks
-    scheduler = TaskScheduler([task], policy_factory=lambda t, m, s: LegacyPolicy(t, cost_model=m, seed=s), seed=0)
-    scheduler.tune(16, num_measures_per_round=8,
-                   measurer=ProgramMeasurer(task.hardware_params, seed=0),
-                   callbacks=[Watcher()])
-    assert scheduler.total_trials == 16
 
 
 def test_scheduler_round_hook_runs_all_callbacks_before_stopping(intel_hardware):
@@ -210,24 +174,10 @@ def test_scheduler_round_hook_runs_all_callbacks_before_stopping(intel_hardware)
     tasks = [SearchTask(make_matmul_relu_dag(64, 64, 64), intel_hardware, desc="a")]
     scheduler = TaskScheduler(tasks, seed=0)
     scheduler.tune(64, num_measures_per_round=8,
-                   measurer=ProgramMeasurer(intel_hardware, seed=0),
+                   measurer=MeasurePipeline(intel_hardware, seed=0),
                    callbacks=[BudgetStopper(), Recorder()])
     assert scheduler.total_trials == 8
     assert seen == [8]  # the recorder saw the stopping round
-
-
-def test_continue_search_one_round_fires_callbacks_directly(task, measurer):
-    """The callbacks parameter of continue_search_one_round serves external
-    drivers that bypass tune(); events must fire from there too."""
-    seen = []
-
-    class Watcher(MeasureCallback):
-        def on_round(self, event):
-            seen.append((event.num_trials, len(event.inputs)))
-
-    policy = SketchPolicy(task, seed=0)
-    inputs, _ = policy.continue_search_one_round(8, measurer, [Watcher()])
-    assert seen == [(len(inputs), len(inputs))]
 
 
 def test_early_stopper_resets_between_sessions(task):
@@ -242,11 +192,12 @@ def test_early_stopper_resets_between_sessions(task):
     stopper.on_round(_event(task, policy, 8, 2.0))  # no inherited staleness
 
 
-def test_policy_tune_injects_early_stopper_from_options(task):
+def test_tuner_injects_early_stopper_from_options(task):
     policy = SketchPolicy(task, seed=0)
-    policy.tune(TuningOptions(num_measure_trials=96, num_measures_per_round=8,
-                              early_stopping=1),
-                ProgramMeasurer(task.hardware_params, seed=0))
+    Tuner(task, policy=policy,
+          options=TuningOptions(num_measure_trials=96, num_measures_per_round=8,
+                                early_stopping=1),
+          measurer=MeasurePipeline(task.hardware_params, seed=0)).tune()
     assert policy.num_trials < 96
 
 
@@ -266,8 +217,9 @@ def test_sync_rounds_fire_on_result_before_on_round(task, measurer):
             order.append(("round", [id(r) for r in event.results]))
 
     policy = SketchPolicy(task, seed=0)
-    policy.tune(TuningOptions(num_measure_trials=8, num_measures_per_round=8),
-                measurer, [Watcher()])
+    Tuner(task, policy=policy,
+          options=TuningOptions(num_measure_trials=8, num_measures_per_round=8),
+          measurer=measurer, callbacks=[Watcher()]).tune()
     kinds = [kind for kind, _ in order]
     assert kinds == ["result"] * 8 + ["round"]
     # the streamed results are exactly the round's results, in order
@@ -316,8 +268,9 @@ def test_early_stopper_target_cost_stops_mid_session(task):
     policy = SketchPolicy(task, seed=0)
     measurer = MeasurePipeline(task.hardware_params, seed=0)
     stopper = EarlyStopper(patience=100, target_cost=1.0)  # any valid result hits 1s
-    policy.tune(TuningOptions(num_measure_trials=64, num_measures_per_round=8),
-                measurer, [stopper])
+    Tuner(task, policy=policy,
+          options=TuningOptions(num_measure_trials=64, num_measures_per_round=8),
+          measurer=measurer, callbacks=[stopper]).tune()
     assert policy.num_trials == 8  # first round reached the target
 
 
@@ -335,8 +288,9 @@ def test_progress_logger_prints_device_stats_at_session_end(task):
     runner = RpcRunner(task.hardware_params, devices=["board0", "board1"], seed=0)
     measurer = MeasurePipeline(task.hardware_params, runner=runner, seed=0)
     policy = SketchPolicy(task, seed=0)
-    policy.tune(TuningOptions(num_measure_trials=8, num_measures_per_round=8),
-                measurer, [ProgressLogger(stream=stream)])
+    Tuner(task, policy=policy,
+          options=TuningOptions(num_measure_trials=8, num_measures_per_round=8),
+          measurer=measurer, callbacks=[ProgressLogger(stream=stream)]).tune()
     out = stream.getvalue()
     assert "device stats" in out
     assert "board0" in out and "board1" in out
@@ -365,7 +319,8 @@ def test_progress_logger_device_stats_can_be_disabled(task):
     runner = RpcRunner(task.hardware_params, devices=2, seed=0)
     measurer = MeasurePipeline(task.hardware_params, runner=runner, seed=0)
     policy = SketchPolicy(task, seed=0)
-    policy.tune(TuningOptions(num_measure_trials=8, num_measures_per_round=8),
-                measurer,
-                [ProgressLogger(stream=stream, log_device_stats=False)])
+    Tuner(task, policy=policy,
+          options=TuningOptions(num_measure_trials=8, num_measures_per_round=8),
+          measurer=measurer,
+          callbacks=[ProgressLogger(stream=stream, log_device_stats=False)]).tune()
     assert "device stats" not in stream.getvalue()

@@ -12,7 +12,6 @@ from repro.hardware import (
     MeasureErrorNo,
     MeasureInput,
     MeasurePipeline,
-    ProgramMeasurer,
     RandomFaults,
     intel_cpu,
 )
@@ -211,7 +210,7 @@ def test_record_to_state_reproduces_program(task, measured):
 def test_invalid_measurement_recorded_as_error(tmp_path, task):
     state = task.compute_dag.init_state()
     state.split("C", 0, [None])
-    measurer = ProgramMeasurer(task.hardware_params)
+    measurer = MeasurePipeline(task.hardware_params)
     inputs = [MeasureInput(task, state)]
     results = measurer.measure(inputs)
     log = tmp_path / "tuning.json"

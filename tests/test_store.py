@@ -316,24 +316,6 @@ def test_store_min_trials_caps_a_hit_session(task):
     assert store.lookup(task).best_cost <= cold.best_cost
 
 
-def test_store_via_tuning_options(task):
-    store = ScheduleStore()
-    options = TuningOptions(
-        num_measure_trials=16, num_measures_per_round=8, schedule_store=store
-    )
-    cold = Tuner(task, options=options).tune()
-    assert not cold.from_store
-    hit = Tuner(task, options=options).tune()
-    assert hit.from_store and hit.num_trials == 0
-    assert hit.best_cost == cold.best_cost
-
-
-def test_conflicting_stores_raise(task):
-    options = TuningOptions(schedule_store=ScheduleStore())
-    with pytest.raises(ValueError, match="different"):
-        Tuner(task, options=options, store=ScheduleStore())
-
-
 # ---------------------------------------------------------------------------
 # Consumer path 2: cross-session warm-start
 # ---------------------------------------------------------------------------
@@ -457,10 +439,6 @@ def test_service_rejects_bad_requests():
         service.submit(task, priority=0.0)
     with pytest.raises(ValueError, match="max_trials"):
         service.submit(task, max_trials=0)
-    with pytest.raises(ValueError, match="different"):
-        TuningService(
-            ScheduleStore(), options=TuningOptions(schedule_store=ScheduleStore())
-        )
 
 
 def test_service_run_without_requests_is_a_noop():

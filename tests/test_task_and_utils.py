@@ -69,5 +69,7 @@ def test_package_exports():
     import repro
 
     assert repro.__version__
-    for name in ("auto_schedule", "SketchPolicy", "TaskScheduler", "SearchTask", "ComputeDAG"):
+    for name in ("Tuner", "SketchPolicy", "TaskScheduler", "SearchTask", "ComputeDAG"):
         assert hasattr(repro, name)
+    for removed in ("auto_schedule", "auto_schedule_networks", "ProgramMeasurer"):
+        assert not hasattr(repro, removed)

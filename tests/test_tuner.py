@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -155,12 +156,54 @@ def test_result_counters_are_per_session_for_reused_components(task):
     assert [t for t, _ in second.history] == [8, 16]
 
     # a reused measurer: num_errors reports this session's delta
-    from repro import ProgramMeasurer
+    from repro import MeasurePipeline
 
-    measurer = ProgramMeasurer(task.hardware_params, seed=0)
+    measurer = MeasurePipeline(task.hardware_params, seed=0)
     measurer.error_count = 5  # pretend an earlier session hit errors
     result = Tuner(task, options=SMALL, measurer=measurer).tune()
     assert result.num_errors == 0
+
+
+@pytest.mark.parametrize("kind", ["single", "variants", "network"])
+def test_num_errors_is_session_scoped_with_a_pre_used_faulty_measurer(kind, task):
+    """Every session kind reports the failures of its own trials, not the
+    lifetime error count of a measurer that already failed elsewhere."""
+    from repro import LogicalOp, MeasureCallback, MeasureInput, MeasurePipeline, RandomFaults
+    from repro.search import generate_sketches, sample_initial_population
+
+    measurer = MeasurePipeline(
+        intel_cpu(), fault_model=RandomFaults(build_error_prob=0.4, seed=1), seed=0
+    )
+    states = sample_initial_population(
+        task, generate_sketches(task), 16, np.random.default_rng(0)
+    )
+    measurer.measure([MeasureInput(task, state) for state in states])
+    assert measurer.error_count > 0  # the measurer arrives pre-used
+
+    class CountFailures(MeasureCallback):
+        def __init__(self):
+            self.failed = 0
+
+        def on_result(self, event):
+            self.failed += not event.result.valid
+
+    workload = {
+        "single": task,
+        "variants": LogicalOp("conv2d", dict(
+            batch=1, in_channels=16, height=14, width=14,
+            out_channels=16, kernel=3, stride=2, padding=1,
+        ), hardware=intel_cpu()),
+        "network": ["dcgan"],
+    }[kind]
+    before = measurer.error_count
+    counter = CountFailures()
+    result = Tuner(
+        workload, options=SMALL, measurer=measurer, callbacks=[counter],
+        max_tasks_per_network=2,
+    ).tune()
+    assert counter.failed > 0
+    assert result.num_errors == counter.failed
+    assert result.num_errors == measurer.error_count - before
 
 
 def test_non_iterable_workload_gets_clear_error():
@@ -189,10 +232,10 @@ def test_early_stopper_ends_session_before_budget(task):
 
 
 def test_early_stopping_honored_while_recording(tmp_path, task):
-    """Regression test: the old ``auto_schedule(log_file=...)`` path bypassed
-    ``policy.tune`` and with it ``options.early_stopping``.  The callback
-    pipeline must honor early stopping regardless of recording — and the
-    recorder must still see the final (stopping) batch."""
+    """Regression test: an older log-file path bypassed the session loop and
+    with it ``options.early_stopping``.  The callback pipeline must honor
+    early stopping regardless of recording — and the recorder must still
+    see the final (stopping) batch."""
     log = tmp_path / "tuning.json"
     options = TuningOptions(num_measure_trials=96, num_measures_per_round=8, early_stopping=1)
     result = Tuner(task, options=options, callbacks=[RecordToFile(log)]).tune()
@@ -200,13 +243,11 @@ def test_early_stopping_honored_while_recording(tmp_path, task):
     assert len(load_records(log)) == result.num_trials
 
 
-def test_deprecated_auto_schedule_log_file_honors_early_stopping(tmp_path, task):
-    from repro import auto_schedule
-
+def test_record_to_file_log_honors_early_stopping(tmp_path, task):
     options = TuningOptions(num_measure_trials=96, num_measures_per_round=8, early_stopping=1)
-    with pytest.deprecated_call():
-        state, cost = auto_schedule(task, options, log_file=str(tmp_path / "log.json"))
-    assert state is not None
+    # a plain string path, as older log-file call sites passed it
+    result = Tuner(task, options=options, callbacks=[RecordToFile(str(tmp_path / "log.json"))]).tune()
+    assert result.best_state is not None
     records = load_records(tmp_path / "log.json")
     assert 0 < len(records) < 96
 

@@ -1,9 +1,7 @@
 # Development shortcuts.  The tier-1 gate is `make test`.
 #
 # Performance: `make throughput` runs the search-hot-path microbenchmark
-# (predicted states/sec), `make search-parallel` the island-model search
-# stage (serial vs `search_workers` islands, plus cost-model training
-# throughput), `make measure-throughput` the measurement-pipeline
+# (predicted states/sec), `make measure-throughput` the measurement-pipeline
 # benchmark (measured trials/sec: parallel builder vs the serial builder, the
 # rpc stage — process-pool vs thread-pool builds on CPU-bound compile cost —
 # and the async-session stage: one-round-lookahead overlap vs the sync
@@ -15,7 +13,7 @@
 
 PYTEST = PYTHONPATH=src python -m pytest
 
-.PHONY: test test-fast bench throughput search-parallel measure-throughput store-bench fleet-bench model-bench variant-bench profile install help
+.PHONY: test test-fast bench throughput measure-throughput store-bench fleet-bench model-bench variant-bench profile install help
 
 install:
 	pip install -e .
@@ -35,13 +33,6 @@ bench:
 # Search-throughput perf baseline: batched vs seed per-row scoring (fast).
 throughput:
 	$(PYTEST) -q -s benchmarks/test_search_throughput.py
-
-# Island-model search baseline (slow): serial vs parallel evolutionary
-# search across several tasks (>= 2x states/sec on multi-core hosts,
-# >= 0.8x single-core, serial-parity flags), plus seconds per cost-model
-# update at 1k/5k accumulated training records.
-search-parallel:
-	$(PYTEST) -q -s benchmarks/test_search_throughput.py::test_parallel_search_throughput benchmarks/test_search_throughput.py::test_training_throughput
 
 # Measurement-throughput baseline: parallel builder vs the serial builder, the
 # rpc (process-pool) builder vs the thread-pool builder, and the async
@@ -83,7 +74,6 @@ help:
 	@echo "make test-fast   - quick loop, skips tests marked slow"
 	@echo "make bench       - paper-figure benchmarks (slow)"
 	@echo "make throughput  - search states/sec baseline -> BENCH_search_throughput.json"
-	@echo "make search-parallel - island-model search vs serial loop + training throughput"
 	@echo "make measure-throughput - measured trials/sec: parallel vs serial, rpc vs thread, async overlap vs sync"
 	@echo "make store-bench - schedule store: indexed lookup vs log rescan, warm-start vs cold search"
 	@echo "make fleet-bench - device fleet: breaker vs fault storm, estimate convergence, no-fault parity"

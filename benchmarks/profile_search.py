@@ -4,18 +4,10 @@ Runs a small but complete evolutionary search — sketch generation, initial
 population sampling, a trained cost model, mutation/crossover — under
 cProfile and prints the top-25 functions by cumulative time.  Use this to
 check where evaluated-states-per-second is going before optimizing.
-
-``--workers N`` profiles the island-model search instead of the serial
-loop: N islands with ring elite migration, run through a worker-process
-pool when the host has more than one core (in-process otherwise, mirroring
-``SketchPolicy``).  Note that cProfile only observes the coordinator
-process — with a pool, the worker-side breeding shows up as time inside
-``LazyProcessPool.map``.
 """
 
 import argparse
 import cProfile
-import os
 import pstats
 import sys
 
@@ -25,18 +17,11 @@ from repro.cost_model import LearnedCostModel
 from repro.hardware import MeasureInput, MeasurePipeline, intel_cpu
 from repro.search import EvolutionarySearch, generate_sketches, sample_initial_population
 from repro.task import SearchTask
-from repro.utils.procpool import LazyProcessPool
 from repro.workloads import matmul_relu
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="island-model search workers (1 = the serial loop)",
-    )
     parser.add_argument(
         "--population", type=int, default=48, help="evolution population size"
     )
@@ -44,8 +29,6 @@ def main() -> int:
         "--generations", type=int, default=6, help="evolution generations"
     )
     args = parser.parse_args()
-    if args.workers < 1:
-        parser.error("--workers must be >= 1")
 
     task = SearchTask(matmul_relu(64, 64, 64), intel_cpu())
     rng = np.random.default_rng(0)
@@ -57,17 +40,11 @@ def main() -> int:
     model = LearnedCostModel(seed=0)
     model.update(inputs, measurer.measure(inputs))
 
-    pool = None
-    if args.workers > 1 and (os.cpu_count() or 1) > 1:
-        pool = LazyProcessPool(max_workers=args.workers)
     evolution = EvolutionarySearch(
         task,
         model,
         population_size=args.population,
         num_generations=args.generations,
-        n_islands=args.workers,
-        migration_interval=2,
-        pool=pool,
         seed=0,
     )
 
@@ -75,15 +52,10 @@ def main() -> int:
     profiler.enable()
     best = evolution.search(population, num_best=8)
     profiler.disable()
-    if pool is not None:
-        pool.close()
 
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs().sort_stats("cumulative").print_stats(25)
-    mode = "serial" if args.workers == 1 else (
-        f"{args.workers} islands ({'pooled' if pool is not None else 'in-process'})"
-    )
-    print(f"evolution ({mode}) returned {len(best)} programs")
+    print(f"evolution returned {len(best)} programs")
     return 0
 
 

@@ -18,18 +18,14 @@ pipeline to be at least 6x faster, and writes ``BENCH_search_throughput.json``
 at the repo root as the tracked perf baseline.  No hardware measurement is
 involved; only model inference is timed.
 
-Two further stages report into the same baseline file:
+A further stage reports into the same baseline file:
 
-* **parallel_search** — the serial evolutionary loop vs the island model
-  (`search_workers`) across several tasks at population 128, with the
-  `workers1` bit-parity and final-best parity flags,
 * **train_throughput** — seconds per ``LearnedCostModel.update`` at 1k and
   5k accumulated training records, full-history refits vs the windowed
   default (gated >= 3x at 5k), plus the best-cost-parity flag of a seeded
   tuning session per retrain mode (``make model-bench``).
 """
 
-import os
 import time
 from pathlib import Path
 
@@ -42,26 +38,12 @@ from repro.cost_model import LearnedCostModel
 from repro.cost_model.features import clear_feature_cache, extract_program_features
 from repro.hardware import MeasureInput, MeasurePipeline, intel_cpu
 from repro.search import generate_sketches, sample_initial_population
-from repro.search.evolutionary import EvolutionarySearch
 from repro.task import SearchTask
-from repro.utils.procpool import LazyProcessPool
-from repro.workloads import matmul, matmul_relu
+from repro.workloads import matmul_relu
 
 GENERATIONS = 8
 POPULATION = 40
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_search_throughput.json"
-
-# --- parallel (island) search stage ------------------------------------------
-PARALLEL_POPULATION = 128
-PARALLEL_GENERATIONS = 4
-PARALLEL_ISLANDS = 4
-PARALLEL_TASKS = [
-    ("matmul_relu_64", lambda: matmul_relu(64, 64, 64)),
-    ("matmul_relu_96x48", lambda: matmul_relu(96, 48, 64)),
-    ("matmul_64x96", lambda: matmul(64, 96, 32)),
-]
-#: like the rpc-builder gate: real speedup demanded only with real cores
-MIN_PARALLEL_SPEEDUP = 2.0 if (os.cpu_count() or 1) > 1 else 0.8
 
 
 def _setup():
@@ -122,107 +104,13 @@ def run_throughput():
     return result
 
 
-def _trained_model_for(task, population):
-    measurer = MeasurePipeline(task.hardware_params, seed=0)
-    inputs = [MeasureInput(task, s) for s in population[:16]]
-    model = LearnedCostModel(n_rounds=30, seed=0)
-    model.update(inputs, measurer.measure(inputs))
-    assert model.is_trained
-    return model
-
-
-def run_parallel_search():
-    """Serial vs island-model evolutionary search over several tasks.
-
-    Mirrors ``SketchPolicy``'s host-adaptive setup: islands run through a
-    shared worker-process pool on a multi-core host and in-process on a
-    single-core one (where worker processes could only add IPC overhead).
-    Alongside the timings it records the parity flags the PR contract
-    demands: ``search_workers=1`` bit-identical to the default serial
-    search, and the islands' final best within 5% of the serial best.
-    """
-    multi_core = (os.cpu_count() or 1) > 1
-    pool = LazyProcessPool(max_workers=PARALLEL_ISLANDS) if multi_core else None
-
-    serial_seconds = 0.0
-    island_seconds = 0.0
-    workers1_identical = True
-    best_parity = True
-    per_task = []
-    try:
-        for name, make_dag in PARALLEL_TASKS:
-            task = SearchTask(make_dag(), intel_cpu())
-            rng = np.random.default_rng(0)
-            population = sample_initial_population(
-                task, generate_sketches(task), PARALLEL_POPULATION, rng
-            )
-            model = _trained_model_for(task, population)
-
-            def search(**kwargs):
-                evo = EvolutionarySearch(
-                    task,
-                    model,
-                    population_size=PARALLEL_POPULATION,
-                    num_generations=PARALLEL_GENERATIONS,
-                    seed=7,
-                    **kwargs,
-                )
-                start = time.perf_counter()
-                best = evo.search(population, 10)
-                return time.perf_counter() - start, best
-
-            t_serial, best_serial = search()
-            t_one, best_one = search(n_islands=1)
-            t_island, best_island = search(
-                n_islands=PARALLEL_ISLANDS, migration_interval=2, pool=pool
-            )
-
-            serial_seconds += t_serial
-            island_seconds += t_island
-            workers1_identical &= [s.fingerprint() for s in best_one] == [
-                s.fingerprint() for s in best_serial
-            ]
-            score_serial = float(model.predict(task, best_serial[:1])[0])
-            score_island = float(model.predict(task, best_island[:1])[0])
-            best_parity &= score_island >= score_serial - 0.05 * abs(score_serial)
-            per_task.append(
-                {
-                    "task": name,
-                    "serial_seconds": t_serial,
-                    "island_seconds": t_island,
-                    "best_serial": score_serial,
-                    "best_island": score_island,
-                }
-            )
-    finally:
-        if pool is not None:
-            pool.close()
-
-    states = len(PARALLEL_TASKS) * PARALLEL_POPULATION * (PARALLEL_GENERATIONS + 1)
-    result = {
-        "tasks": len(PARALLEL_TASKS),
-        "population": PARALLEL_POPULATION,
-        "generations": PARALLEL_GENERATIONS,
-        "islands": PARALLEL_ISLANDS,
-        "pooled": pool is not None,
-        "serial_seconds": serial_seconds,
-        "island_seconds": island_seconds,
-        "serial_states_per_sec": states / serial_seconds,
-        "island_states_per_sec": states / island_seconds,
-        "speedup": serial_seconds / island_seconds,
-        "workers1_bit_identical": bool(workers1_identical),
-        "final_best_parity": bool(best_parity),
-        "per_task": per_task,
-    }
-    merge_benchmark_result(RESULT_PATH, {"parallel_search": result})
-    return result
-
-
-#: windowed-retraining stage: window size and the parity-session budget.
+#: windowed-retraining stage: the measured programs of one update batch,
+#: the window size and the parity-session budget.
 #: The GBDT fit carries a large per-round constant (tree setup, binning,
 #: ~30 boosting rounds) independent of row count, so the speedup saturates
 #: as the window shrinks; 256 sits comfortably past the 3x gate while 1024
 #: only reaches ~2.2x against the 5k-record full refit.
+TRAIN_POPULATION = 128
 TRAIN_WINDOW = 256
 PARITY_WINDOW = 64
 PARITY_TRIALS = 96
@@ -278,7 +166,7 @@ def run_training_throughput():
     task = SearchTask(matmul_relu(64, 64, 64), intel_cpu())
     rng = np.random.default_rng(0)
     population = sample_initial_population(
-        task, generate_sketches(task), PARALLEL_POPULATION, rng
+        task, generate_sketches(task), TRAIN_POPULATION, rng
     )
     measurer = MeasurePipeline(intel_cpu(), seed=0)
     inputs = [MeasureInput(task, s) for s in population]
@@ -337,27 +225,6 @@ def test_search_throughput_batched_vs_seed():
     assert result["parity"], "batched scores diverged from the per-row reference"
     assert result["speedup"] >= 6.0, (
         f"batched pipeline is only {result['speedup']:.2f}x the seed path (need >= 6x)"
-    )
-
-
-@pytest.mark.slow
-def test_parallel_search_throughput():
-    result = run_parallel_search()
-    print("\n=== parallel (island) search: states/sec ===")
-    print(f"tasks x population x gens: {result['tasks']} x {result['population']} x {result['generations']}")
-    print(f"serial evolutionary loop : {result['serial_states_per_sec']:.0f} states/s")
-    mode = "pooled" if result["pooled"] else "in-process"
-    print(f"island model ({mode})   : {result['island_states_per_sec']:.0f} states/s")
-    print(f"speedup                  : {result['speedup']:.2f}x (gate {MIN_PARALLEL_SPEEDUP}x)")
-    assert result["workers1_bit_identical"], (
-        "search_workers=1 must reproduce the serial search bit for bit"
-    )
-    assert result["final_best_parity"], (
-        "island search's final best fell more than 5% behind the serial best"
-    )
-    assert result["speedup"] >= MIN_PARALLEL_SPEEDUP, (
-        f"island search is only {result['speedup']:.2f}x the serial loop "
-        f"(need >= {MIN_PARALLEL_SPEEDUP}x on this host)"
     )
 
 

@@ -32,27 +32,6 @@ with ``make profile``.  Every fast path is bit-compatible with the per-row
 reference (``predict_rowwise``, ``extract_program_features(use_cache=False)``),
 enforced by ``tests/cost_model/test_predict_parity.py``.
 
-The evolutionary loop itself parallelizes as an *island model*:
-``TuningOptions(search_workers=N)`` (threaded to
-``SketchPolicy(search_workers=...)``) shards each round's population into N
-independent sub-populations with per-island seeded RNG streams, ring elite
-migration every ``migration_interval`` generations (migrants carry their
-scores, so they are never re-predicted), and a final merge deduplicated by
-``State.fingerprint()``.  Islands run in a lazily created, reused worker
-process pool (:class:`repro.utils.procpool.LazyProcessPool`, the machinery
-shared with the rpc builder) on multi-core hosts and in-process on
-single-core ones; inside each island the per-offspring breeding decisions
-(mutation-vs-crossover coins, parent selection, operator choice) are drawn
-as population-sized NumPy batches instead of scalar draws.
-``search_workers=1`` (the default) is the serial loop, bit-identical to
-earlier releases; a given ``(seed, search_workers)`` pair is deterministic,
-and with a trained (deterministic) cost model pooled and in-process islands
-return identical results.  The tracked baseline is the ``parallel_search``
-stage of ``benchmarks/test_search_throughput.py`` (``make search-parallel``),
-which gates >= 2x states/sec over the serial loop on multi-core hosts
-(>= 0.8x single-core) plus the serial-parity flags; profile the island path
-with ``make profile`` / ``benchmarks/profile_search.py --workers N``.
-
 Measurement is a two-stage builder/runner pipeline
 (:class:`repro.hardware.measure.MeasurePipeline`): builders lower candidates
 in a thread pool (``TuningOptions.n_parallel``) with per-candidate timeouts,
@@ -123,11 +102,9 @@ covers the whole retained set so the default is bit-identical anyway.
 ``TuningOptions(cost_model_path=...)`` persists booster + training set
 across sessions (bit-identical predictions after reload; truncated or
 corrupt files raise ``CostModelLoadError`` instead of silently
-cold-starting), ``CostModelService.predict_batch`` coalesces concurrent
-searches' predictions into one booster invocation per target, and island
-workers cache shipped models by ``(digest, version)`` so a model is
-re-pickled only when a retrain actually changed it.  The tracked baseline
-is the ``train_throughput`` stage of
+cold-starting), and ``CostModelService.predict_batch`` coalesces concurrent
+searches' predictions into one booster invocation per target.  The tracked
+baseline is the ``train_throughput`` stage of
 ``benchmarks/test_search_throughput.py`` (``make model-bench``), gating
 windowed retraining >= 3x faster per update than the full refit at 5k
 accumulated records with the final best cost within 5%.
@@ -139,7 +116,7 @@ candidate features from one offset ``np.bincount`` histogram instead of a
 Python loop over features.  The trees are bit-identical to the per-feature
 scan (same RNG draws, summation order and tie-breaking), so seeded
 trajectories, stores and saved models are unchanged; fitted trees no longer
-keep their bin edges, which shrinks saved models and island payloads.
+keep their bin edges, which shrinks saved models.
 ``tests/cost_model/test_gbdt_train_parity.py`` enforces the parity against
 the per-feature reference trainer.  Retrain time per session is
 ``cost_model.update_s`` in ``python3 perfbench/run.py --trace 1``.

@@ -15,8 +15,6 @@ Two models are provided:
 
 from __future__ import annotations
 
-import hashlib
-import pickle
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,17 +43,6 @@ class CostModel:
         """Per-statement scores (used by node-based crossover)."""
         scores = self.predict(task, [state])
         return np.array([scores[0]])
-
-    def worker_payload(self) -> Tuple[str, str, int, bytes]:
-        """The model as an island-worker transport tuple
-        ``("pickled", digest, version, blob)`` (see
-        :data:`repro.search.evolutionary.ModelRef`).  The base implementation
-        pickles fresh on every call; models that know when they change
-        (:class:`LearnedCostModel`) override it with a version-keyed cache so
-        a trained model is serialized once per retrain, not once per search."""
-        blob = pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-        version = int(getattr(self, "version", 0))
-        return ("pickled", hashlib.sha1(blob).hexdigest(), version, blob)
 
 
 class RandomCostModel(CostModel):
@@ -136,8 +123,6 @@ class LearnedCostModel(CostModel):
         self._updates_since_train = 0
         self._trained = False
         self._version = 0
-        #: cached worker transport of the current version (see worker_payload)
-        self._payload_cache: Optional[Tuple[str, str, int, bytes]] = None
         #: lifetime observability counters (surfaced by ProgressLogger and
         #: CostModelService.stats): samples accepted into the training set,
         #: retrains actually run, and update() calls that skipped the fit
@@ -149,16 +134,8 @@ class LearnedCostModel(CostModel):
     @property
     def version(self) -> int:
         """Monotonic training version: bumped on every retrain, 0 until the
-        first.  Worker-side model caches key on ``(digest, version)``."""
+        first (reported per target by ``CostModelService.stats``)."""
         return self._version
-
-    def __getstate__(self) -> dict:
-        # The payload cache holds a pickle of this very model; shipping it
-        # inside save files / worker blobs would double their size for bytes
-        # the receiver can never reuse.
-        state = self.__dict__.copy()
-        state["_payload_cache"] = None
-        return state
 
     # ------------------------------------------------------------------
     # Training
@@ -261,7 +238,6 @@ class LearnedCostModel(CostModel):
         self.booster.fit_boosting(stacked, residual_fn, sample_weight=weights)
         self._trained = True
         self._version += 1
-        self._payload_cache = None
         self.retrains_run += 1
 
     @property
@@ -271,22 +247,6 @@ class LearnedCostModel(CostModel):
     @property
     def is_trained(self) -> bool:
         return self._trained
-
-    def worker_payload(self) -> Tuple[str, str, int, bytes]:
-        """Version-cached island-worker transport: a trained model is pickled
-        once per retrain and the same ``("pickled", digest, version, blob)``
-        tuple is shipped to every subsequent search until the next retrain
-        bumps :attr:`version`.  An untrained model is pickled fresh each call
-        — its predictions draw from the live RNG, so a cached blob would
-        replay a stale stream."""
-        if not self._trained:
-            return super().worker_payload()
-        cached = self._payload_cache
-        if cached is not None and cached[2] == self._version:
-            return cached
-        payload = super().worker_payload()
-        self._payload_cache = payload
-        return payload
 
     # ------------------------------------------------------------------
     # Prediction

@@ -107,9 +107,6 @@ class ServiceCostModel(CostModel):
     def predict_batch(self, requests):
         return self.model.predict_batch(requests)
 
-    def worker_payload(self) -> Tuple[str, str, int, bytes]:
-        return self.model.worker_payload()
-
     # -- passthrough introspection (what callers read off a LearnedCostModel)
     @property
     def num_samples(self) -> int:

@@ -316,11 +316,10 @@ class RpcBuilder(LocalBuilder):
     lowering, which the thread-pool :class:`LocalBuilder` serializes on the
     GIL.
 
-    The pool discipline lives in :class:`~repro.utils.procpool.LazyProcessPool`
-    (extracted from this class so island-model evolutionary search shares
-    it): created lazily on the first parallel batch and reused across
-    batches (worker start-up is paid once per session, and each worker keeps
-    its own warm lowering cache).  Per-candidate timeout semantics are
+    The pool discipline lives in :class:`~repro.utils.procpool.LazyProcessPool`:
+    created lazily on the first parallel batch and reused across batches
+    (worker start-up is paid once per session, and each worker keeps its
+    own warm lowering cache).  Per-candidate timeout semantics are
     inherited from :class:`LocalBuilder`: the bound applies to the
     candidate's own build cost measured in the worker (thread CPU time plus
     emulated compile latency), never to queue position.  A broken pool

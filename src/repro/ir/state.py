@@ -224,8 +224,7 @@ class State:
         States reached through the same step sequence on the same DAG lower
         to the same program, so this string keys the lowering / feature /
         score caches and the search-level dedup sets.  It is a fixed-width
-        hex digest (not the raw serialized steps) so the fingerprint-keyed
-        score caches that island workers ship between processes stay small.
+        hex digest (not the raw serialized steps) so those keys stay small.
         It is computed once and invalidated whenever a step is appended;
         steps themselves must never be mutated in place on a live state (the
         evolution operators always copy steps before editing, and replay

@@ -6,58 +6,19 @@ parents with probability proportional to their predicted fitness and applies
 mutation or node-based crossover to produce offspring.  After a fixed number
 of generations the best programs found during the whole search (by predicted
 score) are returned for measurement.
-
-Parallel search: the island model
----------------------------------
-The search is embarrassingly parallel across candidate programs, so with
-``n_islands >= 2`` the population is sharded into independent *islands*,
-each evolving its own sub-population with a per-island seeded
-``np.random.Generator``.  Every ``migration_interval`` generations the
-islands synchronize: each island's top ``migration_k`` programs (its
-*elites*) migrate to the next island on a ring, replacing the receiver's
-worst members, and the per-program score caches are merged so a migrated
-elite is **never re-scored** by its new island.  After the final generation
-the per-island halls of fame are merged and deduplicated by
-``State.fingerprint()``.
-
-Islands run in worker processes through a shared
-:class:`~repro.utils.procpool.LazyProcessPool` (the pool machinery extracted
-from the rpc builder: lazily created, reused across generations, in-process
-fallback on a broken pool).  With ``pool=None`` the islands run in-process —
-same algorithm, same per-island RNG streams, so results with a
-deterministic cost model are identical either way.  Inside each island,
-breeding is *vectorized*: the mutation-vs-crossover coin flips, parent
-selections and mutation-operator choices for a whole generation come out of
-one batched RNG draw each (:func:`~repro.search.mutation.sample_categorical`)
-instead of one draw per individual.
-
-``n_islands=1`` (the default) runs the exact pre-island serial loop —
-bit-identical results for any seed — and a given ``(seed, n_islands)`` pair
-is deterministic: the island RNGs are spawned from one
-``np.random.SeedSequence`` and migration happens at fixed barriers.
 """
 
 from __future__ import annotations
 
-import hashlib
-import pickle
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..cost_model.model import CostModel
 from ..ir.state import State
 from ..task import SearchTask
-from ..utils.procpool import LazyProcessPool
-from .mutation import (
-    mutate_with_operator,
-    node_based_crossover,
-    random_mutation,
-    sample_categorical,
-    sample_mutation_operators,
-)
+from .mutation import node_based_crossover, random_mutation
 from .space import FULL_SPACE, SearchSpaceOptions
 
 __all__ = ["EvolutionarySearch", "EvolutionOptions"]
@@ -69,18 +30,6 @@ class EvolutionOptions:
     num_generations: int = 4
     mutation_prob: float = 0.85
     elite_fraction: float = 0.1
-    #: number of independent sub-populations (1 = the serial loop)
-    n_islands: int = 1
-    #: generations between elite migrations (and score-cache merges)
-    migration_interval: int = 1
-    #: elites each island sends around the ring per migration
-    migration_k: int = 2
-
-
-# ---------------------------------------------------------------------------
-# Shared scoring / breeding helpers (used by the serial path and the island
-# workers alike; module-level so island payloads pickle cleanly)
-# ---------------------------------------------------------------------------
 
 
 def _score_with_cache(
@@ -110,14 +59,6 @@ def _score_with_cache(
         for key, score in zip(fresh_keys, predicted):
             score_cache[key] = float(score)
     return np.asarray([score_cache[s.fingerprint()] for s in population], dtype=np.float64)
-
-
-def _selection_probabilities(scores: np.ndarray) -> np.ndarray:
-    """Fitness-proportional selection probabilities (uniform when flat)."""
-    shifted = scores - scores.min()
-    if shifted.sum() <= 0:
-        return np.full(len(scores), 1.0 / len(scores))
-    return shifted / shifted.sum()
 
 
 def _node_scores_for(
@@ -154,174 +95,8 @@ def _node_scores_for(
     return scores
 
 
-def _breed_generation_vectorized(
-    population: List[State],
-    scores: np.ndarray,
-    options: EvolutionOptions,
-    space: SearchSpaceOptions,
-    rng: np.random.Generator,
-    node_scores: Callable[[State], Dict[str, float]],
-    target_size: int,
-) -> List[State]:
-    """One generation of island breeding with batched decision sampling.
-
-    The per-offspring decisions — mutate-or-crossover coin, parent
-    selection(s), mutation operator — are drawn as population-sized arrays,
-    one vectorized RNG call per decision stream per round, instead of one
-    scalar draw per individual.  Only the data-dependent draws *inside* a
-    mutation/crossover (which factor to move, which node to swap) remain
-    per-offspring.
-    """
-    probabilities = _selection_probabilities(scores)
-    # Elite share scaled to the island's shard, not the global population.
-    elite_count = max(1, int(options.elite_fraction * target_size))
-    elite_idx = np.argsort(-scores)[:elite_count]
-    next_population: List[State] = [population[i] for i in elite_idx]
-    seen = {s.fingerprint() for s in next_population}
-
-    attempts = 0
-    max_attempts = target_size * 8
-    while len(next_population) < target_size and attempts < max_attempts:
-        need = min(target_size - len(next_population), max_attempts - attempts)
-        attempts += need
-        # One vectorized draw per decision stream for the whole round.
-        coins = rng.random(need)
-        parent_idx = sample_categorical(rng, probabilities, 2 * need).reshape(need, 2)
-        op_idx = sample_mutation_operators(rng, need)
-        for j in range(need):
-            if len(next_population) >= target_size:
-                break
-            if coins[j] < options.mutation_prob or len(population) < 2:
-                parent = population[int(parent_idx[j, 0])]
-                child = mutate_with_operator(parent, int(op_idx[j]), rng, space)
-            else:
-                parent_a = population[int(parent_idx[j, 0])]
-                parent_b = population[int(parent_idx[j, 1])]
-                if parent_a is parent_b:
-                    child = random_mutation(parent_a, rng, space)
-                else:
-                    child = node_based_crossover(
-                        parent_a,
-                        parent_b,
-                        node_scores(parent_a),
-                        node_scores(parent_b),
-                        rng,
-                    )
-            if child is None:
-                continue
-            key = child.fingerprint()
-            if key in seen:
-                continue
-            seen.add(key)
-            next_population.append(child)
-    return next_population
-
-
-def _update_hall(
-    hall: Dict[str, Tuple[float, State]], population: List[State], scores: np.ndarray
-) -> None:
-    for state, score in zip(population, scores):
-        key = state.fingerprint()
-        if key not in hall or score > hall[key][0]:
-            hall[key] = (float(score), state)
-
-
-#: worker-side LRU cache of unpickled cost models, keyed by
-#: ``(digest, version)``: the coordinator pickles the model once per
-#: *retrain* (``CostModel.worker_payload`` caches the blob per model
-#: version) and every chunk ships the same bytes (a cheap memcpy), which
-#: each worker deserializes only once — without this, a trained model
-#: (hundreds of KB of booster state and training features) would be
-#: re-pickled per island per chunk.  The version key means a retrained
-#: model invalidates exactly its own slot; the small LRU cap keeps long
-#: multi-task sessions (one evolving model per target, retrained every
-#: round) from growing the cache without bound.
-_MODEL_CACHE: "OrderedDict[Tuple[str, int], CostModel]" = OrderedDict()
-
-#: most models a worker keeps deserialized at once
-_MODEL_CACHE_CAP = 4
-
-#: a cost model travelling to an island worker: either the live object
-#: (in-process islands share it) or ``("pickled", digest, version, blob)``
-ModelRef = Union[CostModel, Tuple[str, str, int, bytes]]
-
-
-def _resolve_model_ref(model_ref: ModelRef) -> CostModel:
-    if isinstance(model_ref, tuple) and len(model_ref) == 4 and model_ref[0] == "pickled":
-        _, digest, version, blob = model_ref
-        key = (digest, version)
-        model = _MODEL_CACHE.get(key)
-        if model is None:
-            model = pickle.loads(blob)
-            _MODEL_CACHE[key] = model
-            while len(_MODEL_CACHE) > _MODEL_CACHE_CAP:
-                _MODEL_CACHE.popitem(last=False)
-        else:
-            _MODEL_CACHE.move_to_end(key)
-        return model
-    return model_ref
-
-
-def _evolve_island_chunk(payload: tuple) -> dict:
-    """Worker entry point: run one island for ``generations`` generations.
-
-    ``payload`` is ``(task, model_ref, space, options, island)`` where
-    ``island`` carries the sub-population, its score cache, hall of fame and
-    RNG.  Module-level (not a bound method) so it pickles portably into the
-    process pool; the updated island dict is returned, RNG included, so the
-    coordinator can resume the island deterministically next chunk.
-    """
-    task, model_ref, space, options, island = payload
-    cost_model = _resolve_model_ref(model_ref)
-    population: List[State] = island["population"]
-    score_cache: Dict[str, float] = island["score_cache"]
-    # Chunk-local hall: per-fingerprint scores are stable within one search,
-    # so the coordinator can merge per-chunk deltas instead of paying to
-    # round-trip the whole cumulative hall through the pool every chunk.
-    hall: Dict[str, Tuple[float, State]] = {}
-    rng: np.random.Generator = island["rng"]
-    node_cache: Dict[str, Dict[str, float]] = {}
-
-    def node_scores(state: State) -> Dict[str, float]:
-        return _node_scores_for(cost_model, task, state, node_cache)
-
-    scores = _score_with_cache(cost_model, task, population, score_cache)
-    # Per-island share of the global population (the shards of an unevenly
-    # divisible population differ by one).
-    target_size = max(len(population), 2)
-    for _ in range(island["generations"]):
-        _update_hall(hall, population, scores)
-        if len(population) < 2:
-            break
-        population = _breed_generation_vectorized(
-            population, scores, options, space, rng, node_scores, target_size
-        )
-        scores = _score_with_cache(cost_model, task, population, score_cache)
-
-    island["population"] = population
-    island["scores"] = [float(s) for s in scores]
-    # Only the chunk's best programs can reach the coordinator's final
-    # top-``num_best`` ranking, so ship just those (the next population
-    # travels separately above) instead of every distinct state seen.
-    keep = island.get("hall_keep")
-    if keep is not None and len(hall) > keep:
-        pruned = sorted(hall.items(), key=lambda item: -item[1][0])[:keep]
-        hall = dict(pruned)
-    island["hall"] = hall
-    island["rng"] = rng
-    return island
-
-
 class EvolutionarySearch:
-    """Fine-tune a population of programs with mutation and crossover.
-
-    With ``n_islands >= 2`` the search runs as a parallel island model (see
-    the module docstring): sub-populations evolve independently — in worker
-    processes when a :class:`~repro.utils.procpool.LazyProcessPool` is
-    given, in-process otherwise — with ring elite migration every
-    ``migration_interval`` generations.  ``n_islands=1`` is the serial loop,
-    bit-identical to the pre-island implementation.
-    """
+    """Fine-tune a population of programs with mutation and crossover."""
 
     def __init__(
         self,
@@ -331,18 +106,8 @@ class EvolutionarySearch:
         population_size: int = 64,
         num_generations: int = 4,
         mutation_prob: float = 0.85,
-        n_islands: int = 1,
-        migration_interval: int = 1,
-        migration_k: int = 2,
-        pool: Optional[LazyProcessPool] = None,
         seed: int = 0,
     ):
-        if n_islands < 1:
-            raise ValueError("n_islands must be >= 1")
-        if migration_interval < 1:
-            raise ValueError("migration_interval must be >= 1")
-        if migration_k < 0:
-            raise ValueError("migration_k must be >= 0")
         self.task = task
         self.cost_model = cost_model
         self.space = space
@@ -350,20 +115,11 @@ class EvolutionarySearch:
             population_size=population_size,
             num_generations=num_generations,
             mutation_prob=mutation_prob,
-            n_islands=n_islands,
-            migration_interval=migration_interval,
-            migration_k=migration_k,
         )
-        self.seed = seed
         self.rng = np.random.default_rng(seed)
-        #: the shared worker pool for island chunks (None = run in-process)
-        self.pool = pool
         #: fingerprint -> per-node scores, valid for the duration of one
         #: ``search()`` call (the model does not retrain mid-search)
         self._node_scores_cache: Dict[str, Dict[str, float]] = {}
-        #: observability of the last ``search()`` call: islands used,
-        #: migration barriers, and the fingerprints of migrated elites
-        self.last_stats: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
     def _node_scores(self, state: State) -> Dict[str, float]:
@@ -386,14 +142,6 @@ class EvolutionarySearch:
         if not population:
             return []
         self._node_scores_cache = {}
-        n_islands = min(self.options.n_islands, len(population))
-        if n_islands <= 1:
-            self.last_stats = {"islands": 1, "barriers": 0, "migrated_keys": []}
-            return self._search_serial(population, num_best)
-        return self._search_islands(population, num_best, n_islands)
-
-    # -- the serial loop (bit-identical to the pre-island implementation) --
-    def _search_serial(self, population: List[State], num_best: int) -> List[State]:
         options = self.options
 
         # Best-so-far across all generations, keyed by program fingerprint.
@@ -456,154 +204,3 @@ class EvolutionarySearch:
 
         ranked = sorted(hall_of_fame.values(), key=lambda pair: -pair[0])
         return [state for _, state in ranked[:num_best]]
-
-    # -- the island model ------------------------------------------------
-    def _run_chunks(self, payloads: List[tuple]) -> List[dict]:
-        """Run one chunk per island, through the pool when one is bound.
-
-        ``LazyProcessPool.map`` preserves submission order and falls back to
-        in-process execution on a broken pool, so the merge that follows is
-        deterministic either way."""
-        if self.pool is not None and len(payloads) > 1:
-            return self.pool.map(
-                _evolve_island_chunk,
-                payloads,
-                fallback=lambda: [_evolve_island_chunk(p) for p in payloads],
-            )
-        return [_evolve_island_chunk(p) for p in payloads]
-
-    def _search_islands(
-        self, population: List[State], num_best: int, n_islands: int
-    ) -> List[State]:
-        options = self.options
-        migrated_keys: List[str] = []
-        barriers = 0
-
-        # Score the full initial population once, in one batched call, and
-        # seed every island's cache with it — the initial programs are never
-        # re-predicted, no matter which island they land on.
-        global_cache: Dict[str, float] = {}
-        _score_with_cache(self.cost_model, self.task, population, global_cache)
-
-        # With a pool bound, ship the model's worker_payload: a trained
-        # LearnedCostModel is pickled once per *retrain* (the payload tuple
-        # is cached by model version) and workers cache the deserialized
-        # model by (digest, version) — see _MODEL_CACHE — so a model's
-        # hundreds of KB are serialized once per version instead of per
-        # search per island per chunk.  In-process islands share the live
-        # model object.
-        model_ref: ModelRef = self.cost_model
-        if self.pool is not None and n_islands > 1:
-            payload_fn = getattr(self.cost_model, "worker_payload", None)
-            if payload_fn is not None:
-                model_ref = payload_fn()
-            else:  # duck-typed foreign model: pickle fresh, version 0
-                blob = pickle.dumps(self.cost_model, protocol=pickle.HIGHEST_PROTOCOL)
-                model_ref = ("pickled", hashlib.sha1(blob).hexdigest(), 0, blob)
-
-        # Per-island RNGs spawned from one SeedSequence: deterministic for a
-        # given (seed, n_islands), independent of pool scheduling.
-        child_seeds = np.random.SeedSequence(self.seed).spawn(n_islands)
-        islands: List[dict] = []
-        for i in range(n_islands):
-            islands.append(
-                {
-                    "population": population[i::n_islands],
-                    "score_cache": dict(global_cache),
-                    "hall": {},
-                    "hall_keep": max(num_best, options.migration_k, 1),
-                    "rng": np.random.default_rng(child_seeds[i]),
-                    "generations": 0,
-                }
-            )
-
-        # Best-so-far across every island and generation, merged from the
-        # chunk-local halls the workers return (per-fingerprint scores are
-        # stable within one search, so delta merging loses nothing and the
-        # cumulative hall never round-trips through the pool).
-        hall_of_fame: Dict[str, Tuple[float, State]] = {}
-        remaining = options.num_generations
-        while remaining > 0:
-            chunk = min(options.migration_interval, remaining)
-            remaining -= chunk
-            for island in islands:
-                island["generations"] = chunk
-                island["hall"] = {}
-            payloads = [
-                (self.task, model_ref, self.space, options, island)
-                for island in islands
-            ]
-            islands = self._run_chunks(payloads)
-            for island in islands:
-                for key, (score, state) in island["hall"].items():
-                    if key not in hall_of_fame or score > hall_of_fame[key][0]:
-                        hall_of_fame[key] = (score, state)
-            if remaining > 0:
-                barriers += 1
-                migrated_keys.extend(self._migrate(islands, options.migration_k))
-
-        # The final populations close out the hall (the serial loop's extra
-        # generation pass), dedup by fingerprint keeping the best score.
-        for island in islands:
-            _update_hall(
-                hall_of_fame,
-                island["population"],
-                np.asarray(island["scores"], dtype=np.float64),
-            )
-
-        self.last_stats = {
-            "islands": n_islands,
-            "barriers": barriers,
-            "migrated_keys": migrated_keys,
-        }
-        ranked = sorted(hall_of_fame.values(), key=lambda pair: -pair[0])
-        return [state for _, state in ranked[:num_best]]
-
-    @staticmethod
-    def _migrate(islands: List[dict], migration_k: int) -> List[str]:
-        """Ring elite migration + score-cache merge at one barrier.
-
-        Island *i*'s top ``migration_k`` programs replace the worst members
-        of island *i+1* (mod n), skipping programs the receiver already has.
-        The merged score caches travel with them, so a migrant is never
-        re-scored by its new island."""
-        migrated: List[str] = []
-        if migration_k <= 0:
-            # Still merge the caches: a program scored by one island must
-            # not be re-predicted when another island rediscovers it later.
-            merged: Dict[str, float] = {}
-            for island in islands:
-                merged.update(island["score_cache"])
-            for island in islands:
-                island["score_cache"] = dict(merged)
-            return migrated
-
-        merged_cache: Dict[str, float] = {}
-        for island in islands:
-            merged_cache.update(island["score_cache"])
-
-        # Donors are picked from the pre-migration populations of every
-        # island before any replacement happens.
-        donors: List[List[State]] = []
-        for island in islands:
-            order = np.argsort(-np.asarray(island["scores"], dtype=np.float64))
-            donors.append([island["population"][int(j)] for j in order[:migration_k]])
-
-        n = len(islands)
-        for i, island in enumerate(islands):
-            incoming = donors[(i - 1) % n]
-            pop: List[State] = island["population"]
-            scores = np.asarray(island["scores"], dtype=np.float64)
-            existing = {s.fingerprint() for s in pop}
-            fresh = [s for s in incoming if s.fingerprint() not in existing]
-            if not fresh:
-                island["score_cache"] = dict(merged_cache)
-                continue
-            worst_order = np.argsort(scores)
-            for slot, migrant in zip(worst_order, fresh):
-                pop[int(slot)] = migrant
-                scores[int(slot)] = merged_cache[migrant.fingerprint()]
-                migrated.append(migrant.fingerprint())
-            island["scores"] = [float(s) for s in scores]
-            island["score_cache"] = dict(merged_cache)
-        return migrated

@@ -26,8 +26,6 @@ __all__ = [
     "mutate_compute_location",
     "random_mutation",
     "mutate_with_operator",
-    "sample_mutation_operators",
-    "sample_categorical",
     "node_based_crossover",
     "MUTATION_OPERATORS",
 ]
@@ -206,33 +204,6 @@ def random_mutation(
     return None
 
 
-# ---------------------------------------------------------------------------
-# Vectorized sampling (island-model breeding)
-# ---------------------------------------------------------------------------
-
-
-def sample_categorical(
-    rng: np.random.Generator, probabilities: np.ndarray, count: int
-) -> np.ndarray:
-    """``count`` weighted category draws from **one** vectorized RNG call.
-
-    Equivalent to ``count`` sequential ``rng.choice(n, p=probabilities)``
-    calls (inverse-CDF sampling over the cumulative weights), but the
-    uniforms come out of a single ``rng.random(count)`` draw — the batched
-    sampling the island breeding loop uses instead of one draw per
-    individual."""
-    cdf = np.cumsum(np.asarray(probabilities, dtype=np.float64))
-    u = rng.random(count)
-    return np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"), len(cdf) - 1)
-
-
-def sample_mutation_operators(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Operator indices into :data:`MUTATION_OPERATORS` for a whole breeding
-    batch, drawn in one vectorized RNG call."""
-    weights = np.array([w for _, w in MUTATION_OPERATORS])
-    return sample_categorical(rng, weights / weights.sum(), count)
-
-
 def mutate_with_operator(
     state: State,
     op_index: int,
@@ -240,10 +211,9 @@ def mutate_with_operator(
     options: SearchSpaceOptions = FULL_SPACE,
     max_attempts: int = 4,
 ) -> Optional[State]:
-    """Apply one *pre-sampled* mutation operator (see
-    :func:`sample_mutation_operators`); when it fails to produce a valid
-    program, fall back to freshly drawn operators like
-    :func:`random_mutation`."""
+    """Apply the mutation operator at ``op_index`` of
+    :data:`MUTATION_OPERATORS`; when it fails to produce a valid program,
+    fall back to freshly drawn operators like :func:`random_mutation`."""
     op = MUTATION_OPERATORS[int(op_index)][0]
     child = op(state, rng, options)
     if child is not None or max_attempts <= 1:

@@ -140,16 +140,6 @@ class SearchPolicy:
                 self.best_state = inp.state
         self.history.append((self.num_trials, self.best_cost))
 
-    def close(self) -> None:
-        """Release any resources the policy holds (worker pools, handles).
-
-        A no-op in the base class.  :class:`~repro.search.sketch_policy.
-        SketchPolicy` shuts down its island-search process pool here;
-        :class:`~repro.tuner.Tuner` closes the policies it created itself
-        once their session ends.  Closing must be idempotent, and a closed
-        policy may lazily recreate its resources if it is driven again.
-        """
-
     def best_throughput(self) -> float:
         """Best achieved throughput in FLOP/s (0 when nothing measured yet)."""
         if not np.isfinite(self.best_cost) or self.best_cost <= 0:

@@ -20,7 +20,6 @@ round *k+1* while round *k* is measured.
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,7 +29,6 @@ from ..cost_model.service import CostModelService
 from ..hardware.measure import MeasureInput, MeasureResult
 from ..ir.state import State
 from ..task import SearchTask
-from ..utils.procpool import LazyProcessPool
 from .annotation import sample_initial_population
 from .evolutionary import EvolutionarySearch
 from .policy import SearchPolicy, register_policy
@@ -59,15 +57,10 @@ class SketchPolicy(SearchPolicy):
         retained_best: int = 12,
         schedule_store=None,
         warm_start_limit: int = 8,
-        search_workers: int = 1,
-        migration_interval: int = 1,
-        migration_k: int = 2,
         seed: int = 0,
         verbose: int = 0,
     ):
         super().__init__(task, seed=seed, verbose=verbose)
-        if search_workers < 1:
-            raise ValueError("search_workers must be >= 1")
         if isinstance(cost_model, CostModelService):
             # A whole service binds through its per-target view, so this
             # policy trains/predicts on the shared model of ITS target.
@@ -83,18 +76,6 @@ class SketchPolicy(SearchPolicy):
         self.retained_best = retained_best
         #: cap on store-seeded warm-start programs per session
         self.warm_start_limit = warm_start_limit
-        #: island-model parallelism of the evolutionary search: with
-        #: ``search_workers >= 2`` each round's evolution runs that many
-        #: islands with ring elite migration — in worker processes on a
-        #: multi-core host, in-process on a single-core one; 1 = the serial
-        #: loop, bit-identical to the pre-island search
-        self.search_workers = search_workers
-        self.migration_interval = migration_interval
-        self.migration_k = migration_k
-        #: the reused process pool behind the islands (lazily created on the
-        #: first evolved round of a multi-core host, shared across rounds;
-        #: stays None on single-core hosts — see :meth:`close`)
-        self._search_pool: Optional[LazyProcessPool] = None
         self._sketches: Optional[List[State]] = None
         self._measured_keys: set = set()
         #: (cost, state) of the best measured programs, kept for seeding evolution
@@ -222,26 +203,12 @@ class SketchPolicy(SearchPolicy):
             return []
 
         if self.use_evolutionary_search:
-            if (
-                self.search_workers > 1
-                and self._search_pool is None
-                and (os.cpu_count() or 1) > 1
-            ):
-                # Host-adaptive: worker processes only pay off with real
-                # cores behind them.  On a single-core host the islands run
-                # in-process instead — same algorithm, same per-island RNG
-                # streams, none of the pool's IPC overhead.
-                self._search_pool = LazyProcessPool(max_workers=self.search_workers)
             evolution = EvolutionarySearch(
                 self.task,
                 self.cost_model,
                 space=self.space,
                 population_size=self.population_size,
                 num_generations=self.num_generations,
-                n_islands=self.search_workers,
-                migration_interval=self.migration_interval,
-                migration_k=self.migration_k,
-                pool=self._search_pool,
                 seed=int(self.rng.integers(0, 2**31 - 1)),
             )
             ranked = evolution.search(population, num_best=max(num_measures * 2, 16))
@@ -276,17 +243,3 @@ class SketchPolicy(SearchPolicy):
 
         self.cost_model.update(inputs, results)
         super().ingest_results(inputs, results)
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release the island-search worker pool (idempotent; the next
-        evolved round lazily recreates it if the policy is reused)."""
-        if self._search_pool is not None:
-            self._search_pool.close()
-            self._search_pool = None
-
-    def __del__(self):  # pragma: no cover - interpreter-shutdown best effort
-        try:
-            self.close()
-        except Exception:
-            pass

@@ -168,14 +168,6 @@ class TuningOptions:
     #: or config instance overrides it, None leaves the breaker off.
     #: Rejected when the selected runner is device-blind.
     circuit_breaker: "Optional[Union[bool, dict, CircuitBreakerConfig]]" = None
-    #: island-model parallelism of the evolutionary search: with
-    #: ``search_workers >= 2`` each search round shards its population into
-    #: that many islands evolving in a reused process pool, with ring elite
-    #: migration between them (policies that support it — ``"sketch"`` —
-    #: accept the knob as ``search_workers=``; selecting another value than
-    #: 1 with a policy that cannot parallelize raises).  The default 1 keeps
-    #: the serial evolutionary loop, bit-identical to earlier releases.
-    search_workers: int = 1
     #: overlap candidate generation with hardware measurement: drivers run
     #: each round through an asynchronous
     #: :class:`~repro.hardware.measure.MeasureSession` and breed round *k+1*
@@ -238,8 +230,6 @@ class TuningOptions:
             raise ValueError("run_timeout must be positive (or None to disable)")
         if self.n_retry < 0:
             raise ValueError("n_retry must be >= 0")
-        if self.search_workers < 1:
-            raise ValueError("search_workers must be >= 1")
         if self.dispatch is not None and self.dispatch not in (
             "round-robin",
             "least-loaded",

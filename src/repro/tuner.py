@@ -87,25 +87,6 @@ def _accepts_kwarg(factory, name: str) -> bool:
     return False
 
 
-def _search_worker_kwargs(factory, options: TuningOptions, existing: dict) -> dict:
-    """The ``search_workers`` kwarg for a policy factory, threaded from
-    ``TuningOptions(search_workers=...)``.
-
-    An explicit ``policy_kwargs`` entry wins; a factory that cannot accept
-    the knob raises (matching the "no silent swallowing" convention of the
-    measurement knobs) rather than quietly running serial."""
-    if options.search_workers == 1 or "search_workers" in existing:
-        return {}
-    if not _accepts_kwarg(factory, "search_workers"):
-        raise ValueError(
-            f"TuningOptions(search_workers={options.search_workers}) needs a "
-            "policy that accepts search_workers= (the 'sketch' policy does); "
-            f"{getattr(factory, '__name__', factory)!r} does not — drop the "
-            "option or pick a parallel-capable policy"
-        )
-    return {"search_workers": options.search_workers}
-
-
 def _non_default_measure_knobs(options: TuningOptions) -> List[str]:
     """The measurement-pipeline knobs of ``options`` that differ from the
     :class:`~repro.task.TuningOptions` defaults (``async_measure`` is not
@@ -199,11 +180,8 @@ class Tuner:
         factory ``(task, cost_model=..., seed=..., verbose=...) -> policy``.
     options:
         The shared :class:`~repro.task.TuningOptions` (trial budget, round
-        size, early stopping, seed, verbosity).  ``search_workers=N`` is
-        threaded to the policy factory and shards each search round's
-        evolution across ``N`` process-pool islands (parallel-capable
-        policies only; combining it with a ready policy instance, or a
-        factory that cannot accept it, raises).
+        size, early stopping, seed, verbosity, measurement and cost-model
+        knobs).
     callbacks:
         :class:`~repro.callbacks.MeasureCallback` observers of every
         measured round.
@@ -245,8 +223,8 @@ class Tuner:
         ``cost_model_retrain`` / ``cost_model_retrain_interval`` /
         ``cost_model_window`` control windowed retraining.  Combining a
         requested service with a ready policy instance or an explicit
-        ``policy_kwargs['cost_model']`` raises (the service would be
-        silently bypassed).
+        ``policy_kwargs['cost_model']`` raises before the session does any
+        work (the service would be silently bypassed).
     hardware / batch / max_tasks_per_network / objective / scheduler_strategy:
         Network-session knobs, forwarded to the task extractor and the
         :class:`~repro.scheduler.task_scheduler.TaskScheduler`.
@@ -390,20 +368,12 @@ class Tuner:
         """The ``cost_model`` kwarg for a policy factory: a per-target view
         of the session's :class:`CostModelService`.
 
-        An explicit ``policy_kwargs`` cost model wins — unless the caller
-        *also* asked for a service (a ready one, or a persistence path),
-        which would then be silently ignored: that conflict raises, matching
-        the measurer-knob convention.  A factory that cannot accept the
-        kwarg is left alone (its policy builds its own model) except when
-        the service was explicitly requested."""
+        An explicit ``policy_kwargs`` cost model wins (:meth:`tune` has
+        already rejected one that would bypass a requested service).  A
+        factory that cannot accept the kwarg is left alone (its policy
+        builds its own model) except when the service was explicitly
+        requested."""
         if "cost_model" in existing:
-            if self._explicit_cost_model_service:
-                raise ValueError(
-                    "Tuner got both policy_kwargs['cost_model'] and a "
-                    "cost-model service (cost_model_service= / "
-                    "TuningOptions(cost_model_path=...)): the explicit model "
-                    "would bypass the service.  Pass one or the other."
-                )
             return {}
         if not _accepts_kwarg(factory, "cost_model"):
             if self._explicit_cost_model_service:
@@ -426,15 +396,6 @@ class Tuner:
 
     def _make_policy(self, task: SearchTask) -> SearchPolicy:
         if isinstance(self.policy, SearchPolicy):
-            if self.options.search_workers != 1:
-                # Mirroring the measurer-knob conflict: a ready policy would
-                # silently ignore the option, so the conflict raises instead.
-                raise ValueError(
-                    f"TuningOptions(search_workers={self.options.search_workers}) "
-                    "cannot be applied to a ready SearchPolicy instance; "
-                    "configure the policy's search_workers directly or pass a "
-                    "policy name/factory"
-                )
             if self._explicit_cost_model_service:
                 raise ValueError(
                     "a cost-model service (cost_model_service= / "
@@ -448,13 +409,22 @@ class Tuner:
         # instead of raising "multiple values for keyword argument".
         kwargs = {"seed": self.options.seed, "verbose": self.options.verbose,
                   **self.policy_kwargs}
-        kwargs.update(_search_worker_kwargs(factory, self.options, kwargs))
         kwargs.update(self._cost_model_kwargs(factory, task, kwargs))
         return factory(task, **kwargs)
 
     # ------------------------------------------------------------------
     def tune(self) -> TuningResult:
         """Run the session to completion and return its :class:`TuningResult`."""
+        if "cost_model" in self.policy_kwargs and self._explicit_cost_model_service:
+            # Every session kind lets policy_kwargs win, so the requested
+            # service would train nothing and save an empty file: raise
+            # before any work, matching the measurer-knob convention.
+            raise ValueError(
+                "Tuner got both policy_kwargs['cost_model'] and a "
+                "cost-model service (cost_model_service= / "
+                "TuningOptions(cost_model_path=...)): the explicit model "
+                "would bypass the service.  Pass one or the other."
+            )
         if self.variant_session:
             return self._tune_variants()
         if self.networks is None:
@@ -555,15 +525,9 @@ class Tuner:
         # caller-supplied (possibly pre-used) policy: a reused policy
         # resumes from the trials it already consumed.
         trials_before = policy.num_trials
-        try:
-            num_errors = self._run_scheduler(
-                scheduler, options.num_measure_trials - trials_before, options
-            )
-        finally:
-            if not isinstance(self.policy, SearchPolicy):
-                # The session owns policies it built itself; release their
-                # worker pools (a user-supplied instance may be reused).
-                policy.close()
+        num_errors = self._run_scheduler(
+            scheduler, options.num_measure_trials - trials_before, options
+        )
         return TuningResult(
             tasks=[task],
             best_costs=[policy.best_cost],
@@ -649,7 +613,6 @@ class Tuner:
         def arbiter_factory(task, cost_model=None, seed=0, verbose=0):
             merged = {"cost_model": cost_model, "seed": seed,
                       "verbose": verbose, **kwargs}
-            merged.update(_search_worker_kwargs(factory, options, merged))
             return factory(task, **merged)
 
         arbiter = VariantArbiter(
@@ -700,7 +663,6 @@ class Tuner:
         def scheduler_factory(task, cost_model, seed):
             merged = {"cost_model": cost_model, "seed": seed,
                       "verbose": options.verbose, **kwargs}
-            merged.update(_search_worker_kwargs(factory, options, merged))
             policy = factory(task, **merged)
             if store is not None:
                 policy.bind_store(store)

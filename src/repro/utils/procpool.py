@@ -1,8 +1,7 @@
 """A lazily-created, reused process pool with an in-process fallback.
 
-Extracted from :class:`repro.hardware.rpc.RpcBuilder` (PR 4) so every
-CPU-bound fan-out in the system — process-pool builds, island-model
-evolutionary search — shares one pool discipline instead of re-growing it:
+The pool discipline behind the process-pool builds of
+:class:`repro.hardware.rpc.RpcBuilder`:
 
 * the :class:`concurrent.futures.ProcessPoolExecutor` is created on the
   first parallel call and **reused** afterwards (worker start-up is paid

@@ -20,6 +20,7 @@ from repro.hardware.platform import arm_cpu
 from repro.scheduler.task_scheduler import TaskScheduler
 from repro.task import SearchTask, TuningOptions
 from repro.tuner import Tuner
+from repro.variants import LogicalOp
 from repro.workloads import matmul_relu
 
 from ..conftest import make_matmul_relu_dag
@@ -185,21 +186,14 @@ def test_predict_batch_mixed_targets_group_per_model(task):
 
 
 # ----------------------------------------------------------------------
-# Versioning and the worker transport
+# Versioning
 # ----------------------------------------------------------------------
-def test_worker_payload_is_cached_per_version_and_invalidated_by_retrain(task):
+def test_retrain_bumps_the_model_version_by_one(task):
     service = _trained_service(task)
-    model = service.model_for(task)
-    first = model.worker_payload()
-    again = model.worker_payload()
-    assert again is first  # same version -> the cached tuple, no re-pickle
-
+    before = service.version(task)
     inputs, results = _sample_and_measure(task, 16, seed=5)
-    service.ingest(task, inputs, results)  # retrain bumps the version
-    bumped = model.worker_payload()
-    assert bumped is not first
-    assert bumped[2] == first[2] + 1
-    assert service.version(task) == bumped[2]
+    service.ingest(task, inputs, results)
+    assert service.version(task) == before + 1
 
 
 def test_stats_reports_per_target_counters(task, tmp_path):
@@ -248,14 +242,26 @@ def test_tuner_rejects_service_conflicting_with_options_path(tmp_path):
         )
 
 
-def test_tuner_rejects_explicit_model_alongside_a_requested_service(tmp_path):
+@pytest.mark.parametrize("kind", ["single", "variants", "network"])
+def test_tuner_rejects_explicit_model_alongside_a_requested_service(tmp_path, kind):
+    workload = {
+        "single": _small_task(),
+        "variants": LogicalOp("conv2d", dict(
+            batch=1, in_channels=4, height=8, width=8,
+            out_channels=8, kernel=3, stride=1, padding=1,
+        ), hardware=intel_cpu()),
+        "network": ["mobilenet-v2"],
+    }[kind]
+    path = tmp_path / "m.pkl"
     tuner = Tuner(
-        _small_task(),
+        workload,
         policy_kwargs={"cost_model": LearnedCostModel()},
-        options=_small_options(cost_model_path=str(tmp_path / "m.pkl")),
+        options=_small_options(cost_model_path=str(path)),
+        max_tasks_per_network=2,
     )
     with pytest.raises(ValueError, match="bypass the service"):
         tuner.tune()
+    assert not path.exists()  # raised before any work, nothing saved
 
 
 def test_tuner_rejects_ready_policy_alongside_a_requested_service(tmp_path):

@@ -384,63 +384,3 @@ def test_async_measure_is_not_a_conflicting_knob(task):
     result = Tuner(task, measurer=measurer, options=options).tune()
     assert result.num_trials == 16
     assert measurer.measure_count == 16
-
-
-# ---------------------------------------------------------------------------
-# TuningOptions(search_workers=...) threading (the island-model knob)
-# ---------------------------------------------------------------------------
-
-
-def test_search_workers_validation():
-    with pytest.raises(ValueError):
-        TuningOptions(search_workers=0)
-
-
-def test_search_workers_reaches_the_sketch_policy(task):
-    options = TuningOptions(num_measure_trials=16, num_measures_per_round=8,
-                            search_workers=2)
-    tuner = Tuner(task, policy="sketch", options=options)
-    policy = tuner._make_policy(task)
-    assert policy.search_workers == 2
-
-
-def test_search_workers_with_ready_policy_instance_raises(task):
-    policy = SketchPolicy(task, seed=0)
-    options = TuningOptions(num_measure_trials=16, num_measures_per_round=8,
-                            search_workers=2)
-    with pytest.raises(ValueError, match="search_workers"):
-        Tuner(task, policy=policy, options=options).tune()
-
-
-def test_search_workers_with_incompatible_factory_raises(task):
-    def serial_only_policy(task, seed=0, verbose=0):
-        return SketchPolicy(task, seed=seed, verbose=verbose)
-
-    options = TuningOptions(num_measure_trials=16, num_measures_per_round=8,
-                            search_workers=2)
-    with pytest.raises(ValueError, match="search_workers"):
-        Tuner(task, policy=serial_only_policy, options=options).tune()
-
-
-def test_explicit_policy_kwargs_search_workers_wins(task):
-    options = TuningOptions(num_measure_trials=16, num_measures_per_round=8,
-                            search_workers=4)
-    tuner = Tuner(task, policy="sketch", options=options,
-                  policy_kwargs={"search_workers": 2})
-    policy = tuner._make_policy(task)
-    assert policy.search_workers == 2
-
-
-def test_sketch_policy_validates_search_workers(task):
-    with pytest.raises(ValueError):
-        SketchPolicy(task, search_workers=0)
-
-
-def test_parallel_sketch_tuning_runs_end_to_end(task):
-    """A full (tiny) tuning session with search_workers=2: the island-model
-    evolution must produce a valid result through the normal driver path."""
-    options = TuningOptions(num_measure_trials=16, num_measures_per_round=8,
-                            search_workers=2, seed=0)
-    result = Tuner(task, policy="sketch", options=options).tune()
-    assert result.num_trials == 16
-    assert result.best_state is not None

@@ -55,10 +55,9 @@ def main():
     print(f"resized run  : {warm.num_trials} trials, best {warm.best_cost:.3e}s, "
           f"from_store={warm.from_store} (warm-started, then searched)")
 
-    # escape hatches, for completeness:
-    #   TuningOptions(store_refresh=True)    - ignore a hit, re-tune
-    #   TuningOptions(store_min_trials=8)    - on a hit, still spend up to
-    #                                          8 warm-started trials
+    # escape hatch, for completeness:
+    #   TuningOptions(store_refresh=True)    - ignore hits, re-tune
+    #                                          (still warm-started)
     print(f"\nstore file   : {store_path}")
     print("segment lines:", ScheduleStore(store_path).segment_lines,
           "(append-on-new-best; compact() drops superseded lines)")

@@ -93,9 +93,9 @@ within 5% of a healthy pool), fault-rate-estimate convergence, and
 bit-parity with the plain pool when nothing is failing.
 
 The learned cost model is a first-class subsystem
-(:class:`repro.cost_model.CostModelService`): every layer — ``Tuner``
-single-task sessions, ``TaskScheduler`` multi-task sessions,
-``TuningService`` — trains and predicts through one service owning one
+(:class:`repro.cost_model.CostModelService`): every ``Tuner`` session —
+whatever its workload, one ``TaskScheduler`` drives it — trains and
+predicts through one service owning one
 :class:`repro.cost_model.LearnedCostModel` per hardware target (§5.2's
 single shared model, without mixing machines).  Retraining is *windowed*
 by default: instead of refitting the booster on the full accumulated
@@ -132,13 +132,12 @@ Tuning results persist across sessions through a
 :class:`repro.store.ScheduleStore` — an indexed, compactable store of best
 schedules keyed by ``(workload fingerprint, hardware target)``, layered
 over the :class:`TuningRecord` log format (legacy logs ``ingest()``
-losslessly).  ``Tuner(task, store=...)`` answers repeated requests from the
-store without searching (``TuningOptions.store_min_trials`` /
-``store_refresh`` are the escape hatches), :class:`SketchPolicy`
+losslessly).  ``Tuner(workload, store=...)`` consults the store before
+spending a trial: every task and variant group that hits is served without
+searching, the rest share the session's trial budget
+(``TuningOptions.store_refresh`` is the escape hatch), :class:`SketchPolicy`
 warm-starts its first evolutionary population from stored bests of the same
-and structurally similar workloads, and :class:`TuningService` serves
-concurrent tuning requests from one shared trial budget, consulting the
-store before spending trials and streaming new bests back through
+and structurally similar workloads, and new bests stream back through
 :class:`StoreWriter`.  The store benchmark
 (``benchmarks/test_store_lookup.py``) gates indexed lookup against full-log
 rescans and warm-start trial counts against cold searches.
@@ -148,8 +147,8 @@ Search extends *above* the schedule space through algorithm variants
 competing ``ComputeDAG`` formulations (``conv2d`` ships ``direct``,
 ``im2col`` and ``tiled-gemm``) registered under a decorator-based
 ``register_variant`` registry, and ``Tuner(LogicalOp("conv2d", params))``
-— or ``Tuner(task, variants=True)`` on an expanded task — arbitrates the
-trial budget across the group through the task scheduler.  A
+— alone or in a list with other tasks and LogicalOps — arbitrates the
+trial budget across the group through the session's task scheduler.  A
 successive-halving-style pruner cuts any variant whose best cost trails
 the group leader's by more than ``TuningOptions(variant_prune_margin=...)``
 once both sides have ``variant_min_trials`` measurements, so losing
@@ -159,8 +158,8 @@ names the winner and keeps every trajectory.  Winners are per
 (``wide_vector_cpu`` / ``manycore_numa_cpu`` / ``edge_cpu``) demonstrably
 flips them — and the schedule store indexes entries by
 ``(logical_key, variant, target)``, so a store hit answers "which
-algorithm *and* which schedule"; ``TuningService.submit_variants`` serves
-whole groups the same way.  The variant benchmark
+algorithm *and* which schedule" and serves a whole group without a trial.
+The variant benchmark
 (``benchmarks/test_variant_search.py``, ``make variant-bench``) gates
 arbitrated search against exhaustively tuning every variant and the
 cross-target winner flip.
@@ -218,14 +217,7 @@ from .search import baselines as _baselines  # ensure baseline policies register
 from .search.policy import SearchPolicy, register_policy, registered_policies, resolve_policy
 from .search.sketch_policy import SketchPolicy
 from .search.space import FULL_SPACE, LIMITED_SPACE, SearchSpaceOptions
-from .store import (
-    ScheduleStore,
-    StoreEntry,
-    StoreWriter,
-    TuningRequest,
-    TuningService,
-    VariantGroupRequest,
-)
+from .store import ScheduleStore, StoreEntry, StoreWriter
 from .task import SearchTask, TuningOptions, split_workload_key
 from .te.dag import ComputeDAG
 from .tuner import Tuner, TuningResult
@@ -312,9 +304,6 @@ __all__ = [
     "ScheduleStore",
     "StoreEntry",
     "StoreWriter",
-    "TuningRequest",
-    "TuningService",
-    "VariantGroupRequest",
     "LogicalOp",
     "VariantSpec",
     "VariantArbiter",

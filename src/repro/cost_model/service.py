@@ -5,10 +5,10 @@ The paper trains a *single* cost model on the measurements of all tasks
 :class:`CostModelService` is the subsystem that owns that sharing across
 every layer of the tuner:
 
-* :class:`~repro.tuner.Tuner` single-task sessions,
-  :class:`~repro.scheduler.task_scheduler.TaskScheduler` multi-task
-  sessions and the :class:`~repro.store.TuningService` front-end all train
-  and predict through one service instead of constructing throwaway
+* every :class:`~repro.tuner.Tuner` session — one task, a task list with
+  variant groups, or networks, all driven by one
+  :class:`~repro.scheduler.task_scheduler.TaskScheduler` — trains and
+  predicts through one service instead of constructing throwaway
   per-policy :class:`~repro.cost_model.model.LearnedCostModel` instances;
 * the service keys models by **hardware target** (a program that is fast
   on one machine says little about another), lazily creating one

@@ -85,7 +85,6 @@ class TaskScheduler:
         backward_window: int = 3,
         eps_greedy: float = 0.05,
         max_empty_rounds: int = 2,
-        trial_limits: Optional[Sequence[Optional[int]]] = None,
         cost_model_service: Optional[CostModelService] = None,
         seed: int = 0,
         verbose: int = 0,
@@ -98,14 +97,6 @@ class TaskScheduler:
         n = len(self.tasks)
         if n == 0:
             raise ValueError("TaskScheduler needs at least one task")
-        if trial_limits is not None:
-            trial_limits = list(trial_limits)
-            if len(trial_limits) != n:
-                raise ValueError(
-                    f"trial_limits has {len(trial_limits)} entries for {n} tasks"
-                )
-            if any(limit is not None and limit <= 0 for limit in trial_limits):
-                raise ValueError("trial_limits entries must be positive (or None)")
         self.task_weights = list(task_weights) if task_weights is not None else [1.0] * n
         self.task_to_dnn = list(task_to_dnn) if task_to_dnn is not None else [0] * n
         self.objective = objective or WeightedSumLatency(self.task_weights, self.task_to_dnn)
@@ -137,17 +128,11 @@ class TaskScheduler:
             for idx, task in enumerate(self.tasks)
         ]
 
-        #: per-task caps on measurement trials (None = only the shared
-        #: budget): the scheduler stops allocating to a task once its
-        #: consumed trials reach the cap — the per-request ``max_trials``
-        #: of a :class:`~repro.store.TuningService`
-        self.trial_limits: Optional[List[Optional[int]]] = trial_limits
         #: per-task measurement pipelines (populated by :meth:`tune`)
         self.measurers: List[MeasurePipeline] = []
         #: rounds allocated per task (t_i)
         self.allocations: List[int] = [0] * n
         #: measurement trials consumed per task under this scheduler
-        #: (the quantity :attr:`trial_limits` caps)
         self.task_trials: List[int] = [0] * n
         #: tasks a callback early-stopped (no further rounds are allocated)
         self.exhausted: List[bool] = [False] * n
@@ -218,31 +203,14 @@ class TaskScheduler:
         gradient = df_dg * (self.alpha * backward + (1 - self.alpha) * forward)
         return min(gradient, 0.0)
 
-    def _remaining_limit(self, index: int, pending_trials: Sequence[int]) -> Optional[int]:
-        """Trials a task may still consume under its per-task cap (None =
-        uncapped); in-flight trials count as spent."""
-        if self.trial_limits is None:
-            return None
-        limit = self.trial_limits[index]
-        if limit is None:
-            return None
-        return max(0, limit - self.task_trials[index] - pending_trials[index])
-
-    def _select_task(
-        self, pending_alloc: Sequence[int], pending_trials: Sequence[int]
-    ) -> Optional[int]:
+    def _select_task(self, pending_alloc: Sequence[int]) -> Optional[int]:
         """Pick the next task to allocate a round to.
 
         ``pending_alloc`` counts rounds already proposed but not yet
         accounted (the in-flight lookahead), so warm-up and round-robin do
-        not re-pick a task whose first round is still on the devices;
-        ``pending_trials`` is the same for per-task trial caps."""
+        not re-pick a task whose first round is still on the devices."""
         alloc = [a + p for a, p in zip(self.allocations, pending_alloc)]
-        live = [
-            i
-            for i, done in enumerate(self.exhausted)
-            if not done and self._remaining_limit(i, pending_trials) != 0
-        ]
+        live = [i for i, done in enumerate(self.exhausted) if not done]
         if not live:
             return None
         if self.strategy == "round_robin":
@@ -360,10 +328,10 @@ class TaskScheduler:
         """Distribute ``num_measure_trials`` over the tasks; returns the final
         best latency per task.
 
-        This is the one round driver of the package: a single-task
-        :class:`~repro.tuner.Tuner` session is a one-task scheduler, variant
-        groups and :class:`~repro.store.TuningService` batches are
-        multi-task ones.
+        This is the one round driver of the package, and
+        :class:`~repro.tuner.Tuner` builds the scheduler of every session: a
+        single task is a one-task scheduler; task lists, variant groups and
+        networks are multi-task ones.
 
         Each task is measured on *its own* hardware target: when no
         ``measurer`` is given, one :class:`~repro.hardware.measure.MeasurePipeline`
@@ -402,7 +370,6 @@ class TaskScheduler:
         lookahead = 1 if async_ else 0
         sessions: Dict[int, MeasureSession] = {}
         pending_alloc = [0] * len(self.tasks)
-        pending_trials = [0] * len(self.tasks)
         submitted = 0  # trials in flight: proposed but not yet accounted
         # rounds bred and submitted but not yet collected, oldest first
         in_flight: Deque[Tuple[int, List[MeasureInput], List[MeasureFuture]]] = deque()
@@ -427,12 +394,9 @@ class TaskScheduler:
                 )
                 if budget <= 0:
                     return False
-                index = self._select_task(pending_alloc, pending_trials)
-                if index is None:  # every task exhausted or capped
+                index = self._select_task(pending_alloc)
+                if index is None:  # every task exhausted
                     return False
-                remaining = self._remaining_limit(index, pending_trials)
-                if remaining is not None:
-                    budget = min(budget, remaining)
                 states = self.policies[index].propose_candidates(budget)
                 if not states:
                     # The policy produced no candidates.  Charge one phantom
@@ -451,7 +415,6 @@ class TaskScheduler:
                 in_flight.append((index, inputs, session_for(index).submit(inputs)))
                 submitted += len(inputs)
                 pending_alloc[index] += 1
-                pending_trials[index] += len(inputs)
                 return True
 
         def stop_task(index: int, futures: List[MeasureFuture]) -> None:
@@ -498,7 +461,6 @@ class TaskScheduler:
                             stopped = True
                             stop_task(index, futures)
             pending_alloc[index] -= 1
-            pending_trials[index] -= len(inputs)
             submitted -= len(inputs)
             if not kept_inputs:
                 # Everything was cancelled before reaching a device: the

@@ -14,63 +14,49 @@ append log that every consumer re-scans in full:
 * :class:`StoreWriter` is a :class:`~repro.callbacks.MeasureCallback` that
   streams new bests into the store the moment they land on the devices
   (the ``on_result`` hook), so a killed session keeps everything it found.
-* :class:`TuningService` is the multi-session front-end: many concurrent
-  tuning requests with per-request priorities share one
-  :class:`~repro.scheduler.task_scheduler.TaskScheduler` trial budget, the
-  store is consulted before any trial is spent (a hit is served instantly,
-  a near-miss warm-starts the search), and new bests are written back on
-  completion.
 
-Three consumer paths hang off the store:
+Two consumer paths hang off the store, both through
+``Tuner(workload, store=store)``:
 
-1. **Instant lookup** — ``Tuner(task, store=store)`` returns the cached best
-   :class:`~repro.tuner.TuningResult` without consuming a single
-   measurement trial when the key hits; ``store_min_trials`` /
-   ``store_refresh`` are the escape hatches.
+1. **Instant lookup** — a task whose key hits, or a
+   :class:`~repro.variants.LogicalOp` whose ``(logical_key, target)`` entry
+   names a current variant, is served without a single measurement trial;
+   the rest of the workload shares the trial budget, and a session whose
+   every item hits returns ``from_store=True``.  ``store_refresh`` is the
+   escape hatch.
 2. **Cross-session warm-start** — a store-bound
    :class:`~repro.search.sketch_policy.SketchPolicy` seeds its initial
    evolutionary population from the store's bests for the same workload
    and for structurally similar workloads (same DAG shape class, different
    sizes; replayed via :meth:`~repro.records.TuningRecord.to_state`),
    falling back to random sampling for the remainder.
-3. **Tuning as a service** — :class:`TuningService` above.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 import threading
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple, Union
 
 from .callbacks import MeasureCallback, MeasureResultEvent
-from .cost_model.service import CostModelService
 from .records import RecordLogWarning, TuningRecord, load_records
-from .task import SearchTask, TuningOptions, split_workload_key
+from .task import SearchTask, split_workload_key
 
 if TYPE_CHECKING:  # pragma: no cover - types only (avoid import cycles)
     from .ir.state import State
-    from .tuner import TuningResult
 
 try:  # POSIX advisory locking; other platforms fall back to best-effort.
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX
     fcntl = None
 
-__all__ = [
-    "StoreEntry",
-    "ScheduleStore",
-    "StoreWriter",
-    "TuningRequest",
-    "VariantGroupRequest",
-    "TuningService",
-]
+__all__ = ["StoreEntry", "ScheduleStore", "StoreWriter"]
 
 PathLike = Union[str, Path]
 
@@ -533,421 +519,3 @@ class StoreWriter(MeasureCallback):
 
     def on_result(self, event: MeasureResultEvent) -> None:
         self.store.put(event.input, event.result)
-
-
-# ---------------------------------------------------------------------------
-# Tuning as a service
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class TuningRequest:
-    """One workload submitted to a :class:`TuningService`."""
-
-    task: SearchTask
-    #: scheduler weight: relative to its siblings, a higher-priority request
-    #: attracts proportionally more of the shared trial budget
-    priority: float = 1.0
-    #: ignore a store hit and re-tune this workload
-    refresh: bool = False
-    #: per-request cap on measurement trials (None = only the shared budget)
-    max_trials: Optional[int] = None
-
-    # -- outcome (filled by TuningService.run) --------------------------
-    #: best program; replayed from the store on a hit
-    best_state: Optional["State"] = None
-    #: best cost (seconds)
-    best_cost: float = float("inf")
-    #: measurement trials this request consumed (0 on a store hit)
-    num_trials: int = 0
-    #: whether the result was served from the store without searching
-    from_store: bool = False
-    #: whether the request has been processed by a :meth:`TuningService.run`
-    done: bool = False
-    #: the variant group this request belongs to (``None`` for plain
-    #: single-task requests); see :meth:`TuningService.submit_variants`
-    group: Optional["VariantGroupRequest"] = None
-
-
-@dataclass
-class VariantGroupRequest:
-    """One variant group submitted to a :class:`TuningService`.
-
-    The group's member requests (one per variant) share the submitting
-    priority: each member's scheduler weight is ``priority / n_variants``,
-    so a group competes for the shared budget as *one* workload at its
-    priority rather than multiplying its pull by its variant count.  A
-    store hit on the group's ``(logical_key, target)`` serves the whole
-    group instantly — winner, schedule and cost — without spending a trial.
-    """
-
-    #: the group's shared logical identity
-    logical_key: str
-    #: hardware target name the group tunes for
-    target: str
-    #: scheduler priority of the whole group
-    priority: float = 1.0
-    #: ignore a store hit and re-arbitrate the group
-    refresh: bool = False
-    #: member requests, one per variant, in group order
-    requests: List[TuningRequest] = dataclass_field(default_factory=list)
-
-    # -- outcome (filled by TuningService.run) --------------------------
-    #: name of the winning variant
-    winner: Optional[str] = None
-    #: the winner's best program
-    best_state: Optional["State"] = None
-    #: the winner's best cost (seconds)
-    best_cost: float = float("inf")
-    #: measurement trials the whole group consumed (0 on a store hit)
-    num_trials: int = 0
-    #: whether the group was served from the store without searching
-    from_store: bool = False
-    #: whether the group has been processed by a :meth:`TuningService.run`
-    done: bool = False
-
-    def request_for(self, variant: str) -> TuningRequest:
-        """The member request of one variant; unknown names raise
-        ``KeyError`` listing the group's variants."""
-        for request in self.requests:
-            if request.task.variant == variant:
-                return request
-        raise KeyError(
-            f"no variant {variant!r} in group {self.logical_key!r}; variants: "
-            f"{', '.join(r.task.variant for r in self.requests) or '(none)'}"
-        )
-
-
-class TuningService:
-    """Multi-session tuning front-end over one shared store and scheduler.
-
-    Requests are submitted with per-request priorities; :meth:`run` then
-
-    1. consults the store — a request whose ``(fingerprint, target)`` key
-       hits is served instantly, consuming **zero** measurement trials,
-    2. hands every miss to one
-       :class:`~repro.scheduler.task_scheduler.TaskScheduler` that
-       arbitrates the shared trial budget across them (priorities become
-       scheduler task weights: the gradient objective spends trials where
-       they buy the most weighted improvement), with store-bound policies
-       so near-misses warm-start instead of searching cold, and
-    3. streams every new best back into the store (via
-       :class:`StoreWriter`), so the next session — or the next request in
-       this one — hits where this one missed.
-
-    ::
-
-        service = TuningService(store)
-        urgent = service.submit(task_a, priority=4.0)
-        batch = service.submit(task_b)
-        service.run(num_measure_trials=256)
-        print(urgent.best_cost, urgent.from_store, urgent.num_trials)
-    """
-
-    def __init__(
-        self,
-        store: ScheduleStore,
-        options: Optional[TuningOptions] = None,
-        policy: str = "sketch",
-        callbacks: Sequence[MeasureCallback] = (),
-        cost_model_service: Optional[CostModelService] = None,
-    ):
-        self.store = store
-        self.options = options or TuningOptions()
-        self.policy = policy
-        self.callbacks = list(callbacks)
-        if (
-            cost_model_service is not None
-            and self.options.cost_model_path is not None
-            and (
-                cost_model_service.path is None
-                or str(cost_model_service.path) != str(self.options.cost_model_path)
-            )
-        ):
-            raise ValueError(
-                "TuningService got cost_model_service= and "
-                "TuningOptions(cost_model_path=...) pointing at different "
-                "files; pass one or the other"
-            )
-        #: the service's shared cost-model authority: ONE service for the
-        #: lifetime of the front-end, so knowledge accumulates across
-        #: :meth:`run` calls (request batch N+1 predicts with everything
-        #: batches 1..N measured) and — with
-        #: ``TuningOptions(cost_model_path=...)`` — across processes, the
-        #: model-side analogue of the schedule store itself.
-        self.cost_model_service = (
-            cost_model_service
-            if cost_model_service is not None
-            else CostModelService.from_options(self.options)
-        )
-        self._pending: List[TuningRequest] = []
-        self.requests: List[TuningRequest] = []
-        #: every variant group ever submitted (see :meth:`submit_variants`)
-        self.groups: List[VariantGroupRequest] = []
-        #: the scheduler of the latest :meth:`run` that searched (for
-        #: introspection: allocations, tuning curve, measurers)
-        self.scheduler = None
-
-    # ------------------------------------------------------------------
-    def submit(
-        self,
-        task: SearchTask,
-        priority: float = 1.0,
-        refresh: bool = False,
-        max_trials: Optional[int] = None,
-    ) -> TuningRequest:
-        """Queue one workload; returns its :class:`TuningRequest` handle,
-        filled in by the next :meth:`run`."""
-        if priority <= 0:
-            raise ValueError("request priority must be positive")
-        if max_trials is not None and max_trials <= 0:
-            raise ValueError("max_trials must be positive (or None)")
-        request = TuningRequest(
-            task=task, priority=priority, refresh=refresh, max_trials=max_trials
-        )
-        self._pending.append(request)
-        self.requests.append(request)
-        return request
-
-    def submit_variants(
-        self,
-        workload,
-        priority: float = 1.0,
-        refresh: bool = False,
-        max_trials: Optional[int] = None,
-        hardware=None,
-    ) -> VariantGroupRequest:
-        """Queue one variant group; returns its :class:`VariantGroupRequest`
-        handle, filled in by the next :meth:`run`.
-
-        ``workload`` is a :class:`~repro.variants.LogicalOp` (expanded here,
-        on ``hardware`` when given) or an already-expanded sequence of
-        variant tasks sharing one ``logical_key`` and target.  The group
-        competes for the shared budget as one workload at ``priority``
-        (each member weighs ``priority / n_variants``); trailing variants
-        are pruned per the service options'
-        ``variant_prune_margin`` / ``variant_min_trials``.  ``max_trials``
-        caps each member variant individually.
-        """
-        if priority <= 0:
-            raise ValueError("request priority must be positive")
-        if max_trials is not None and max_trials <= 0:
-            raise ValueError("max_trials must be positive (or None)")
-        if hasattr(workload, "expand"):
-            tasks = workload.expand(hardware)
-        else:
-            tasks = list(workload)
-        if not tasks:
-            raise ValueError("a variant group needs at least one task")
-        keys = {getattr(t, "logical_key", None) for t in tasks}
-        targets = {t.target_name for t in tasks}
-        if None in keys or len(keys) != 1 or len(targets) != 1:
-            raise ValueError(
-                "a variant group shares one logical_key and one hardware "
-                "target; expand through repro.variants.expand_variants / "
-                "LogicalOp.expand"
-            )
-        group = VariantGroupRequest(
-            logical_key=tasks[0].logical_key,
-            target=tasks[0].target_name,
-            priority=priority,
-            refresh=refresh,
-        )
-        for task in tasks:
-            request = TuningRequest(
-                task=task,
-                priority=priority / len(tasks),
-                refresh=refresh,
-                max_trials=max_trials,
-                group=group,
-            )
-            group.requests.append(request)
-            self._pending.append(request)
-            self.requests.append(request)
-        self.groups.append(group)
-        return group
-
-    # ------------------------------------------------------------------
-    def _serve_group_from_store(self, group: VariantGroupRequest) -> bool:
-        """Serve a whole group from its ``(logical_key, target)`` entry —
-        winner, schedule and cost, zero trials.  A stored winner no current
-        member implements (the registry changed) is treated as a miss so
-        the group gets re-arbitrated."""
-        entry = self.store.lookup_logical(group.logical_key, group.target)
-        if entry is None:
-            return False
-        winner_request = None
-        for request in group.requests:
-            if request.task.variant == entry.variant:
-                winner_request = request
-                break
-        if winner_request is None:
-            return False
-        group.winner = entry.variant
-        group.best_cost = entry.best_cost
-        group.best_state = entry.to_state(winner_request.task)
-        group.num_trials = 0
-        group.from_store = True
-        group.done = True
-        for request in group.requests:
-            request.num_trials = 0
-            request.from_store = True
-            request.done = True
-        winner_request.best_state = group.best_state
-        winner_request.best_cost = entry.best_cost
-        return True
-
-    def _serve_from_store(self, request: TuningRequest) -> bool:
-        entry = self.store.lookup(request.task)
-        if entry is None:
-            return False
-        request.best_state = entry.to_state(request.task)
-        request.best_cost = entry.best_cost
-        request.num_trials = 0
-        request.from_store = True
-        request.done = True
-        return True
-
-    def run(
-        self,
-        num_measure_trials: Optional[int] = None,
-        num_measures_per_round: Optional[int] = None,
-    ) -> List[TuningRequest]:
-        """Process every pending request; returns them (now ``done``).
-
-        ``num_measure_trials`` is the *shared* budget the scheduler
-        arbitrates across all cache-missing requests (default: the
-        service options' budget); store hits never touch it.
-        """
-        from .scheduler.task_scheduler import TaskScheduler  # local: cycle
-        from .search.policy import resolve_policy
-
-        pending, self._pending = self._pending, []
-        if not pending:
-            return []
-        options = self.options
-        budget = (
-            num_measure_trials
-            if num_measure_trials is not None
-            else options.num_measure_trials
-        )
-        round_size = (
-            num_measures_per_round
-            if num_measures_per_round is not None
-            else options.num_measures_per_round
-        )
-
-        for request in pending:
-            self.store.register_task(request.task)
-        # Variant groups are consulted as groups: a (logical_key, target)
-        # hit answers "which algorithm and which schedule" for the whole
-        # group at once.  register_task above upgrades legacy entries with
-        # the group metadata, so pre-variant segment files hit too.
-        groups: List[VariantGroupRequest] = []
-        seen_groups: Set[int] = set()
-        for request in pending:
-            if request.group is not None and id(request.group) not in seen_groups:
-                seen_groups.add(id(request.group))
-                groups.append(request.group)
-        for group in groups:
-            if not group.refresh:
-                self._serve_group_from_store(group)
-        missed = []
-        for request in pending:
-            if request.done:
-                continue
-            if request.group is not None:
-                # The group-level consult already ran; members of a missed
-                # group all enter arbitration (their policies still
-                # warm-start from the store individually).
-                missed.append(request)
-            elif request.refresh or not self._serve_from_store(request):
-                missed.append(request)
-        if not missed:
-            return pending
-
-        factory = resolve_policy(self.policy)
-
-        def policy_factory(task, cost_model, seed):
-            if getattr(task, "variant", None) is not None:
-                # Same contract as VariantArbiter: a variant group member
-                # searches with the session seed and a variant-scoped model
-                # (training one model on a mixture of variant structures
-                # misleads the search), so its trajectory is a truncation
-                # of the single-task session's.
-                cost_model = self.cost_model_service.view(
-                    f"{task.target_name}::variant={task.variant}"
-                )
-                seed = options.seed
-            policy = factory(
-                task, cost_model=cost_model, seed=seed, verbose=options.verbose
-            )
-            policy.bind_store(self.store)
-            return policy
-
-        scheduler = TaskScheduler(
-            [r.task for r in missed],
-            task_weights=[r.priority for r in missed],
-            policy_factory=policy_factory,
-            trial_limits=[r.max_trials for r in missed],
-            cost_model_service=self.cost_model_service,
-            seed=options.seed,
-            verbose=options.verbose,
-        )
-        callbacks = list(self.callbacks)
-        if not any(
-            isinstance(cb, StoreWriter) and cb.store is self.store
-            for cb in callbacks
-        ):
-            callbacks.append(StoreWriter(self.store))
-        # One pruner per still-live group: trailing variants stop drawing
-        # from the shared budget once the group's leader is established.
-        from .variants.arbiter import VariantPruner  # local: cycle
-
-        for group in groups:
-            if group.done:
-                continue
-            indices = [i for i, r in enumerate(missed) if r.group is group]
-            if len(indices) >= 2:
-                callbacks.append(
-                    VariantPruner(
-                        margin=options.variant_prune_margin,
-                        min_trials=options.variant_min_trials,
-                        group_indices=indices,
-                    )
-                )
-        from .hardware.measure import MeasurePipeline  # local: cycle
-
-        try:
-            scheduler.tune(
-                budget,
-                round_size,
-                callbacks=callbacks,
-                measurer_factory=lambda hw: MeasurePipeline.from_options(hw, options),
-                async_measure=options.async_measure,
-            )
-        finally:
-            # Like StoreWriter's streaming write-back: what this batch
-            # trained persists even if the run was interrupted.
-            if self.cost_model_service.path is not None:
-                self.cost_model_service.save()
-        for request, policy in zip(missed, scheduler.policies):
-            request.best_state = policy.best_state
-            request.best_cost = policy.best_cost
-            request.num_trials = policy.num_trials
-            request.from_store = False
-            request.done = True
-        for group in groups:
-            if group.done:
-                continue
-            members = [r for r in group.requests if r.done]
-            finite = [r for r in members if math.isfinite(r.best_cost)]
-            winner = min(finite, key=lambda r: r.best_cost) if finite else None
-            group.winner = winner.task.variant if winner is not None else None
-            group.best_state = winner.best_state if winner is not None else None
-            group.best_cost = winner.best_cost if winner is not None else float("inf")
-            group.num_trials = sum(r.num_trials for r in members)
-            group.from_store = False
-            group.done = True
-        self.scheduler = scheduler
-        return pending

@@ -175,13 +175,9 @@ class TuningOptions:
     #: The default False preserves the batch-synchronous behaviour (and its
     #: tuning logs) bit for bit.
     async_measure: bool = False
-    #: escape hatch: even on a hit in the session's schedule store
-    #: (``Tuner(task, store=...)``), spend this many fresh (warm-started)
-    #: measurement trials before returning — 0 means a hit short-circuits
-    #: the search entirely.
-    store_min_trials: int = 0
-    #: escape hatch: ignore store hits and run the full search (still
-    #: warm-started, and the result still refreshes the store).
+    #: ignore the hits of the session's schedule store
+    #: (``Tuner(workload, store=...)``) and tune every task and variant
+    #: group (still warm-started, and new bests still refresh the store)
     store_refresh: bool = False
     #: persistence path of the session's
     #: :class:`~repro.cost_model.service.CostModelService`: an existing file
@@ -202,9 +198,9 @@ class TuningOptions:
     #: model default (1024, which covers the whole default training-set cap
     #: — windowed mode then matches "full" bit for bit)
     cost_model_window: Optional[int] = None
-    #: early-pruning margin of a variant session (a
-    #: :class:`~repro.variants.LogicalOp` workload or ``Tuner(task,
-    #: variants=True)``, see :mod:`repro.variants`): once a variant has
+    #: early-pruning margin of every variant group (a
+    #: :class:`~repro.variants.LogicalOp` in the workload, see
+    #: :mod:`repro.variants`): once a variant has
     #: ``variant_min_trials`` measurements and its best cost trails the
     #: group leader's by more than this factor, it is pruned and its share
     #: of the remaining budget flows to the survivors (successive-halving
@@ -239,8 +235,6 @@ class TuningOptions:
                 f"unknown dispatch {self.dispatch!r}; use 'round-robin', "
                 "'least-loaded' or 'affinity' (or None for the runner default)"
             )
-        if self.store_min_trials < 0:
-            raise ValueError("store_min_trials must be >= 0")
         if self.cost_model_retrain not in ("window", "full"):
             raise ValueError(
                 f"unknown cost_model_retrain {self.cost_model_retrain!r}; "

@@ -1,13 +1,15 @@
-"""Unified tuning sessions: one API for single-task and multi-network tuning.
+"""Unified tuning sessions: one front door for every kind of workload.
 
 The paper's system is explicitly layered — program sampler, performance
 tuner, task scheduler.  :class:`Tuner` is the session object that composes
-those layers behind one interface:
+those layers behind one interface, and the only code that builds and drives
+a :class:`~repro.scheduler.task_scheduler.TaskScheduler`:
 
-* the **workload** is either a single :class:`~repro.task.SearchTask` or a
-  list of network names (resolved through the workload zoo); either way the
-  gradient-descent task scheduler drives the rounds — a single task is a
-  one-task allocation,
+* the **workload** is a :class:`~repro.task.SearchTask`, a
+  :class:`~repro.variants.LogicalOp` (a group of competing algorithm
+  variants), a sequence of those two, or network names resolved through the
+  workload zoo; whatever it is, the gradient-descent task scheduler drives
+  the rounds — a single task is a one-task allocation,
 * the **policy** is selected from the string-keyed registry
   (``"sketch"``, ``"beam"``, ``"random"``, ``"limited-space"``, plus
   anything user code registered with
@@ -19,12 +21,15 @@ those layers behind one interface:
 
 Every session returns a structured :class:`TuningResult`::
 
-    from repro import Tuner, TuningOptions, RecordToFile
+    from repro import LogicalOp, Tuner, TuningOptions, RecordToFile
 
     result = Tuner(task, policy="sketch",
                    options=TuningOptions(num_measure_trials=128),
                    callbacks=[RecordToFile("tuning.json")]).tune()
     print(result.best_cost, result.best_state.print_program())
+
+    result = Tuner([task, LogicalOp("conv2d", params)], store=store).tune()
+    print(result.best_costs, result.variant_result.winner)
 
     result = Tuner(["resnet-50", "bert"], options=TuningOptions(
         num_measure_trials=2000)).tune()
@@ -34,8 +39,8 @@ Every session returns a structured :class:`TuningResult`::
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -47,15 +52,19 @@ from .ir.state import State
 from .scheduler.objectives import Objective
 from .scheduler.task_scheduler import TaskScheduler
 from .search.policy import PolicyFactory, SearchPolicy, resolve_policy
-from .store import ScheduleStore, StoreWriter
+from .store import ScheduleStore, StoreEntry, StoreWriter
 from .task import SearchTask, TuningOptions
-from .variants import LogicalOp, VariantArbiter, VariantResult, VariantTrajectory, expand_variants
+from .variants import LogicalOp, VariantPruner, VariantResult, VariantTrajectory
 from .workloads.networks import extract_tasks
 
 __all__ = ["Tuner", "TuningResult"]
 
 #: anything :class:`Tuner` accepts as its ``policy`` argument
 PolicyLike = Union[str, SearchPolicy, PolicyFactory]
+
+#: one flattened workload item: its tasks, and whether they form a variant
+#: group (the expansion of one LogicalOp)
+_Item = Tuple[List[SearchTask], bool]
 
 #: the TuningOptions knobs consumed by MeasurePipeline.from_options — the
 #: ones a caller-supplied measurer would silently swallow
@@ -99,53 +108,97 @@ def _non_default_measure_knobs(options: TuningOptions) -> List[str]:
     ]
 
 
+def _split_workload(workload) -> Tuple[Optional[List[str]], List]:
+    """``(network names, [])`` for a network session, ``(None, items)`` for
+    one over SearchTasks and LogicalOps.  Network names form a sequence of
+    their own: the scheduler's objective is then each whole network's
+    latency, which a loose task does not belong to."""
+    if isinstance(workload, (SearchTask, LogicalOp)):
+        return None, [workload]
+    if isinstance(workload, str):
+        return [workload], []
+    expected = (
+        "Tuner workload must be a SearchTask or network name(s), a LogicalOp, "
+        "or a sequence of SearchTasks and LogicalOps"
+    )
+    try:
+        items = list(workload)
+    except TypeError:
+        raise TypeError(f"{expected}; got {workload!r}") from None
+    if not items:
+        raise ValueError("Tuner needs at least one task, LogicalOp or network name")
+    if all(isinstance(item, str) for item in items):
+        return items, []
+    if all(isinstance(item, (SearchTask, LogicalOp)) for item in items):
+        return None, items
+    raise TypeError(f"{expected} (network names do not mix with tasks); got {workload!r}")
+
+
 @dataclass
 class TuningResult:
     """The structured outcome of one tuning session."""
 
-    #: every task the session tuned (one for single-task sessions)
+    #: every task of the workload, in workload order (a LogicalOp
+    #: contributes its variants in group order); store hits included
     tasks: List[SearchTask]
     #: best measured cost (seconds) per task; ``inf`` where nothing measured
     best_costs: List[float]
     #: best program per task; ``None`` where nothing valid was measured
     best_states: List[Optional[State]]
     #: tuning curve: ``(total_trials, objective_value)`` after every round.
-    #: For a single task the objective is its best cost; for networks it is
-    #: the task scheduler's objective (weighted end-to-end latency).
+    #: For one plain task the objective is its best cost; otherwise it is
+    #: the task scheduler's objective (weighted latency; end-to-end latency
+    #: for networks).  A session served entirely from the store has the one
+    #: point ``(0, best_cost)``.
     history: List[Tuple[int, float]] = field(default_factory=list)
-    #: estimated end-to-end latency per network (multi-network sessions)
+    #: estimated end-to-end latency per network (network sessions)
     network_latencies: Dict[str, float] = field(default_factory=dict)
     #: the :class:`~repro.scheduler.task_scheduler.TaskScheduler` that drove
-    #: the session, for introspection (a one-task scheduler for a
-    #: single-task session; ``None`` for a store hit)
+    #: the session, for introspection (it holds the tuned tasks only);
+    #: ``None`` when every item was a store hit
     scheduler: Optional[TaskScheduler] = None
-    #: total measurement trials consumed
+    #: measurement trials the session consumed
     num_trials: int = 0
     #: measurements of this session that failed to build or run (invalid
     #: schedules, faults) — not the lifetime count of a supplied measurer
     num_errors: int = 0
-    #: True when the result was served from a :class:`~repro.store.ScheduleStore`
-    #: hit without searching (``num_trials`` is then 0)
+    #: True when every item was served from a
+    #: :class:`~repro.store.ScheduleStore` hit without searching
+    #: (``num_trials`` is then 0)
     from_store: bool = False
-    #: the arbitrated outcome of a variant session (``None`` otherwise):
-    #: winner name, per-variant trajectories, prune points
-    variant_result: Optional[VariantResult] = None
+    #: the arbitrated outcome of every variant group (one per LogicalOp, in
+    #: workload order): winner name, per-variant trajectories, prune points
+    variant_results: List[VariantResult] = field(default_factory=list)
 
-    # -- single-task conveniences ---------------------------------------
+    @property
+    def variant_result(self) -> Optional[VariantResult]:
+        """The first variant group's outcome (``None`` without a group)."""
+        return self.variant_results[0] if self.variant_results else None
+
+    def _leading_group(self) -> Optional[VariantResult]:
+        """The first variant group when it is the workload's first item."""
+        group = self.variant_result
+        if group is not None and group.trajectories[0].task is self.tasks[0]:
+            return group
+        return None
+
+    # -- first-item conveniences ----------------------------------------
     @property
     def best_state(self) -> Optional[State]:
-        """Best program of the first (or only) task — the *winning
-        variant's* program for a variant session."""
-        if self.variant_result is not None:
-            return self.variant_result.best_state
+        """Best program of the first workload item — the *winning
+        variant's* program when that item is a LogicalOp."""
+        group = self._leading_group()
+        if group is not None:
+            return group.best_state
         return self.best_states[0] if self.best_states else None
 
     @property
     def best_cost(self) -> float:
-        """Best cost (seconds) of the first (or only) task — the *winning
-        variant's* cost for a variant session."""
-        if self.variant_result is not None:
-            return self.variant_result.best_cost
+        """Best cost (seconds) of the first workload item — the *winning
+        variant's* cost when that item is a LogicalOp."""
+        group = self._leading_group()
+        if group is not None:
+            return group.best_cost
         return self.best_costs[0] if self.best_costs else float("inf")
 
     def best_throughput(self, index: int = 0) -> float:
@@ -157,61 +210,65 @@ class TuningResult:
 
 
 class Tuner:
-    """One tuning session over a task or a set of networks.
+    """One tuning session over tasks, variant groups or networks.
 
     Parameters
     ----------
     workload:
-        A :class:`~repro.task.SearchTask`, a
-        :class:`~repro.variants.LogicalOp` (tunes the op's competing
-        algorithm variants under one arbitrated budget — see
-        :mod:`repro.variants`), one network name, or a sequence of network
-        names from the workload zoo.
-    variants:
-        ``True`` runs a variant session for a SearchTask that carries
-        variant metadata (one produced by
-        :func:`~repro.variants.expand_variants`): the whole group is
-        rebuilt from the task's logical op and re-arbitrated.  Implied by a
-        LogicalOp workload.
+        A :class:`~repro.task.SearchTask`; a
+        :class:`~repro.variants.LogicalOp`, whose competing algorithm
+        variants are tuned as one group under an arbitrated, early-pruned
+        share of the budget (see :mod:`repro.variants`); a sequence of
+        SearchTasks and LogicalOps, which share one trial budget; or one
+        network name or a sequence of them from the workload zoo.  Network
+        names do not mix with tasks: a network session's objective is each
+        network's end-to-end latency.  To re-arbitrate the group of a task
+        produced by :func:`~repro.variants.expand_variants`, pass
+        ``LogicalOp(task.logical_op, task.variant_params, hardware=...)``.
     policy:
         A registered policy name (see
         :func:`repro.search.policy.registered_policies`), a ready
-        :class:`SearchPolicy` instance (single-task sessions only), or a
-        factory ``(task, cost_model=..., seed=..., verbose=...) -> policy``.
+        :class:`SearchPolicy` instance (a session of one SearchTask only), or
+        a factory ``(task, cost_model=..., seed=..., verbose=...) -> policy``
+        (``cost_model`` is passed only to factories that accept it).  Every
+        task gets seed ``options.seed + index`` and a per-target view of the
+        session's cost-model service, except variant-group members: they all
+        search with ``options.seed`` and a cost model scoped to their
+        variant, so each variant's trajectory is a truncation of what a
+        single-task session would explore.
     options:
         The shared :class:`~repro.task.TuningOptions` (trial budget, round
-        size, early stopping, seed, verbosity, measurement and cost-model
-        knobs).
+        size, early stopping, seed, verbosity, measurement, cost-model,
+        store and variant-pruning knobs).
     callbacks:
         :class:`~repro.callbacks.MeasureCallback` observers of every
         measured round.
     policy_kwargs:
-        Extra keyword arguments forwarded to the policy factory.
+        Extra keyword arguments forwarded to the policy factory; they
+        override the session's own (``seed``, ``verbose``, ``cost_model``).
     measurer:
         Measurement backend override; defaults to a
         :class:`~repro.hardware.measure.MeasurePipeline` built from the
-        options' builder/runner knobs on the workload's hardware (one per
-        distinct hardware target in multi-network sessions).  The knobs
-        cover the remote backend too: ``TuningOptions(builder="rpc",
-        runner="rpc", n_parallel=8, n_retry=2, devices=[...])`` drives the
-        whole session through the process-pool builder and the device-pool
-        runner of :mod:`repro.hardware.rpc` with no other changes.
-        Combining a ready measurer with non-default measurement knobs in the
-        options raises (the measurer would silently swallow them);
-        ``options.async_measure`` is the exception — it selects the session
-        mode and is honored either way.
+        options' builder/runner knobs, one per distinct hardware target.
+        The knobs cover the remote backend too: ``TuningOptions(
+        builder="rpc", runner="rpc", n_parallel=8, n_retry=2, devices=[...])``
+        drives the whole session through the process-pool builder and the
+        device-pool runner of :mod:`repro.hardware.rpc` with no other
+        changes.  Combining a ready measurer with non-default measurement
+        knobs in the options raises (the measurer would silently swallow
+        them); ``options.async_measure`` is the exception — it selects the
+        session mode and is honored either way.
     store:
-        A :class:`~repro.store.ScheduleStore`.  Single-task sessions consult
-        it before searching: a hit on the task's ``(workload fingerprint,
-        target)`` key returns the cached best as a zero-trial
-        :class:`TuningResult` (``from_store=True``) unless
-        ``options.store_refresh`` forces a re-tune or
-        ``options.store_min_trials`` asks for that many fresh warm-started
-        trials instead.  On a miss the search warm-starts from the store's
-        structurally similar bests, and every new best streams back into the
-        store through a :class:`~repro.store.StoreWriter`.  Network sessions
-        use the store for warm-starts and write-back; request-level instant
-        lookup under a shared budget is :class:`~repro.store.TuningService`.
+        A :class:`~repro.store.ScheduleStore`, consulted before any trial is
+        spent.  A task hits on its ``(workload fingerprint, target)`` key; a
+        LogicalOp hits on its ``(logical_key, target)`` entry when the stored
+        winner is still one of its variants.  Hits are served with zero
+        trials and the rest share the budget; a session whose every item
+        hits returns ``from_store=True`` without building a scheduler.
+        ``options.store_refresh`` ignores hits.  Tasks of a network session
+        never hit.  Every policy warm-starts from the store's structurally
+        similar bests, and every new best streams back into the store
+        through a :class:`~repro.store.StoreWriter`.
     cost_model_service:
         A :class:`~repro.cost_model.service.CostModelService` — the
         session's shared training/prediction authority (one
@@ -222,17 +279,21 @@ class Tuner:
         predictions after reload) and persists back at session end;
         ``cost_model_retrain`` / ``cost_model_retrain_interval`` /
         ``cost_model_window`` control windowed retraining.  Combining a
-        requested service with a ready policy instance or an explicit
-        ``policy_kwargs['cost_model']`` raises before the session does any
-        work (the service would be silently bypassed).
-    hardware / batch / max_tasks_per_network / objective / scheduler_strategy:
-        Network-session knobs, forwarded to the task extractor and the
+        requested service with a ready policy instance, an explicit
+        ``policy_kwargs['cost_model']`` or a factory that takes no
+        ``cost_model`` raises before the session measures anything (the
+        service would be silently bypassed).
+    hardware / batch / max_tasks_per_network:
+        Forwarded to the network task extractor; ``hardware`` also
+        re-targets every LogicalOp.
+    objective / scheduler_strategy:
+        Forwarded to the session's
         :class:`~repro.scheduler.task_scheduler.TaskScheduler`.
     """
 
     def __init__(
         self,
-        workload: Union[SearchTask, "LogicalOp", str, Sequence[str]],
+        workload: Union[SearchTask, LogicalOp, str, Sequence],
         *,
         policy: PolicyLike = "sketch",
         options: Optional[TuningOptions] = None,
@@ -246,7 +307,6 @@ class Tuner:
         max_tasks_per_network: Optional[int] = None,
         objective: Optional[Objective] = None,
         scheduler_strategy: str = "gradient",
-        variants: bool = False,
     ):
         self.workload = workload
         self.policy = policy
@@ -299,64 +359,19 @@ class Tuner:
         self.max_tasks_per_network = max_tasks_per_network
         self.objective = objective
         self.scheduler_strategy = scheduler_strategy
-
-        #: True when this session arbitrates a variant group instead of
-        #: tuning one fixed DAG (implied by a LogicalOp workload; opted
-        #: into for an expanded SearchTask via ``variants=True``)
-        self.variant_session = variants or isinstance(workload, LogicalOp)
-        if isinstance(workload, LogicalOp):
-            self.networks: Optional[List[str]] = None
-        elif isinstance(workload, SearchTask):
-            self.networks = None
-            if self.variant_session and (
-                workload.logical_op is None or workload.variant_params is None
-            ):
-                raise ValueError(
-                    "variant search needs a workload that knows its logical "
-                    "op: pass a repro.variants.LogicalOp, or a SearchTask "
-                    "produced by expand_variants — task "
-                    f"{workload.desc!r} carries no logical_op/variant_params "
-                    "metadata"
-                )
-        elif isinstance(workload, str):
-            self.networks = [workload]
-        else:
-            try:
-                self.networks = list(workload)
-            except TypeError:
-                raise TypeError(
-                    "Tuner workload must be a SearchTask or network name(s); "
-                    f"got {workload!r}"
-                ) from None
-            if not self.networks:
-                raise ValueError("Tuner needs at least one network name")
-            if not all(isinstance(name, str) for name in self.networks):
-                raise TypeError(
-                    "Tuner workload must be a SearchTask or network name(s); "
-                    f"got {workload!r}"
-                )
-        if self.networks is not None and isinstance(policy, SearchPolicy):
+        #: the network names of a network session (else None), and the
+        #: SearchTasks and LogicalOps of any other session (else empty)
+        self.networks, self.items = _split_workload(workload)
+        if isinstance(policy, SearchPolicy) and not (
+            len(self.items) == 1 and isinstance(self.items[0], SearchTask)
+        ):
             raise TypeError(
-                "a SearchPolicy instance is bound to one task; multi-network "
-                "sessions need a policy name or factory"
-            )
-        if self.networks is not None and self.variant_session:
-            raise ValueError(
-                "variant search tunes one logical op; network sessions "
-                "cannot combine with variants=True"
-            )
-        if self.variant_session and isinstance(policy, SearchPolicy):
-            raise TypeError(
-                "a SearchPolicy instance is bound to one task; a variant "
-                "session needs a policy name or factory"
+                "a SearchPolicy instance is bound to one task; a session of "
+                "several tasks, a LogicalOp or networks needs a policy name "
+                "or factory"
             )
 
     # ------------------------------------------------------------------
-    def _policy_factory(self) -> PolicyFactory:
-        if isinstance(self.policy, str):
-            return resolve_policy(self.policy)
-        return self.policy  # already a factory
-
     def _service(self) -> CostModelService:
         """The session's cost-model service, built from the options on
         first use (loading ``cost_model_path`` when the file exists)."""
@@ -364,86 +379,12 @@ class Tuner:
             self.cost_model_service = CostModelService.from_options(self.options)
         return self.cost_model_service
 
-    def _cost_model_kwargs(self, factory, task: SearchTask, existing: dict) -> dict:
-        """The ``cost_model`` kwarg for a policy factory: a per-target view
-        of the session's :class:`CostModelService`.
-
-        An explicit ``policy_kwargs`` cost model wins (:meth:`tune` has
-        already rejected one that would bypass a requested service).  A
-        factory that cannot accept the kwarg is left alone (its policy
-        builds its own model) except when the service was explicitly
-        requested."""
-        if "cost_model" in existing:
-            return {}
-        if not _accepts_kwarg(factory, "cost_model"):
-            if self._explicit_cost_model_service:
-                raise ValueError(
-                    "a cost-model service was requested (cost_model_service= "
-                    "/ TuningOptions(cost_model_path=...)) but policy "
-                    f"{getattr(factory, '__name__', factory)!r} does not "
-                    "accept cost_model=; drop the service or use a policy "
-                    "that takes a cost model (the 'sketch' policy does)"
-                )
-            return {}
-        return {"cost_model": self._service().view(task)}
-
     def _save_cost_model(self) -> None:
         """Persist the service at session end when a path is bound (partial
         sessions included: whatever trained is worth warm-starting from)."""
         service = self.cost_model_service
         if service is not None and service.path is not None:
             service.save()
-
-    def _make_policy(self, task: SearchTask) -> SearchPolicy:
-        if isinstance(self.policy, SearchPolicy):
-            if self._explicit_cost_model_service:
-                raise ValueError(
-                    "a cost-model service (cost_model_service= / "
-                    "TuningOptions(cost_model_path=...)) cannot be applied to "
-                    "a ready SearchPolicy instance; pass the service's view "
-                    "as the policy's cost_model, or use a policy name/factory"
-                )
-            return self.policy
-        factory = self._policy_factory()
-        # policy_kwargs last: explicit user kwargs override the defaults
-        # instead of raising "multiple values for keyword argument".
-        kwargs = {"seed": self.options.seed, "verbose": self.options.verbose,
-                  **self.policy_kwargs}
-        kwargs.update(self._cost_model_kwargs(factory, task, kwargs))
-        return factory(task, **kwargs)
-
-    # ------------------------------------------------------------------
-    def tune(self) -> TuningResult:
-        """Run the session to completion and return its :class:`TuningResult`."""
-        if "cost_model" in self.policy_kwargs and self._explicit_cost_model_service:
-            # Every session kind lets policy_kwargs win, so the requested
-            # service would train nothing and save an empty file: raise
-            # before any work, matching the measurer-knob convention.
-            raise ValueError(
-                "Tuner got both policy_kwargs['cost_model'] and a "
-                "cost-model service (cost_model_service= / "
-                "TuningOptions(cost_model_path=...)): the explicit model "
-                "would bypass the service.  Pass one or the other."
-            )
-        if self.variant_session:
-            return self._tune_variants()
-        if self.networks is None:
-            return self._tune_single(self.workload)
-        return self._tune_networks(self.networks)
-
-    # -- single task -----------------------------------------------------
-    def _store_hit_result(self, task: SearchTask, entry) -> TuningResult:
-        """A :class:`TuningResult` served straight from the store: the
-        cached best state/cost, zero trials consumed."""
-        return TuningResult(
-            tasks=[task],
-            best_costs=[entry.best_cost],
-            best_states=[entry.to_state(task)],
-            history=[(0, entry.best_cost)],
-            num_trials=0,
-            num_errors=0,
-            from_store=True,
-        )
 
     def _session_callbacks(self) -> List[MeasureCallback]:
         """This session's callbacks plus the ones its store and options
@@ -461,241 +402,256 @@ class Tuner:
             callbacks.append(EarlyStopper(self.options.early_stopping))
         return callbacks
 
-    def _errors_before(self) -> int:
-        """Failed trials a caller-supplied measurer counted before this
-        session: results report the session's errors, not its lifetime."""
-        return self.measurer.error_count if self.measurer is not None else 0
-
-    def _run_scheduler(
-        self, scheduler: TaskScheduler, num_measure_trials: int, options: TuningOptions
-    ) -> int:
-        """Drive ``scheduler`` with this session's measurer (or one pipeline
-        per hardware target built from the options) and callbacks; returns
-        the session's failed-trial count.  The cost model is saved even when
-        the session is interrupted: a partial model still warm-starts."""
-        errors_before = self._errors_before()
-        try:
-            scheduler.tune(
-                num_measure_trials,
-                options.num_measures_per_round,
-                measurer=self.measurer,
-                callbacks=self._session_callbacks(),
-                measurer_factory=lambda hw: MeasurePipeline.from_options(hw, options),
-                async_measure=options.async_measure,
-            )
-        finally:
-            self._save_cost_model()
-        return scheduler.measure_error_count() - errors_before
-
-    def _tune_single(self, task: SearchTask) -> TuningResult:
+    def _policy_factory(self, group_members: Set[int]):
+        """The scheduler's ``(task, cost_model, seed) -> policy`` factory
+        for every task of the session (``group_members`` holds the ids of
+        variant-group tasks); every policy is bound to the store."""
         options = self.options
-        entry = None
-        if self.store is not None:
-            self.store.register_task(task)
-            if not options.store_refresh:
-                entry = self.store.lookup(task)
-            if entry is not None and options.store_min_trials == 0:
-                # Instant lookup: somebody already tuned this exact
-                # (workload fingerprint, target) key — serve the cached
-                # best without spending a single measurement trial.
-                return self._store_hit_result(task, entry)
-            if entry is not None:
-                # min_trials escape hatch: the hit does not short-circuit,
-                # but it caps this session's fresh (warm-started) budget.
-                options = replace(
-                    options,
-                    num_measure_trials=min(
-                        options.num_measure_trials, options.store_min_trials
-                    ),
-                )
-        policy = self._make_policy(task)
-        if self.store is not None:
-            # Cross-session warm-start: the policy seeds its first round
-            # from the store's bests (exact key and same structure class).
-            policy.bind_store(self.store)
-        # A single task is a one-task allocation of the task scheduler.
-        scheduler = TaskScheduler(
-            [task],
-            policy_factory=lambda *_: policy,
-            cost_model_service=self._service(),
-            seed=options.seed,
-            verbose=options.verbose or policy.verbose,
-        )
-        # Report this session's consumption, not the lifetime counters of a
-        # caller-supplied (possibly pre-used) policy: a reused policy
-        # resumes from the trials it already consumed.
-        trials_before = policy.num_trials
-        num_errors = self._run_scheduler(
-            scheduler, options.num_measure_trials - trials_before, options
-        )
-        return TuningResult(
-            tasks=[task],
-            best_costs=[policy.best_cost],
-            best_states=[policy.best_state],
-            # Session-scoped like num_trials: only this session's rounds,
-            # rebased so the curve starts at zero trials.
-            history=[(t - trials_before, c) for t, c in policy.history
-                     if t > trials_before],
-            scheduler=scheduler,
-            num_trials=policy.num_trials - trials_before,
-            num_errors=num_errors,
-        )
-
-    # -- variant groups --------------------------------------------------
-    def _variant_group(self) -> List[SearchTask]:
-        """The expanded competing-variant tasks of this session's workload."""
-        if isinstance(self.workload, LogicalOp):
-            return self.workload.expand(self.hardware)
-        task = self.workload
-        hardware = self.hardware or task.hardware_params
-        return expand_variants(task.logical_op, task.variant_params, hardware=hardware)
-
-    def _variant_store_hit(
-        self, tasks: List[SearchTask], entry
-    ) -> Optional[TuningResult]:
-        """A :class:`TuningResult` served from a ``(logical_key, target)``
-        store hit: the winning variant and its schedule, zero trials.  A
-        stored winner no current variant implements (the registry changed)
-        returns ``None`` so the group is re-arbitrated."""
-        winner_task = next((t for t in tasks if t.variant == entry.variant), None)
-        if winner_task is None:
-            return None
-        state = entry.to_state(winner_task)
-        trajectories = [
-            VariantTrajectory(
-                variant=task.variant,
-                task=task,
-                best_cost=entry.best_cost if task is winner_task else float("inf"),
-                best_state=state if task is winner_task else None,
-            )
-            for task in tasks
-        ]
-        variant_result = VariantResult(
-            logical_key=tasks[0].logical_key,
-            target=tasks[0].target_name,
-            winner=entry.variant,
-            best_cost=entry.best_cost,
-            best_state=state,
-            trajectories=trajectories,
-            from_store=True,
-        )
-        return TuningResult(
-            tasks=list(tasks),
-            best_costs=[t.best_cost for t in trajectories],
-            best_states=[t.best_state for t in trajectories],
-            history=[(0, entry.best_cost)],
-            num_trials=0,
-            num_errors=0,
-            from_store=True,
-            variant_result=variant_result,
-        )
-
-    def _tune_variants(self) -> TuningResult:
-        options = self.options
-        tasks = self._variant_group()
-        if self.store is not None:
-            for task in tasks:
-                self.store.register_task(task)
-            if not options.store_refresh:
-                entry = self.store.lookup_logical(
-                    tasks[0].logical_key, tasks[0].target_name
-                )
-                if entry is not None and options.store_min_trials == 0:
-                    # Instant lookup: somebody already arbitrated this
-                    # logical op on this target — the hit answers which
-                    # algorithm AND which schedule without a single trial.
-                    hit = self._variant_store_hit(tasks, entry)
-                    if hit is not None:
-                        return hit
-        factory = self._policy_factory()
-        kwargs = self.policy_kwargs
-
-        def arbiter_factory(task, cost_model=None, seed=0, verbose=0):
-            merged = {"cost_model": cost_model, "seed": seed,
-                      "verbose": verbose, **kwargs}
-            return factory(task, **merged)
-
-        arbiter = VariantArbiter(
-            tasks,
-            options=options,
-            policy=arbiter_factory,
-            callbacks=self._session_callbacks(),
-            store=self.store,
-            cost_model_service=self._service(),
-            measurer=self.measurer,
-        )
-        errors_before = self._errors_before()
-        try:
-            result = arbiter.tune()
-        finally:
-            self._save_cost_model()
-        scheduler = result.scheduler
-        return TuningResult(
-            tasks=list(tasks),
-            best_costs=[t.best_cost for t in result.trajectories],
-            best_states=[t.best_state for t in result.trajectories],
-            history=[(r.total_trials, r.objective_value) for r in scheduler.records],
-            scheduler=scheduler,
-            num_trials=result.total_trials,
-            num_errors=scheduler.measure_error_count() - errors_before,
-            variant_result=result,
-        )
-
-    # -- networks --------------------------------------------------------
-    def _tune_networks(self, networks: List[str]) -> TuningResult:
-        tasks, weights, task_to_dnn = extract_tasks(
-            networks,
-            batch=self.batch,
-            hardware=self.hardware,
-            max_tasks_per_network=self.max_tasks_per_network,
-        )
-        factory = self._policy_factory()
-        options = self.options
-        kwargs = self.policy_kwargs
         store = self.store
-        if store is not None:
-            # Network sessions use the store for warm-starts and write-back;
-            # per-task instant lookup under a shared scheduler budget is the
-            # TuningService front-end's job (repro.store.TuningService).
-            for task in tasks:
-                store.register_task(task)
+        if isinstance(self.policy, SearchPolicy):
+            ready = self.policy
+            factory = lambda task, **_: ready  # the one task's own policy
+        elif isinstance(self.policy, str):
+            factory = resolve_policy(self.policy)
+        else:
+            factory = self.policy
+        # A factory without a cost_model parameter builds its own model;
+        # that silently bypasses a service the caller asked for.
+        takes_model = _accepts_kwarg(factory, "cost_model")
+        if not takes_model and self._explicit_cost_model_service:
+            raise ValueError(
+                "a cost-model service was requested (cost_model_service= "
+                "/ TuningOptions(cost_model_path=...)) but policy "
+                f"{getattr(factory, '__name__', factory)!r} does not "
+                "accept cost_model=; drop the service or use a policy "
+                "that takes a cost model (the 'sketch' policy does)"
+            )
+        service = self._service()
 
-        def scheduler_factory(task, cost_model, seed):
-            merged = {"cost_model": cost_model, "seed": seed,
-                      "verbose": options.verbose, **kwargs}
-            policy = factory(task, **merged)
+        def make(task, cost_model, seed):
+            if id(task) in group_members:
+                # Every variant gets the *session* seed (not the scheduler's
+                # index-offset seed) and its own cost model scoped by
+                # variant name (not the shared per-target model): the
+                # variants are structurally different DAGs, so identical
+                # seeds cannot correlate their searches, while training one
+                # model on a mixture of variant structures measurably
+                # misleads the search away from schedules the same model
+                # finds when trained on one structure.  Both choices make a
+                # variant's trajectory a truncation of what a single-task
+                # session with the same options would explore — arbitration
+                # redistributes budget, it does not reshuffle the search.
+                cost_model = service.view(f"{task.target_name}::variant={task.variant}")
+                seed = options.seed
+            kwargs = {"seed": seed, "verbose": options.verbose}
+            if takes_model:
+                kwargs["cost_model"] = cost_model
+            # policy_kwargs last: explicit user kwargs override the defaults
+            # instead of raising "multiple values for keyword argument".
+            kwargs.update(self.policy_kwargs)
+            policy = factory(task, **kwargs)
             if store is not None:
                 policy.bind_store(store)
             return policy
 
+        return make
+
+    # ------------------------------------------------------------------
+    def tune(self) -> TuningResult:
+        """Run the session to completion and return its :class:`TuningResult`."""
+        if self._explicit_cost_model_service:
+            # Every session kind lets policy_kwargs win, so the requested
+            # service would train nothing and save an empty file: raise
+            # before any work, matching the measurer-knob convention.
+            if "cost_model" in self.policy_kwargs:
+                raise ValueError(
+                    "Tuner got both policy_kwargs['cost_model'] and a "
+                    "cost-model service (cost_model_service= / "
+                    "TuningOptions(cost_model_path=...)): the explicit model "
+                    "would bypass the service.  Pass one or the other."
+                )
+            if isinstance(self.policy, SearchPolicy):
+                raise ValueError(
+                    "a cost-model service (cost_model_service= / "
+                    "TuningOptions(cost_model_path=...)) cannot be applied to "
+                    "a ready SearchPolicy instance; pass the service's view "
+                    "as the policy's cost_model, or use a policy name/factory"
+                )
+        items, weights, task_to_dnn = self._flatten()
+        if self.store is not None:
+            for tasks, _ in items:
+                for task in tasks:
+                    self.store.register_task(task)
+        hits = {}
+        for k, item in enumerate(items):
+            hit = self._store_hit(*item)
+            if hit is not None:
+                hits[k] = hit
+        tuned = [item for k, item in enumerate(items) if k not in hits]
+        run = self._run(tuned, weights, task_to_dnn) if tuned else None
+        return self._result(items, hits, run)
+
+    def _flatten(self) -> Tuple[List[_Item], Optional[List[float]], Optional[List[int]]]:
+        """The workload as items, plus the scheduler's task weights and
+        task-to-network map (``None``: one weight per task, one objective)."""
+        if self.networks is not None:
+            tasks, weights, task_to_dnn = extract_tasks(
+                self.networks,
+                batch=self.batch,
+                hardware=self.hardware,
+                max_tasks_per_network=self.max_tasks_per_network,
+            )
+            return [([task], False) for task in tasks], weights, task_to_dnn
+        items = [
+            (item.expand(self.hardware), True) if isinstance(item, LogicalOp) else ([item], False)
+            for item in self.items
+        ]
+        return items, None, None
+
+    def _store_hit(
+        self, tasks: List[SearchTask], grouped: bool
+    ) -> Optional[Tuple[StoreEntry, SearchTask]]:
+        """The store's zero-trial answer for one workload item — the entry
+        and the task it serves — or ``None`` when the item must be tuned.
+
+        A task hits on its own key.  A variant group hits on its
+        ``(logical_key, target)`` entry, which names the winning algorithm
+        *and* its schedule, when that winner is still one of the group's
+        variants (a registry change re-arbitrates the group).  Network tasks
+        never hit: they only warm-start and write back.
+        ``options.store_refresh`` skips every hit."""
+        store = self.store
+        if store is None or self.options.store_refresh or self.networks is not None:
+            return None
+        if not grouped:
+            entry = store.lookup(tasks[0])
+            return (entry, tasks[0]) if entry is not None else None
+        entry = store.lookup_logical(tasks[0].logical_key, tasks[0].target_name)
+        if entry is None:
+            return None
+        winner = next((task for task in tasks if task.variant == entry.variant), None)
+        return (entry, winner) if winner is not None else None
+
+    def _run(
+        self,
+        items: List[_Item],
+        weights: Optional[List[float]],
+        task_to_dnn: Optional[List[int]],
+    ) -> Tuple[TaskScheduler, List[VariantPruner], int, int]:
+        """Tune ``items`` under one scheduler: returns it, the pruner of
+        each variant group, the trials its policies had consumed before the
+        session (a reused policy instance resumes), and the session's
+        failed-trial count.  The cost model is saved even when the session
+        is interrupted: a partial model still warm-starts."""
+        options = self.options
+        tasks: List[SearchTask] = []
+        pruners: List[VariantPruner] = []
+        for item_tasks, grouped in items:
+            if grouped:
+                pruners.append(
+                    VariantPruner(
+                        margin=options.variant_prune_margin,
+                        min_trials=options.variant_min_trials,
+                        group_indices=range(len(tasks), len(tasks) + len(item_tasks)),
+                    )
+                )
+            tasks.extend(item_tasks)
+        members = {id(tasks[i]) for pruner in pruners for i in pruner.group_indices}
         scheduler = TaskScheduler(
             tasks,
             task_weights=weights,
             task_to_dnn=task_to_dnn,
             objective=self.objective,
-            policy_factory=scheduler_factory,
+            policy_factory=self._policy_factory(members),
             strategy=self.scheduler_strategy,
-            # The scheduler trains through this session's service (one
-            # model per hardware target, warm from cost_model_path when
-            # one is bound) instead of a throwaway per-session model.
             cost_model_service=self._service(),
             seed=options.seed,
             verbose=options.verbose,
         )
-        # Without a supplied measurer the scheduler builds one pipeline per
-        # distinct hardware target from this session's options knobs, so a
-        # heterogeneous task list is measured on the right machines (a
-        # user-supplied measurer is validated against every task instead).
-        num_errors = self._run_scheduler(scheduler, options.num_measure_trials, options)
-        return TuningResult(
-            tasks=list(tasks),
-            best_costs=list(scheduler.best_costs),
-            best_states=scheduler.best_states(),
-            history=[(r.total_trials, r.objective_value) for r in scheduler.records],
-            network_latencies={
-                name: scheduler.dnn_latency(index) for index, name in enumerate(networks)
-            },
-            scheduler=scheduler,
-            num_trials=scheduler.total_trials,
-            num_errors=num_errors,
-        )
+        scheduler.verbose = scheduler.verbose or any(p.verbose for p in scheduler.policies)
+        trials_before = sum(p.num_trials for p in scheduler.policies)
+        # Results report the session's errors, not a supplied measurer's
+        # lifetime count.
+        errors_before = self.measurer.error_count if self.measurer is not None else 0
+        try:
+            scheduler.tune(
+                options.num_measure_trials - trials_before,
+                options.num_measures_per_round,
+                measurer=self.measurer,
+                callbacks=self._session_callbacks() + pruners,
+                measurer_factory=lambda hw: MeasurePipeline.from_options(hw, options),
+                async_measure=options.async_measure,
+            )
+        finally:
+            self._save_cost_model()
+        return scheduler, pruners, trials_before, scheduler.measure_error_count() - errors_before
+
+    def _result(
+        self,
+        items: List[_Item],
+        hits: Dict[int, Tuple[StoreEntry, SearchTask]],
+        run: Optional[Tuple[TaskScheduler, List[VariantPruner], int, int]],
+    ) -> TuningResult:
+        """One :class:`TuningResult` over every item in workload order, with
+        store hits filled in (each task's outcome is assembled as a
+        :class:`~repro.variants.VariantTrajectory`; a group's become its
+        :class:`~repro.variants.VariantResult`)."""
+        scheduler, pruners, trials_before, num_errors = run or (None, [], 0, 0)
+        pruned_at = {i: at for pruner in pruners for i, at in pruner.pruned_at.items()}
+        result = TuningResult(tasks=[], best_costs=[], best_states=[])
+        index = 0  # the next tuned task's index in the scheduler
+        for k, (tasks, grouped) in enumerate(items):
+            if k in hits:
+                entry, served = hits[k]
+                state = entry.to_state(served)
+                trajectories = [
+                    VariantTrajectory(task.variant, task, entry.best_cost, state)
+                    if task is served
+                    else VariantTrajectory(task.variant, task)
+                    for task in tasks
+                ]
+            else:
+                trajectories = []
+                for task in tasks:
+                    policy = scheduler.policies[index]
+                    trajectories.append(
+                        VariantTrajectory(
+                            variant=task.variant,
+                            task=task,
+                            best_cost=policy.best_cost,
+                            best_state=policy.best_state,
+                            num_trials=scheduler.task_trials[index],
+                            history=list(scheduler.latency_history[index]),
+                            pruned_at=pruned_at.get(index),
+                        )
+                    )
+                    index += 1
+            result.tasks.extend(tasks)
+            result.best_costs.extend(t.best_cost for t in trajectories)
+            result.best_states.extend(t.best_state for t in trajectories)
+            if grouped:
+                result.variant_results.append(
+                    VariantResult.assemble(trajectories, None if k in hits else scheduler)
+                )
+        if scheduler is None:
+            result.from_store = True
+            result.history = [(0, result.best_cost)]
+            return result
+        result.scheduler = scheduler
+        result.num_trials = sum(scheduler.task_trials)
+        result.num_errors = num_errors
+        if self.networks is None and not pruners and len(scheduler.policies) == 1:
+            # One plain task: its policy's curve, session-scoped like
+            # num_trials and rebased so it starts at zero trials.
+            result.history = [
+                (t - trials_before, c)
+                for t, c in scheduler.policies[0].history
+                if t > trials_before
+            ]
+        else:
+            result.history = [(r.total_trials, r.objective_value) for r in scheduler.records]
+        if self.networks is not None:
+            result.network_latencies = {
+                name: scheduler.dnn_latency(i) for i, name in enumerate(self.networks)
+            }
+        return result

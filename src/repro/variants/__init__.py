@@ -22,12 +22,12 @@ and its own ``variant`` name.  Variants of one logical op deliberately have
 schedule store's similarity warm-start never replays one variant's history
 onto another's DAG.
 
-**Arbitration and pruning.**  The
-:class:`~repro.variants.arbiter.VariantArbiter` tunes the group under one
-shared trial budget by treating variants as weighted tasks of the existing
-:class:`~repro.scheduler.task_scheduler.TaskScheduler`, with a
-successive-halving-style :class:`~repro.variants.arbiter.VariantPruner` on
-top: after every allocation round, any variant with at least
+**Arbitration and pruning.**  A :class:`~repro.tuner.Tuner` session tunes
+each LogicalOp of its workload as a group of weighted tasks (weight 1.0 per
+variant) of its :class:`~repro.scheduler.task_scheduler.TaskScheduler`,
+sharing the trial budget with the workload's other tasks and groups, with a
+successive-halving-style :class:`~repro.variants.arbiter.VariantPruner` per
+group on top: after every allocation round, any variant with at least
 ``variant_min_trials`` measurements whose best cost trails the qualified
 leader's by more than ``variant_prune_margin`` is pruned — the scheduler
 stops allocating to it and its budget share flows to the survivors.  Both
@@ -37,15 +37,17 @@ searches with the *session* seed and its own variant-scoped cost model
 (training one model on a mixture of variant structures measurably misleads
 the search), so each trajectory is a truncation of what a single-task
 session would explore — arbitration redistributes budget, it does not
-reshuffle the search.  The resulting
+reshuffle the search.  Each group's
 :class:`~repro.variants.arbiter.VariantResult` names the winner and keeps
-every variant's trajectory (best cost, trials, prune point).
+every variant's trajectory (best cost, trials, prune point);
+``VariantArbiter(op, **session).tune()`` is a shorthand for the
+``variant_result`` of a one-op session.
 
 Store integration: :class:`~repro.store.ScheduleStore` keys variant entries
 by ``(logical_key, variant, target)``, so a logical-key lookup answers
-"which algorithm *and* which schedule" in O(1) and a
-:class:`~repro.store.TuningService` serves a whole group without spending a
-trial once any session has arbitrated it.
+"which algorithm *and* which schedule" in O(1) and a store-bound
+:class:`~repro.tuner.Tuner` serves a whole group without spending a trial
+once any session has arbitrated it.
 """
 
 from .arbiter import VariantArbiter, VariantPruner, VariantResult, VariantTrajectory

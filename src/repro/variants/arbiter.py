@@ -1,34 +1,30 @@
-"""The variant arbiter: budget allocation and early pruning over one group.
+"""Variant arbitration: early pruning and the outcome of one group.
 
 A variant group is a set of :class:`~repro.task.SearchTask`\\ s sharing one
-``logical_key`` (see :mod:`repro.variants.registry`).  The
-:class:`VariantArbiter` tunes the whole group under one shared trial budget
-by treating the variants as weighted tasks of the existing
-:class:`~repro.scheduler.task_scheduler.TaskScheduler` — the gradient
-objective naturally spends rounds where they buy the most improvement — and
-layers a successive-halving-style :class:`VariantPruner` on top: once a
-variant has ``min_trials`` measurements and its best cost trails the group
-leader's by more than ``margin``, it is pruned (marked exhausted) and its
-share of the remaining budget flows to the survivors.  The outcome is a
-:class:`VariantResult` naming the winning implementation plus the full
-per-variant trajectories, so "which algorithm won, by how much, and when
-were the losers cut" is one object.
+``logical_key`` (see :mod:`repro.variants.registry`).  A
+:class:`~repro.tuner.Tuner` session tunes each group of its workload as
+weighted tasks of its :class:`~repro.scheduler.task_scheduler.TaskScheduler`
+— the gradient objective naturally spends rounds where they buy the most
+improvement — with one successive-halving-style :class:`VariantPruner` per
+group on top: once a variant has ``min_trials`` measurements and its best
+cost trails the group leader's by more than ``margin``, it is pruned
+(marked exhausted) and its share of the remaining budget flows to the
+survivors.  The outcome is a :class:`VariantResult` naming the winning
+implementation plus the full per-variant trajectories, so "which algorithm
+won, by how much, and when were the losers cut" is one object.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from ..callbacks import MeasureCallback
-from ..cost_model.service import CostModelService
-from ..hardware.measure import MeasurePipeline
 from ..ir.state import State
 from ..scheduler.task_scheduler import TaskScheduler
-from ..search.policy import SearchPolicy, resolve_policy
-from ..store import ScheduleStore, StoreWriter
-from ..task import SearchTask, TuningOptions
+from ..task import SearchTask
+from .registry import LogicalOp
 
 __all__ = ["VariantPruner", "VariantTrajectory", "VariantResult", "VariantArbiter"]
 
@@ -46,8 +42,8 @@ class VariantPruner(MeasureCallback):
     only *future* budget is redirected.
 
     ``group_indices`` restricts the pruner to a subset of the scheduler's
-    tasks (one pruner per variant group when several groups share a
-    scheduler, as in :meth:`~repro.store.TuningService.run`); ``None`` means
+    tasks (a :class:`~repro.tuner.Tuner` session adds one pruner per variant
+    group, since groups and plain tasks share its scheduler); ``None`` means
     every task of the scheduler forms one group.
     """
 
@@ -97,8 +93,9 @@ class VariantPruner(MeasureCallback):
 class VariantTrajectory:
     """One variant's tuning trajectory within an arbitrated group session."""
 
-    #: the variant name (``"direct"``, ``"im2col"``, ...)
-    variant: str
+    #: the variant name (``"direct"``, ``"im2col"``, ...); ``None`` for a
+    #: task outside any variant group
+    variant: Optional[str]
     #: the variant's task
     task: SearchTask
     #: best measured cost (seconds); ``inf`` when nothing valid landed
@@ -166,179 +163,55 @@ class VariantResult:
         return None
 
 
-class VariantArbiter:
-    """Tune one variant group under a shared, early-pruned trial budget.
 
-    Parameters
-    ----------
-    tasks:
-        The expanded variant group — every task must carry the same
-        ``logical_key`` and hardware target (see
-        :func:`~repro.variants.registry.expand_variants`).
-    options:
-        The session's :class:`~repro.task.TuningOptions`; the arbiter
-        consumes ``num_measure_trials`` / ``num_measures_per_round`` plus
-        the variant knobs ``variant_prune_margin`` / ``variant_min_trials``.
-    policy:
-        A registered policy name or a factory
-        ``(task, cost_model=..., seed=..., verbose=...) -> policy``; ready
-        :class:`SearchPolicy` instances are rejected (one instance cannot
-        drive a group).
-    callbacks / store / cost_model_service / measurer:
-        As in :class:`~repro.tuner.Tuner`; a bound store warm-starts every
-        variant's policy and receives every new best through a
-        :class:`~repro.store.StoreWriter`.
-    weights:
-        Per-variant scheduler weights (default: equal).
-    """
-
-    def __init__(
-        self,
-        tasks: Sequence[SearchTask],
-        *,
-        options: Optional[TuningOptions] = None,
-        policy: Union[str, Callable] = "sketch",
-        callbacks: Sequence[MeasureCallback] = (),
-        store: Optional[ScheduleStore] = None,
-        cost_model_service: Optional[CostModelService] = None,
-        measurer: Optional[MeasurePipeline] = None,
-        weights: Optional[Sequence[float]] = None,
-    ):
-        self.tasks = list(tasks)
-        if not self.tasks:
-            raise ValueError("VariantArbiter needs at least one variant task")
-        if isinstance(policy, SearchPolicy):
-            raise TypeError(
-                "a SearchPolicy instance is bound to one task; a variant "
-                "group needs a policy name or factory"
-            )
-        missing = [t.desc for t in self.tasks if t.variant is None or t.logical_key is None]
-        if missing:
-            raise ValueError(
-                "every task of a variant group must carry logical_key and "
-                f"variant metadata (expand through repro.variants); missing on: "
-                f"{', '.join(repr(d) for d in missing[:3])}"
-            )
-        keys = {t.logical_key for t in self.tasks}
-        if len(keys) != 1:
-            raise ValueError(
-                f"a variant group shares one logical_key; got {sorted(keys)}"
-            )
-        targets = {t.hardware_params for t in self.tasks}
-        if len(targets) != 1:
-            raise ValueError(
-                "a variant group is arbitrated on one hardware target; got "
-                f"{sorted(t.name for t in targets)} — tune per-target groups "
-                "separately (winners are per target by design)"
-            )
-        names = [t.variant for t in self.tasks]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate variant names in group: {names}")
-        self.logical_key = self.tasks[0].logical_key
-        self.options = options or TuningOptions()
-        self.policy = policy
-        self.callbacks = list(callbacks)
-        self.store = store
-        self.cost_model_service = cost_model_service
-        self.measurer = measurer
-        if weights is not None and len(weights) != len(self.tasks):
-            raise ValueError(
-                f"weights has {len(weights)} entries for {len(self.tasks)} variants"
-            )
-        self.weights = list(weights) if weights is not None else [1.0] * len(self.tasks)
-        #: the latest :meth:`tune`'s scheduler, for introspection
-        self.scheduler: Optional[TaskScheduler] = None
-        self._service: Optional[CostModelService] = None
-
-    # ------------------------------------------------------------------
-    def _policy_factory(self):
-        factory = resolve_policy(self.policy) if isinstance(self.policy, str) else self.policy
-        store = self.store
-        session_seed = self.options.seed
-
-        def make(task, cost_model, seed):
-            # Every variant gets the *session* seed (not the scheduler's
-            # index-offset seed) and its own cost model scoped by variant
-            # name (not the shared per-target model): the variants are
-            # structurally different DAGs, so identical seeds cannot
-            # correlate their searches, while training one model on a
-            # mixture of variant structures measurably misleads the search
-            # away from schedules the same model finds when trained on one
-            # structure.  Both choices make a variant's trajectory a
-            # truncation of what a single-task session with the same
-            # options would explore — arbitration redistributes budget, it
-            # does not reshuffle the search.
-            scoped = self._service.view(
-                f"{task.target_name}::variant={task.variant}"
-            )
-            policy = factory(
-                task, cost_model=scoped, seed=session_seed, verbose=self.options.verbose
-            )
-            if store is not None:
-                policy.bind_store(store)
-            return policy
-
-        return make
-
-    def tune(self) -> VariantResult:
-        """Run the arbitrated group session and return its :class:`VariantResult`."""
-        options = self.options
-        if self.store is not None:
-            for task in self.tasks:
-                self.store.register_task(task)
-        self._service = self.cost_model_service or CostModelService(seed=options.seed)
-        scheduler = TaskScheduler(
-            self.tasks,
-            task_weights=self.weights,
-            policy_factory=self._policy_factory(),
-            cost_model_service=self._service,
-            seed=options.seed,
-            verbose=options.verbose,
-        )
-        pruner = VariantPruner(
-            margin=options.variant_prune_margin,
-            min_trials=options.variant_min_trials,
-        )
-        callbacks = list(self.callbacks)
-        if self.store is not None and not any(
-            isinstance(cb, StoreWriter) and cb.store is self.store for cb in callbacks
-        ):
-            callbacks.append(StoreWriter(self.store))
-        callbacks.append(pruner)
-        scheduler.tune(
-            options.num_measure_trials,
-            options.num_measures_per_round,
-            measurer=self.measurer,
-            callbacks=callbacks,
-            measurer_factory=lambda hw: MeasurePipeline.from_options(hw, options),
-            async_measure=options.async_measure,
-        )
-        self.scheduler = scheduler
-        return self._assemble(scheduler, pruner)
-
-    def _assemble(self, scheduler: TaskScheduler, pruner: VariantPruner) -> VariantResult:
-        states = scheduler.best_states()
-        trajectories = [
-            VariantTrajectory(
-                variant=task.variant,
-                task=task,
-                best_cost=scheduler.best_costs[i],
-                best_state=states[i],
-                num_trials=scheduler.task_trials[i],
-                history=list(scheduler.latency_history[i]),
-                pruned_at=pruner.pruned_at.get(i),
-            )
-            for i, task in enumerate(self.tasks)
-        ]
+    @classmethod
+    def assemble(
+        cls,
+        trajectories: Sequence[VariantTrajectory],
+        scheduler: Optional[TaskScheduler] = None,
+    ) -> "VariantResult":
+        """A group's result from its per-variant trajectories (in group
+        order): the winner is the variant with the lowest finite best cost.
+        ``scheduler=None`` marks a group served from a store hit."""
         finite = [t for t in trajectories if math.isfinite(t.best_cost)]
         winner = min(finite, key=lambda t: t.best_cost) if finite else None
-        return VariantResult(
-            logical_key=self.logical_key,
-            target=self.tasks[0].target_name,
+        first = trajectories[0].task
+        return cls(
+            logical_key=first.logical_key,
+            target=first.target_name,
             winner=winner.variant if winner else None,
             best_cost=winner.best_cost if winner else float("inf"),
             best_state=winner.best_state if winner else None,
-            trajectories=trajectories,
-            total_trials=scheduler.total_trials,
+            trajectories=list(trajectories),
+            total_trials=sum(t.num_trials for t in trajectories),
             scheduler=scheduler,
+            from_store=scheduler is None,
         )
+
+
+class VariantArbiter:
+    """Tune one logical op's variant group and return its
+    :class:`VariantResult`.
+
+    ``VariantArbiter(op, **session).tune()`` is
+    ``Tuner(op, **session).tune().variant_result``: the session — policy
+    factory, cost-model service, store, callbacks, pruning — is
+    :class:`~repro.tuner.Tuner`'s, and ``session`` takes any of its keyword
+    arguments.
+    """
+
+    def __init__(self, op: LogicalOp, **session):
+        if not isinstance(op, LogicalOp):
+            raise TypeError(
+                "VariantArbiter tunes one LogicalOp; for an expanded variant "
+                "task pass LogicalOp(task.logical_op, task.variant_params, "
+                f"hardware=...); got {op!r}"
+            )
+        self.op = op
+        self.session = session
+
+    def tune(self) -> VariantResult:
+        """Run the group's session and return its :class:`VariantResult`."""
+        from ..tuner import Tuner  # local: the tuner imports this package
+
+        return Tuner(self.op, **self.session).tune().variant_result

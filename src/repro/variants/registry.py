@@ -16,8 +16,8 @@ Builders register under ``(logical op name, variant name)``::
 and :func:`expand_variants` (or :meth:`LogicalOp.expand`) turns one logical
 op instance into the competing :class:`~repro.task.SearchTask` group — every
 task carries the group's shared ``logical_key`` plus its own ``variant``
-name, which is what the :class:`~repro.variants.arbiter.VariantArbiter`, the
-schedule store's logical index and the tuner's variant sessions key on.
+name, which is what the variant pruner, the schedule store's logical index
+and the tuner's variant groups key on.
 """
 
 from __future__ import annotations
@@ -142,9 +142,9 @@ def expand_variants(
     Every returned :class:`~repro.task.SearchTask` shares the group's
     ``logical_key`` and carries its own ``variant`` name and the originating
     ``variant_params``, so any one task of the group suffices to rebuild the
-    whole group (``Tuner(task, variants=True)``).  Variants whose
-    applicability predicate rejects ``params`` are skipped; an instance no
-    variant accepts raises ``ValueError``.
+    whole group (``LogicalOp(task.logical_op, task.variant_params)``).
+    Variants whose applicability predicate rejects ``params`` are skipped;
+    an instance no variant accepts raises ``ValueError``.
     """
     key = logical_key_of(logical_op, params)
     tasks: List[SearchTask] = []
@@ -172,10 +172,11 @@ def expand_variants(
 
 @dataclass
 class LogicalOp:
-    """One logical operator instance: the unit a variant session tunes.
+    """One logical operator instance: one variant group of a workload.
 
-    ``Tuner(LogicalOp("conv2d", dict(batch=1, ...)), ...)`` expands the
-    instance through the registry and arbitrates the trial budget across the
+    ``Tuner(LogicalOp("conv2d", dict(batch=1, ...)), ...)`` — alone or in a
+    list with other tasks and LogicalOps — expands the instance through the
+    registry and arbitrates its share of the trial budget across the
     competing implementations instead of tuning one fixed DAG.
     """
 

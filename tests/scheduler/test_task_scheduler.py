@@ -348,46 +348,3 @@ def test_real_policies_integration_small():
     assert all(math.isfinite(c) for c in best)
     states = scheduler.best_states()
     assert all(s is not None for s in states)
-
-
-# ---------------------------------------------------------------------------
-# Per-task trial limits (the TuningService's per-request max_trials)
-# ---------------------------------------------------------------------------
-
-
-def test_trial_limits_cap_individual_tasks():
-    tasks = _make_tasks()
-    factory = _fake_factory([0.1, 0.1, 0.1])
-    scheduler = TaskScheduler(
-        tasks,
-        strategy="round_robin",
-        policy_factory=factory,
-        trial_limits=[10, None, None],
-    )
-    scheduler.tune(num_measure_trials=60, num_measures_per_round=10)
-    assert scheduler.task_trials[0] == 10
-    # the capped task's unspent budget flows to the unlimited ones
-    assert sum(scheduler.task_trials) == 60
-    assert scheduler.task_trials[1] + scheduler.task_trials[2] == 50
-
-
-def test_trial_limits_below_round_size_are_respected():
-    tasks = _make_tasks()
-    factory = _fake_factory([0.1, 0.1, 0.1])
-    scheduler = TaskScheduler(
-        tasks,
-        strategy="round_robin",
-        policy_factory=factory,
-        trial_limits=[4, 4, 4],
-    )
-    # limits cap the session below the requested budget
-    scheduler.tune(num_measure_trials=60, num_measures_per_round=10)
-    assert scheduler.task_trials == [4, 4, 4]
-
-
-def test_trial_limits_validated():
-    tasks = _make_tasks()
-    with pytest.raises(ValueError, match="trial_limits"):
-        TaskScheduler(tasks, trial_limits=[1, 2])  # wrong length
-    with pytest.raises(ValueError, match="trial_limits"):
-        TaskScheduler(tasks, trial_limits=[1, 0, 1])  # non-positive

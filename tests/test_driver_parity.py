@@ -134,15 +134,12 @@ def reference_scheduler_tune(
         cb.on_tuning_start(self)
     try:
         while self.total_trials < num_measure_trials:
-            index = self._select_task(nothing_pending, nothing_pending)
+            index = self._select_task(nothing_pending)
             if index is None:
                 break
             policy = self.policies[index]
             task_measurer = self.measurers[index]
             budget = min(num_measures_per_round, num_measure_trials - self.total_trials)
-            remaining = self._remaining_limit(index, nothing_pending)
-            if remaining is not None:
-                budget = min(budget, remaining)
             inputs, results = _one_round(policy, budget, task_measurer)
             consumed = len(inputs)
             stopped = False

@@ -2,12 +2,12 @@
 
 Covers the storage layer (round-trip, legacy ingest, best-wins, compaction,
 file-locked concurrent sessions), the instant-lookup path through
-:class:`repro.Tuner`, the cross-session warm-start of
-:class:`repro.SketchPolicy`, and the multi-request
-:class:`repro.TuningService` front-end.
+:class:`repro.Tuner` (one task, and several tasks sharing one budget), and
+the cross-session warm-start of :class:`repro.SketchPolicy`.
 """
 
 import json
+import math
 import threading
 
 import pytest
@@ -19,7 +19,6 @@ from repro import (
     StoreWriter,
     Tuner,
     TuningOptions,
-    TuningService,
     apply_history_best,
     intel_cpu,
     load_records,
@@ -303,19 +302,6 @@ def test_store_refresh_option_forces_a_retune(task):
     assert retuned.num_trials == 8
 
 
-def test_store_min_trials_caps_a_hit_session(task):
-    store = ScheduleStore()
-    cold = Tuner(task, options=SMALL, store=store).tune()
-    options = TuningOptions(
-        num_measure_trials=16, num_measures_per_round=4, store_min_trials=4
-    )
-    warm = Tuner(task, options=options, store=store).tune()
-    assert not warm.from_store
-    assert warm.num_trials == 4  # capped by store_min_trials on a hit
-    # the warm session cannot end up worse than the stored best it seeds
-    assert store.lookup(task).best_cost <= cold.best_cost
-
-
 # ---------------------------------------------------------------------------
 # Consumer path 2: cross-session warm-start
 # ---------------------------------------------------------------------------
@@ -366,81 +352,58 @@ def test_warm_start_skips_inapplicable_foreign_sizes(task):
 
 
 # ---------------------------------------------------------------------------
-# Consumer path 3: tuning as a service
+# Several tasks in one session: hits served, misses share the budget
 # ---------------------------------------------------------------------------
 
 
-def test_service_misses_search_then_hits_serve_instantly(tmp_path):
+def test_task_list_misses_search_then_hits_serve_instantly(tmp_path):
     hw = intel_cpu()
     t_relu = SearchTask(make_matmul_relu_dag(32, 32, 32), hw, desc="relu")
     t_mm = SearchTask(make_matmul_dag(32, 32, 32), hw, desc="mm")
     path = tmp_path / "svc.jsonl"
 
-    service = TuningService(ScheduleStore(path), options=SMALL)
-    r_relu = service.submit(t_relu, priority=2.0)
-    r_mm = service.submit(t_mm)
-    done = service.run()
-    assert done == [r_relu, r_mm]
-    assert r_relu.done and r_mm.done
-    assert not r_relu.from_store and not r_mm.from_store
-    assert r_relu.num_trials + r_mm.num_trials == SMALL.num_measure_trials
-    assert r_relu.best_state is not None and r_mm.best_state is not None
+    first = Tuner([t_relu, t_mm], options=SMALL, store=ScheduleStore(path)).tune()
+    assert first.tasks == [t_relu, t_mm]
+    assert not first.from_store
+    assert first.num_trials == SMALL.num_measure_trials
+    assert sum(first.scheduler.task_trials) == SMALL.num_measure_trials
+    assert all(state is not None for state in first.best_states)
 
-    # a second service over the same segment file serves both instantly
-    second = TuningService(ScheduleStore(path), options=SMALL)
-    q_relu = second.submit(t_relu)
-    q_mm = second.submit(t_mm)
-    second.run()
-    assert q_relu.from_store and q_relu.num_trials == 0
-    assert q_mm.from_store and q_mm.num_trials == 0
-    assert q_relu.best_cost == r_relu.best_cost
-    assert q_mm.best_cost == r_mm.best_cost
-    assert str(q_relu.best_state) == str(r_relu.best_state)
+    # a second session over the same segment file serves both instantly
+    second = Tuner([t_relu, t_mm], options=SMALL, store=ScheduleStore(path)).tune()
+    assert second.from_store and second.num_trials == 0
+    assert second.best_costs == first.best_costs
+    assert [str(s) for s in second.best_states] == [str(s) for s in first.best_states]
     # no scheduler ran: nothing missed
     assert second.scheduler is None
 
 
-def test_service_refresh_and_max_trials(tmp_path):
+def test_task_list_tunes_only_the_misses(tmp_path):
     hw = intel_cpu()
-    t1 = SearchTask(make_matmul_relu_dag(32, 32, 32), hw)
+    t_relu = SearchTask(make_matmul_relu_dag(32, 32, 32), hw, desc="relu")
+    t_mm = SearchTask(make_matmul_dag(32, 32, 32), hw, desc="mm")
     store = ScheduleStore(tmp_path / "svc.jsonl")
-    service = TuningService(store, options=SMALL)
-    service.submit(t1)
-    service.run()
+    cached = Tuner(t_relu, options=SMALL, store=store).tune()
 
-    # refresh=True ignores the hit and re-tunes under its trial cap
-    again = TuningService(store, options=SMALL)
-    request = again.submit(t1, refresh=True, max_trials=8)
-    again.run()
-    assert not request.from_store
-    assert 0 < request.num_trials <= 8
+    mixed = Tuner([t_relu, t_mm], options=SMALL, store=store).tune()
+    assert not mixed.from_store
+    assert mixed.scheduler.tasks == [t_mm]  # the hit never reached the scheduler
+    assert mixed.num_trials == SMALL.num_measure_trials
+    assert mixed.best_costs[0] == cached.best_cost
+    assert str(mixed.best_states[0]) == str(cached.best_state)
+    assert math.isfinite(mixed.best_costs[1])
 
 
-def test_service_priorities_skew_the_shared_budget():
+def test_every_policy_of_a_session_is_bound_to_the_store(tmp_path):
+    from repro import LogicalOp
+
     hw = intel_cpu()
-    heavy = SearchTask(make_matmul_relu_dag(32, 32, 32), hw, desc="heavy")
-    light = SearchTask(make_matmul_dag(32, 32, 32), hw, desc="light")
-    service = TuningService(
-        ScheduleStore(),
-        options=TuningOptions(num_measure_trials=32, num_measures_per_round=4),
-    )
-    r_heavy = service.submit(heavy, priority=8.0)
-    r_light = service.submit(light, priority=1.0)
-    service.run()
-    assert r_heavy.num_trials + r_light.num_trials == 32
-    # the 8x-weighted request attracts the larger share of the budget
-    assert r_heavy.num_trials > r_light.num_trials
-
-
-def test_service_rejects_bad_requests():
-    service = TuningService(ScheduleStore())
-    task = SearchTask(make_matmul_relu_dag(32, 32, 32), intel_cpu())
-    with pytest.raises(ValueError, match="priority"):
-        service.submit(task, priority=0.0)
-    with pytest.raises(ValueError, match="max_trials"):
-        service.submit(task, max_trials=0)
-
-
-def test_service_run_without_requests_is_a_noop():
-    service = TuningService(ScheduleStore())
-    assert service.run() == []
+    store = ScheduleStore(tmp_path / "svc.jsonl")
+    conv = LogicalOp("conv2d", dict(
+        batch=1, in_channels=4, height=8, width=8,
+        out_channels=8, kernel=3, stride=1, padding=1,
+    ), hardware=hw)
+    options = TuningOptions(num_measure_trials=8, num_measures_per_round=4)
+    for workload in (SearchTask(make_matmul_dag(16, 16, 16), hw), [conv], ["dcgan"]):
+        result = Tuner(workload, options=options, store=store, max_tasks_per_network=2).tune()
+        assert all(p.schedule_store is store for p in result.scheduler.policies)

@@ -75,6 +75,22 @@ def test_policy_kwargs_may_override_defaults(task):
     assert result.num_trials == baseline.num_trials == 16
 
 
+def test_policy_kwargs_override_the_session_for_every_kind(task):
+    """policy_kwargs merge last: they reach every policy of a session —
+    plain tasks, variant-group members and network tasks alike."""
+    from repro import LogicalOp
+
+    conv = LogicalOp("conv2d", dict(
+        batch=1, in_channels=4, height=8, width=8,
+        out_channels=8, kernel=3, stride=1, padding=1,
+    ), hardware=intel_cpu())
+    options = TuningOptions(num_measure_trials=8, num_measures_per_round=4)
+    for workload in (task, [task, conv], ["dcgan"]):
+        result = Tuner(workload, options=options, policy_kwargs={"seed": 7},
+                       max_tasks_per_network=2).tune()
+        assert [p.seed for p in result.scheduler.policies] == [7] * len(result.tasks)
+
+
 def test_baseline_policies_run_by_name(task):
     for name in ("beam", "random", "limited-space"):
         result = Tuner(task, policy=name, options=SMALL).tune()
@@ -100,6 +116,34 @@ def test_register_policy_round_trip(task):
     assert resolve_policy("test-sketch-alias") is make
     result = Tuner(task, policy="test-sketch-alias", options=SMALL).tune()
     assert result.best_state is not None
+
+
+def test_factory_without_cost_model_parameter_runs_every_session_kind():
+    """A factory that takes no ``cost_model`` builds its own model; every
+    session kind calls it without one, a single task or several, a variant
+    group or a network."""
+    from repro import LogicalOp
+
+    made = []
+
+    def f(task, seed=0, verbose=0):
+        made.append(task)
+        return SketchPolicy(task, seed=seed, verbose=verbose)
+
+    hardware = intel_cpu()
+    conv = dict(batch=1, in_channels=4, height=8, width=8,
+                out_channels=8, kernel=3, stride=1, padding=1)
+    options = TuningOptions(num_measure_trials=8, num_measures_per_round=4)
+    for workload in (
+        [SearchTask(make_matmul_relu_dag(16, 16, 16), hardware),
+         SearchTask(make_matmul_relu_dag(32, 16, 16), hardware)],
+        LogicalOp("conv2d", conv, hardware=hardware),
+        ["mobilenet-v2"],
+    ):
+        made.clear()
+        result = Tuner(workload, policy=f, options=options, max_tasks_per_network=2).tune()
+        assert made == result.tasks and len(made) >= 2
+        assert result.num_trials == 8
 
 
 # ---------------------------------------------------------------------------

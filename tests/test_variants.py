@@ -1,5 +1,5 @@
-"""Tests for the algorithm-variant subsystem: registry, arbiter, tuner and
-store/service integration."""
+"""Tests for the algorithm-variant subsystem: registry, pruner, variant
+groups in Tuner sessions, and store integration."""
 
 import math
 
@@ -12,7 +12,6 @@ from repro import (
     SearchTask,
     Tuner,
     TuningOptions,
-    TuningService,
     VariantArbiter,
     VariantPruner,
     VariantResult,
@@ -25,6 +24,7 @@ from repro import (
     variants_for,
 )
 from repro.codegen import execute_dag
+from repro.cost_model import CostModelService
 from repro.search import SketchPolicy
 from repro.variants.registry import _VARIANT_REGISTRY
 from repro.workloads import matmul
@@ -204,81 +204,7 @@ def test_pruner_group_indices_scope_the_comparison():
 
 
 # ---------------------------------------------------------------------------
-# Arbiter
-# ---------------------------------------------------------------------------
-
-
-def test_arbiter_validates_group(group):
-    with pytest.raises(ValueError, match="at least one"):
-        VariantArbiter([])
-    with pytest.raises(TypeError, match="SearchPolicy instance"):
-        VariantArbiter(group, policy=SketchPolicy(group[0]))
-    plain = SearchTask(matmul(8, 8, 8), intel_cpu())
-    with pytest.raises(ValueError, match="logical_key"):
-        VariantArbiter([plain])
-    other = expand_variants(
-        "conv2d", dict(PARAMS, height=10, width=10), hardware=intel_cpu()
-    )
-    with pytest.raises(ValueError, match="logical_key"):
-        VariantArbiter([group[0], other[1]])
-    from repro.hardware import arm_cpu
-
-    arm_group = expand_variants("conv2d", PARAMS, hardware=arm_cpu())
-    with pytest.raises(ValueError, match="hardware target"):
-        VariantArbiter([group[0], arm_group[1]])
-    with pytest.raises(ValueError, match="duplicate"):
-        VariantArbiter([group[0], group[0]])
-    with pytest.raises(ValueError, match="weights"):
-        VariantArbiter(group, weights=[1.0, 2.0])
-
-
-def test_arbiter_tunes_group_and_reports_trajectories(group):
-    result = VariantArbiter(group, options=SMALL).tune()
-    assert isinstance(result, VariantResult)
-    assert result.logical_key == group[0].logical_key
-    assert result.target == intel_cpu().name
-    assert result.total_trials == 24
-    assert result.winner in {"direct", "im2col", "tiled-gemm"}
-    assert math.isfinite(result.best_cost)
-    assert result.best_state is not None
-    assert result.winner_task is result.trajectory(result.winner).task
-    assert sum(t.num_trials for t in result.trajectories) == 24
-    best = min(
-        (t for t in result.trajectories if math.isfinite(t.best_cost)),
-        key=lambda t: t.best_cost,
-    )
-    assert best.variant == result.winner
-    with pytest.raises(KeyError, match="im2col"):
-        result.trajectory("winograd")
-
-
-def test_arbiter_is_deterministic_under_fixed_seed(group):
-    first = VariantArbiter(group, options=SMALL).tune()
-    second = VariantArbiter(group, options=SMALL).tune()
-    assert first.winner == second.winner
-    assert first.best_cost == second.best_cost
-    assert [t.num_trials for t in first.trajectories] == [
-        t.num_trials for t in second.trajectories
-    ]
-
-
-def test_arbiter_prunes_trailing_variants_under_tight_margin(group):
-    options = TuningOptions(
-        num_measure_trials=48,
-        num_measures_per_round=8,
-        variant_prune_margin=1.01,
-        variant_min_trials=8,
-    )
-    result = VariantArbiter(group, options=options).tune()
-    assert result.pruned  # a 1% margin always cuts somebody on 3 variants
-    for name in result.pruned:
-        traj = result.trajectory(name)
-        assert traj.pruned and traj.pruned_at <= result.total_trials
-    assert result.winner not in result.pruned
-
-
-# ---------------------------------------------------------------------------
-# Tuner variant sessions
+# Variant groups in Tuner sessions
 # ---------------------------------------------------------------------------
 
 
@@ -292,21 +218,129 @@ def test_tuner_logical_op_session():
     assert [t for t, _ in result.history] == [8, 16, 24]
 
 
-def test_tuner_variants_flag_rebuilds_group_from_one_task(group):
-    result = Tuner(group[1], options=SMALL, variants=True).tune()
+def test_group_session_reports_trajectories():
+    result = Tuner(LogicalOp("conv2d", PARAMS, hardware=intel_cpu()), options=SMALL).tune()
+    vr = result.variant_result
+    assert isinstance(vr, VariantResult)
+    assert result.variant_results == [vr]
+    assert vr.logical_key == logical_key_of("conv2d", PARAMS)
+    assert vr.target == intel_cpu().name
+    assert vr.total_trials == result.num_trials == 24
+    assert vr.winner in {"direct", "im2col", "tiled-gemm"}
+    assert math.isfinite(vr.best_cost)
+    assert vr.best_state is not None
+    assert vr.winner_task is vr.trajectory(vr.winner).task
+    assert sum(t.num_trials for t in vr.trajectories) == 24
+    best = min(
+        (t for t in vr.trajectories if math.isfinite(t.best_cost)),
+        key=lambda t: t.best_cost,
+    )
+    assert best.variant == vr.winner
+    assert result.best_costs == [t.best_cost for t in vr.trajectories]
+    with pytest.raises(KeyError, match="im2col"):
+        vr.trajectory("winograd")
+
+
+def test_group_session_is_deterministic_under_fixed_seed():
+    op = LogicalOp("conv2d", PARAMS, hardware=intel_cpu())
+    first = Tuner(op, options=SMALL).tune().variant_result
+    second = Tuner(op, options=SMALL).tune().variant_result
+    assert first.winner == second.winner
+    assert first.best_cost == second.best_cost
+    assert [t.num_trials for t in first.trajectories] == [
+        t.num_trials for t in second.trajectories
+    ]
+
+
+def test_group_session_prunes_trailing_variants_under_tight_margin():
+    options = TuningOptions(
+        num_measure_trials=48,
+        num_measures_per_round=8,
+        variant_prune_margin=1.01,
+        variant_min_trials=8,
+    )
+    vr = Tuner(LogicalOp("conv2d", PARAMS, hardware=intel_cpu()), options=options).tune().variant_result
+    assert vr.pruned  # a 1% margin always cuts somebody on 3 variants
+    for name in vr.pruned:
+        traj = vr.trajectory(name)
+        assert traj.pruned and traj.pruned_at <= vr.total_trials
+    assert vr.winner not in vr.pruned
+
+
+def test_group_and_single_task_share_one_budget():
+    single = SearchTask(matmul(16, 16, 16), intel_cpu(), desc="mm16")
+    op = LogicalOp("conv2d", PARAMS, hardware=intel_cpu())
+    options = TuningOptions(num_measure_trials=32, num_measures_per_round=8)
+    result = Tuner([single, op], options=options).tune()
+    assert result.tasks[0] is single
+    assert [t.variant for t in result.tasks[1:]] == ["direct", "im2col", "tiled-gemm"]
+    vr = result.variant_result
+    assert math.isfinite(result.best_costs[0]) and math.isfinite(vr.best_cost)
+    # the first item is the plain task: the conveniences report it
+    assert result.best_cost == result.best_costs[0]
+    assert result.num_trials == result.scheduler.task_trials[0] + vr.total_trials == 32
+
+
+def test_two_groups_get_one_result_each():
+    ops = [
+        LogicalOp("conv2d", PARAMS, hardware=intel_cpu()),
+        LogicalOp("conv2d", dict(PARAMS, out_channels=4), hardware=intel_cpu()),
+    ]
+    result = Tuner(ops, options=SMALL).tune()
+    assert [vr.logical_key for vr in result.variant_results] == [op.key for op in ops]
+    assert result.variant_result is result.variant_results[0]
+    assert sum(vr.total_trials for vr in result.variant_results) == result.num_trials
+
+
+def test_variant_arbiter_is_a_one_op_tuner_session():
+    op = LogicalOp("conv2d", PARAMS, hardware=intel_cpu())
+    direct = VariantArbiter(op, options=SMALL).tune()
+    via_tuner = Tuner(op, options=SMALL).tune().variant_result
+    assert direct.winner == via_tuner.winner
+    assert direct.best_cost == via_tuner.best_cost
+    assert [t.history for t in direct.trajectories] == [
+        t.history for t in via_tuner.trajectories
+    ]
+
+
+def test_direct_variant_arbiter_honours_the_cost_model_options(tmp_path):
+    """A direct VariantArbiter call runs the session's own cost-model
+    service: the options' path is saved and its retrain mode trains."""
+    path = tmp_path / "model.pkl"
+    options = TuningOptions(
+        num_measure_trials=16, num_measures_per_round=8,
+        cost_model_path=str(path), cost_model_retrain="full",
+    )
+    op = LogicalOp("conv2d", PARAMS, hardware=intel_cpu())
+    VariantArbiter(op, options=options).tune()
+    assert path.exists()
+    models = CostModelService(path=path)._models
+    assert models  # one variant-scoped model per variant that measured
+    assert all(model.retrain == "full" for model in models.values())
+
+
+def test_logical_op_rebuilds_group_from_one_expanded_task(group):
+    task = group[1]
+    op = LogicalOp(task.logical_op, task.variant_params, hardware=task.hardware_params)
+    result = Tuner(op, options=SMALL).tune()
     assert {t.variant for t in result.variant_result.trajectories} == {
         "direct", "im2col", "tiled-gemm",
     }
 
 
-def test_tuner_variant_session_rejects_bad_inputs(group):
-    plain = SearchTask(matmul(8, 8, 8), intel_cpu())
-    with pytest.raises(ValueError, match="variant"):
-        Tuner(plain, variants=True)
-    with pytest.raises(ValueError):
-        Tuner(["dcgan"], variants=True)
-    with pytest.raises(TypeError):
-        Tuner(group[0], variants=True, policy=SketchPolicy(group[0]))
+def test_tuner_rejects_bad_workloads(group):
+    op = LogicalOp("conv2d", PARAMS, hardware=intel_cpu())
+    with pytest.raises(TypeError, match="do not mix"):
+        Tuner([group[0], "dcgan"])
+    with pytest.raises(TypeError, match="LogicalOp"):
+        Tuner([op, 3])
+    with pytest.raises(ValueError, match="at least one"):
+        Tuner([])
+    for workload in (op, [group[0], group[1]]):
+        with pytest.raises(TypeError, match="SearchPolicy instance"):
+            Tuner(workload, policy=SketchPolicy(group[0]))
+    with pytest.raises(TypeError, match="LogicalOp"):
+        VariantArbiter(group)
 
 
 def test_tuning_options_variant_knob_validation():
@@ -341,6 +375,23 @@ def test_store_round_trip_serves_variant_group(tmp_path):
     assert second.best_cost == pytest.approx(first.best_cost)
 
 
+def test_group_whose_stored_winner_is_gone_is_rearbitrated(tmp_path):
+    """A logical entry naming a variant the registry no longer expands is a
+    miss: the group is tuned again instead of served."""
+    path = tmp_path / "store.jsonl"
+    op = LogicalOp("conv2d", PARAMS, hardware=intel_cpu())
+    store = ScheduleStore(path)
+    Tuner(op, options=SMALL, store=store).tune()
+    entry = store.lookup_logical(op.key, intel_cpu().name)
+    stale = ScheduleStore()
+    stale.put_record(entry.record, logical_key=op.key, variant="winograd")
+    assert stale.lookup_logical(op.key, intel_cpu().name).variant == "winograd"
+
+    again = Tuner(op, options=SMALL, store=stale).tune()
+    assert not again.from_store and not again.variant_result.from_store
+    assert again.num_trials == 24
+
+
 def test_store_refresh_forces_group_rearbitration(tmp_path):
     path = tmp_path / "store.jsonl"
     op = LogicalOp("conv2d", PARAMS, hardware=intel_cpu())
@@ -356,7 +407,7 @@ def test_store_refresh_forces_group_rearbitration(tmp_path):
 def test_logical_entries_survive_json_round_trip(tmp_path, group):
     path = tmp_path / "store.jsonl"
     store = ScheduleStore(path)
-    Tuner(group[0], options=SMALL, variants=True, store=store).tune()
+    Tuner(LogicalOp("conv2d", PARAMS, hardware=intel_cpu()), options=SMALL, store=store).tune()
     import json
 
     lines = [json.loads(line) for line in path.read_text().splitlines()]
@@ -366,54 +417,42 @@ def test_logical_entries_survive_json_round_trip(tmp_path, group):
     assert reopened.lookup_logical(group[0].logical_key, intel_cpu().name) is not None
 
 
-# ---------------------------------------------------------------------------
-# TuningService groups
-# ---------------------------------------------------------------------------
-
-
-def test_service_arbitrates_group_then_serves_from_store(tmp_path):
+def test_group_in_a_list_is_arbitrated_then_served_from_store(tmp_path):
     path = tmp_path / "store.jsonl"
     op = LogicalOp("conv2d", PARAMS, hardware=intel_cpu())
 
-    service = TuningService(ScheduleStore(path), options=SMALL)
-    handle = service.submit_variants(op)
-    service.run()
-    assert handle.done and not handle.from_store
-    assert handle.winner in {"direct", "im2col", "tiled-gemm"}
-    assert math.isfinite(handle.best_cost) and handle.best_state is not None
-    assert handle.num_trials == 24
-    assert handle.request_for(handle.winner).task.variant == handle.winner
-    with pytest.raises(KeyError):
-        handle.request_for("winograd")
+    first = Tuner([op], options=SMALL, store=ScheduleStore(path)).tune()
+    vr = first.variant_result
+    assert not first.from_store and not vr.from_store
+    assert vr.winner in {"direct", "im2col", "tiled-gemm"}
+    assert math.isfinite(vr.best_cost) and vr.best_state is not None
+    assert vr.total_trials == first.num_trials == 24
 
-    second = TuningService(ScheduleStore(path), options=SMALL)
-    hit = second.submit_variants(op)
-    second.run()
-    assert hit.done and hit.from_store
-    assert hit.num_trials == 0
-    assert hit.winner == handle.winner
-    assert hit.best_cost == pytest.approx(handle.best_cost)
-
-
-def test_service_group_and_single_requests_share_one_run(tmp_path):
-    service = TuningService(ScheduleStore(tmp_path / "s.jsonl"), options=SMALL)
-    single = service.submit(SearchTask(matmul(16, 16, 16), intel_cpu(), desc="mm16"))
-    group_handle = service.submit_variants(
-        LogicalOp("conv2d", PARAMS, hardware=intel_cpu())
+    hit = Tuner([op], options=SMALL, store=ScheduleStore(path)).tune()
+    served = hit.variant_result
+    assert hit.from_store and served.from_store
+    assert hit.num_trials == 0 and served.total_trials == 0
+    assert hit.scheduler is None and served.scheduler is None
+    assert served.winner == vr.winner
+    assert served.best_cost == pytest.approx(vr.best_cost)
+    assert served.trajectory(served.winner).best_state is served.best_state
+    # the losers were not tuned in this session
+    assert all(
+        t.best_state is None for t in served.trajectories if t.variant != served.winner
     )
-    service.run(num_measure_trials=32)
-    assert single.done and group_handle.done
-    assert math.isfinite(single.best_cost)
-    assert math.isfinite(group_handle.best_cost)
-    assert single.num_trials + group_handle.num_trials == 32
 
 
-def test_submit_variants_validation(tmp_path):
-    service = TuningService(ScheduleStore(tmp_path / "s.jsonl"), options=SMALL)
-    with pytest.raises(ValueError):
-        service.submit_variants(LogicalOp("conv2d", PARAMS), priority=0)
-    with pytest.raises(ValueError, match="at least one"):
-        service.submit_variants([])
-    plain = SearchTask(matmul(8, 8, 8), intel_cpu())
-    with pytest.raises(ValueError, match="logical_key"):
-        service.submit_variants([plain])
+def test_group_hit_and_task_miss_share_one_session(tmp_path):
+    path = tmp_path / "store.jsonl"
+    op = LogicalOp("conv2d", PARAMS, hardware=intel_cpu())
+    arbitrated = Tuner(op, options=SMALL, store=ScheduleStore(path)).tune()
+
+    single = SearchTask(matmul(16, 16, 16), intel_cpu(), desc="mm16")
+    mixed = Tuner([op, single], options=SMALL, store=ScheduleStore(path)).tune()
+    assert not mixed.from_store
+    assert mixed.scheduler.tasks == [single]
+    assert mixed.variant_result.from_store
+    assert mixed.variant_result.winner == arbitrated.variant_result.winner
+    # the first item is the group: the conveniences report its winner
+    assert mixed.best_cost == mixed.variant_result.best_cost
+    assert mixed.num_trials == 24 and math.isfinite(mixed.best_costs[-1])

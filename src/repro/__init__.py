@@ -30,14 +30,21 @@ footprints from one suffix-footprint table (:mod:`repro.codegen.footprint`,
 shared with the simulator); the GBDT routes whole feature matrices through
 flattened node arrays instead of per-row Python traversals; and the
 evolutionary loop carries elite scores across generations so each distinct
-program is predicted exactly once.  The tracked baseline is
-``benchmarks/test_search_throughput.py`` (predicted states/sec, written to
-``BENCH_search_throughput.json``); profile the loop with ``make profile``.
+program is predicted exactly once.  A bred child costs one replay and no
+second booster call: tile-size mutation reads the extent its parent's split
+step recorded when it was applied, and crossover's per-node scores read
+back the per-statement rows that one prediction computed.  The tracked
+baseline is ``benchmarks/test_search_throughput.py`` (predicted states/sec,
+written to ``BENCH_search_throughput.json``); profile the loop with
+``make profile``.
 Every fast path is bit-compatible with its reference: the booster with the
 per-row ``predict_rowwise``, enforced by
 ``tests/cost_model/test_predict_parity.py``, and the featurizer and the
 simulator with the per-nest extractor and per-suffix footprint loop they
-replaced, which now live only in ``tests/cost_model/test_feature_parity.py``.
+replaced, which now live only in ``tests/cost_model/test_feature_parity.py``,
+and breeding with the prefix-replay tile-size mutation and the
+``Generator.choice`` parent draw kept in
+``tests/search/test_breeding_parity.py``.
 
 Measurement is a two-stage builder/runner pipeline
 (:class:`repro.hardware.measure.MeasurePipeline`): builders lower candidates

@@ -28,6 +28,8 @@ __all__ = ["CostModel", "RandomCostModel", "LearnedCostModel"]
 
 #: default bounded retraining window (samples) of ``retrain="window"`` mode
 DEFAULT_RETRAIN_WINDOW = 1024
+#: scored programs whose per-statement rows a model keeps between retrains
+_STAGE_ROWS_SIZE = 4096
 
 
 class CostModel:
@@ -79,6 +81,12 @@ class LearnedCostModel(CostModel):
       default caps (``retrain_window >= max_training_samples``) the window
       covers the whole retained set, so ``"window"`` is itself
       bit-identical to ``"full"`` until the history outgrows the window.
+
+    Batched prediction keeps each scored program's per-statement booster
+    rows until the next retrain, keyed like the feature cache by
+    ``(id(dag), fingerprint)``, so :meth:`predict_stages` (node-based
+    crossover's per-node scores) reads them back instead of running the
+    booster again.  Pickles never carry them.
     """
 
     def __init__(
@@ -130,6 +138,21 @@ class LearnedCostModel(CostModel):
         self.samples_ingested = 0
         self.retrains_run = 0
         self.retrains_skipped = 0
+        #: (id(dag), fingerprint) -> (dag, booster version, read-only rows)
+        #: of the programs batched prediction scored
+        self._stage_rows: Dict[Tuple[int, str], Tuple[object, int, np.ndarray]] = {}
+
+    def __getstate__(self) -> dict:
+        # The kept rows (and the DAGs they hold) stay out of pickles, such as
+        # CostModelService.save files, which keep the layout of models saved
+        # before the rows were kept.
+        state = dict(self.__dict__)
+        state.pop("_stage_rows", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._stage_rows = {}
 
     @property
     def version(self) -> int:
@@ -239,6 +262,7 @@ class LearnedCostModel(CostModel):
         self._trained = True
         self._version += 1
         self.retrains_run += 1
+        self._stage_rows.clear()
 
     @property
     def num_samples(self) -> int:
@@ -255,7 +279,8 @@ class LearnedCostModel(CostModel):
         """Batched prediction: featurize (cached), stack every statement of
         every state into one matrix, run the booster once, and sum rows per
         program.  Equivalent to per-state prediction, without the per-state
-        Python round trips."""
+        Python round trips.  Each program's rows are kept for
+        :meth:`predict_stages`."""
         if not states:
             return np.zeros(0)
         if not self._trained:
@@ -266,19 +291,36 @@ class LearnedCostModel(CostModel):
         if not valid:
             return scores
         stacked = np.vstack([feature_list[i] for i in valid])
+        # Kept rows are tagged with the booster version they came from, so
+        # rows computed while another thread retrains are never served for
+        # the new booster.
+        version = self._version
         rows = self.booster.predict(stacked)
+        rows.flags.writeable = False
+        kept = self._stage_rows
         offset = 0
         for i in valid:
             count = feature_list[i].shape[0]
+            program_rows = rows[offset: offset + count]
             # Per-program slice sum: the same reduction the per-state path
             # performs, so scores match it bit for bit.
-            scores[i] = float(rows[offset: offset + count].sum())
+            scores[i] = float(program_rows.sum())
+            if len(kept) >= _STAGE_ROWS_SIZE:
+                kept.clear()  # atomic, where evicting one entry is not
+            state = states[i]
+            kept[(id(state.dag), state.fingerprint())] = (state.dag, version, program_rows)
             offset += count
         return scores
 
     def predict_stages(self, task, state: State) -> np.ndarray:
+        """Per-statement scores of ``state``.  A program that batched
+        prediction scored since the last retrain returns its kept (read-only)
+        rows; any other runs the booster on its features."""
         if not self._trained:
             return self.rng.random(max(len(state.compute_stages()), 1))
+        kept = self._stage_rows.get((id(state.dag), state.fingerprint()))
+        if kept is not None and kept[0] is state.dag and kept[1] == self._version:
+            return kept[2]
         features = extract_program_features(state)
         if features.shape[0] == 0:
             return np.zeros(1)

@@ -240,7 +240,9 @@ class State:
         It is computed once and invalidated whenever a step is appended;
         steps themselves must never be mutated in place on a live state (the
         evolution operators always copy steps before editing, and replay
-        the copies).
+        the copies).  The one write :meth:`apply_step` makes to a step is a
+        split's recorded ``SplitStep.extent``, which follows from the steps
+        before it and is not part of the digest.
         """
         if self._fingerprint is None:
             self._fingerprint = steps_fingerprint(self.transform_steps)

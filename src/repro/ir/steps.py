@@ -61,7 +61,14 @@ class Step:
         raise NotImplementedError
 
     def copy(self) -> "Step":
-        return step_from_dict(self.to_dict())
+        """An unapplied duplicate: the same fields, list fields copied."""
+        fields = self.__dict__.copy()
+        for name, value in fields.items():
+            if type(value) is list:
+                fields[name] = value[:]
+        new = object.__new__(type(self))
+        new.__dict__ = fields
+        return new
 
     def __repr__(self) -> str:
         items = ", ".join(f"{k}={v!r}" for k, v in self.to_dict().items() if k != "kind")
@@ -98,6 +105,12 @@ class SplitStep(Step):
     ``lengths`` are the extents of the inner parts (innermost last); the
     outer part gets ``extent // product(lengths)``.  A ``None`` length is a
     placeholder (treated as 1 until the annotation pass fills it in).
+
+    Applying the step records the split iterator's extent as ``extent``
+    (``None`` until then), so tile-size mutation can derive the outer part
+    without replaying the steps before it.  The extent follows from the
+    steps before this one, so it stays out of :meth:`to_dict` (and with it
+    the state's fingerprint) and :meth:`copy` returns an unapplied step.
     """
 
     kind = "split"
@@ -106,6 +119,7 @@ class SplitStep(Step):
         self.stage_name = stage_name
         self.iter_id = int(iter_id)
         self.lengths: List[Optional[int]] = list(lengths)
+        self.extent: Optional[int] = None
 
     @property
     def is_placeholder(self) -> bool:
@@ -125,6 +139,7 @@ class SplitStep(Step):
             raise ValueError(
                 f"split lengths {lengths} do not divide extent {it.extent} of {it.name!r}"
             )
+        self.extent = it.extent
         outer_extent = it.extent // inner_product
         extents = [outer_extent] + lengths
         new_iters: List[Iterator] = []
@@ -138,6 +153,9 @@ class SplitStep(Step):
             )
         stage.iters[self.iter_id: self.iter_id + 1] = new_iters
         state.shift_attached_iters(self.stage_name, self.iter_id, len(new_iters) - 1)
+
+    def copy(self) -> "SplitStep":
+        return SplitStep(self.stage_name, self.iter_id, self.lengths)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "stage": self.stage_name, "iter": self.iter_id, "lengths": list(self.lengths)}

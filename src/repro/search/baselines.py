@@ -142,15 +142,9 @@ class BeamSearchPolicy(SearchPolicy):
                     expanded.append(state)
                     continue
                 target_index = state.transform_steps.index(placeholders[decision])
-                scratch = state.dag.init_state()
-                for step in state.transform_steps[:target_index]:
-                    scratch.apply_step(step.copy())
-                extent = scratch.stage(placeholders[decision].stage_name).iters[
-                    placeholders[decision].iter_id
-                ].extent
                 for _ in range(self.expansions_per_decision):
                     lengths = random_factor_split(
-                        extent,
+                        placeholders[decision].extent,
                         len(placeholders[decision].lengths),
                         self.rng,
                         self.space.max_innermost_split_factor,

@@ -61,6 +61,25 @@ def _score_with_cache(
     return np.asarray([score_cache[s.fingerprint()] for s in population], dtype=np.float64)
 
 
+def _selection_cdf(scores: np.ndarray) -> np.ndarray:
+    """Parent selection probabilities proportional to fitness (uniform when
+    every score ties), as a normalized CDF: ``cdf.searchsorted(u,
+    side="right")`` for one uniform ``u = rng.random()`` is the draw
+    ``rng.choice(len(scores), p=p)`` makes, without validating ``p`` again
+    on every draw.  A non-finite score raises ``ValueError``, as that
+    validation did."""
+    shifted = scores - scores.min()
+    if shifted.sum() <= 0:
+        probabilities = np.full(len(scores), 1.0 / len(scores))
+    else:
+        probabilities = shifted / shifted.sum()
+    cdf = probabilities.cumsum()
+    if not np.isfinite(cdf[-1]):
+        raise ValueError(f"parent selection needs finite scores, got {scores!r}")
+    cdf /= cdf[-1]
+    return cdf
+
+
 def _node_scores_for(
     cost_model: CostModel,
     task: SearchTask,
@@ -70,7 +89,11 @@ def _node_scores_for(
     """Per-DAG-node scores used by crossover to pick the better parent.
 
     Cached per program, so each parent is scored once per search rather
-    than once per crossover attempt."""
+    than once per crossover attempt.  Every parent was scored by the
+    search's batched ``predict``, and a trained
+    :class:`~repro.cost_model.model.LearnedCostModel` keeps those
+    per-statement rows, so ``predict_stages`` reads them back instead of
+    running the booster a second time."""
     key = state.fingerprint()
     cached = cache.get(key)
     if cached is not None:
@@ -125,9 +148,8 @@ class EvolutionarySearch:
     def _node_scores(self, state: State) -> Dict[str, float]:
         return _node_scores_for(self.cost_model, self.task, state, self._node_scores_cache)
 
-    def _select_parent(self, population: List[State], probabilities: np.ndarray) -> State:
-        idx = int(self.rng.choice(len(population), p=probabilities))
-        return population[idx]
+    def _select_parent(self, population: List[State], cdf: np.ndarray) -> State:
+        return population[int(cdf.searchsorted(self.rng.random(), side="right"))]
 
     def _score_population(
         self, population: List[State], score_cache: Dict[str, float]
@@ -161,12 +183,7 @@ class EvolutionarySearch:
             if generation == options.num_generations:
                 break
 
-            # Selection probabilities proportional to fitness.
-            shifted = scores - scores.min()
-            if shifted.sum() <= 0:
-                probabilities = np.full(len(population), 1.0 / len(population))
-            else:
-                probabilities = shifted / shifted.sum()
+            cdf = _selection_cdf(scores)
 
             elite_count = max(1, int(options.elite_fraction * options.population_size))
             elite_idx = np.argsort(-scores)[:elite_count]
@@ -178,11 +195,11 @@ class EvolutionarySearch:
             while len(next_population) < options.population_size and attempts < max_attempts:
                 attempts += 1
                 if self.rng.random() < options.mutation_prob or len(population) < 2:
-                    parent = self._select_parent(population, probabilities)
+                    parent = self._select_parent(population, cdf)
                     child = random_mutation(parent, self.rng, self.space, replays=replays)
                 else:
-                    parent_a = self._select_parent(population, probabilities)
-                    parent_b = self._select_parent(population, probabilities)
+                    parent_a = self._select_parent(population, cdf)
+                    parent_b = self._select_parent(population, cdf)
                     if parent_a is parent_b:
                         child = random_mutation(parent_a, self.rng, self.space, replays=replays)
                     else:

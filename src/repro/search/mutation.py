@@ -9,6 +9,7 @@ Offspring that fail to replay into a valid program are rejected (the paper's
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -74,6 +75,10 @@ def mutate_tile_size(
     Pick one concrete split step, divide one of its parts by a random factor
     and multiply another part by the same factor.  The product of the tile
     sizes is preserved, so the mutated program is always valid.
+
+    The implicit outer part comes from the extent the parent's own split
+    step recorded when it was applied (``SplitStep.extent``); a parent whose
+    chosen split was never applied raises ``ValueError``.
     """
     steps = [s.copy() for s in state.transform_steps]
     split_ids = [
@@ -86,24 +91,11 @@ def mutate_tile_size(
     target_idx = int(rng.choice(split_ids))
     target = steps[target_idx]
     assert isinstance(target, SplitStep)
-    # Reconstruct the full extent of the original iterator to derive the
-    # implicit outer part.
-    scratch = state.dag.init_state()
-    outer = None
-    for i, step in enumerate(state.transform_steps):
-        if i == target_idx:
-            stage = scratch.stage(target.stage_name)
-            extent = stage.iters[target.iter_id].extent
-            inner = 1
-            for length in target.concrete_lengths():
-                inner *= length
-            outer = extent // inner
-            break
-        scratch.apply_step(step.copy())
-    if outer is None:
-        return None
-
-    parts = [outer] + list(target.concrete_lengths())
+    extent = state.transform_steps[target_idx].extent
+    if extent is None:
+        raise ValueError(f"split step {target_idx} of the parent was never applied: no recorded extent")
+    lengths = target.concrete_lengths()
+    parts = [extent // math.prod(lengths)] + lengths
     candidates = [i for i, p in enumerate(parts) if p > 1]
     if not candidates:
         return None

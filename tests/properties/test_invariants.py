@@ -7,6 +7,9 @@ The invariants checked here are the ones the whole search relies on:
 * schedule transformations never change which buffers a program reads or
   writes,
 * tile-size mutation preserves the iteration space,
+* every applied split step records the extent a fresh replay of the steps
+  before it gives, and that record changes neither the step's
+  serialization nor the program's fingerprint,
 * the GBDT handles arbitrary regression data without crashing and predicts
   finite values, and its trainer grows the same trees as the per-feature
   reference trainer.
@@ -22,10 +25,15 @@ from repro.codegen.lowering import lower_state
 from repro.cost_model.features import extract_program_features
 from repro.cost_model.gbdt import GBDTRegressor
 from repro.hardware import CostSimulator, intel_cpu
+from repro.ir.state import steps_fingerprint
+from repro.ir.steps import SplitStep
 from repro.search import (
+    BeamSearchPolicy,
     generate_sketches,
     mutate_tile_size,
+    node_based_crossover,
     random_factor_split,
+    random_mutation,
     sample_complete_program,
 )
 from repro.task import SearchTask
@@ -108,6 +116,56 @@ def test_tile_mutation_preserves_iteration_space(seed):
         return
     name = "C.cache" if child.has_stage("C.cache") else "C"
     assert child.stage(name).iteration_count() == 64 ** 3
+
+
+class _RecordingBeam(BeamSearchPolicy):
+    """Beam search that keeps every candidate set it prunes."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.pruned = []
+
+    def _prune(self, candidates):
+        self.pruned.extend(candidates)
+        return super()._prune(candidates)
+
+
+def _assert_recorded_extents(state):
+    scratch = state.dag.init_state()
+    for step in state.transform_steps:
+        if isinstance(step, SplitStep):
+            assert step.extent == scratch.stage(step.stage_name).iters[step.iter_id].extent
+            clone = step.copy()
+            assert clone.extent is None
+            assert step.to_dict() == clone.to_dict()
+            assert "extent" not in step.to_dict()
+        scratch.apply_step(step.copy())
+    unapplied = [step.copy() for step in state.transform_steps]
+    assert state.fingerprint() == steps_fingerprint(unapplied) == scratch.fingerprint()
+
+
+@given(m=_SIZES, n=_SIZES, k=_SIZES, seed=st.integers(0, 100))
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_split_steps_record_the_extent_a_prefix_replay_gives(m, n, k, seed):
+    task = SearchTask(_matmul_relu(m, n, k), intel_cpu())
+    rng = np.random.default_rng(seed)
+    sketches = generate_sketches(task)
+    programs = [sample_complete_program(task, sketches, rng) for _ in range(2)]
+    bred = []
+    for parent in programs:
+        for _ in range(3):
+            parent = random_mutation(parent, rng)
+            if parent is None:
+                break
+            bred.append(parent)
+    for _ in range(3):
+        bred.append(node_based_crossover(programs[0], programs[1], {}, {}, rng))
+    beam = _RecordingBeam(task, beam_width=2, expansions_per_decision=2, seed=seed)
+    beam._construct_candidates()
+    assert beam.pruned
+    for state in sketches + programs + bred + beam.pruned:
+        if state is not None:
+            _assert_recorded_extents(state)
 
 
 @given(seed=st.integers(0, 200))

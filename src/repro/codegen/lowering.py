@@ -319,6 +319,9 @@ def _shrink_attached_nest(nest: StageNest, parent: StageNest, attach_index: int)
       fusion: relu / bias-add / cache-copy attached into the tiled producer);
     * the attached stage *produces* a tensor the parent reads (a producer
       computed at the consumer's tiles).
+
+    The nest's loops become private copies first: the stage's iterators are
+    shared with every state that holds the stage.
     """
     nest.loops = [loop.copy() for loop in nest.loops]
     parent_op = parent.stage.op
@@ -365,10 +368,12 @@ def _shrink_attached_nest(nest: StageNest, parent: StageNest, attach_index: int)
 # validation, feature extraction, the simulator, the printer, node scoring),
 # and a lowered program lives exactly as long as the state that holds it:
 # ``State.apply_step`` drops the memo, and pickled states travel without it.
-# Lowering reads a private snapshot of the state (and the nests copy their
-# iterators), so later in-place steps on the state never leak into a
-# program lowered earlier.  No lock is needed: threads that race to lower
-# one state each compute the same program, and the last assignment wins.
+# Lowering reads a snapshot of the state's stage and step lists.  Stages and
+# iterators are values that no step writes (a step puts new versions into
+# the state's list), and the nests shrink only their own iterator copies, so
+# later steps on the state never leak into a program lowered earlier.  No
+# lock is needed: threads that race to lower one state each compute the
+# same program, and the last assignment wins.
 def lower_state(state: State, use_cache: bool = True) -> LoweredProgram:
     """Lower a state into its loop-nest program description, memoized on
     the state (``use_cache=False`` lowers afresh and leaves the memo
@@ -382,10 +387,9 @@ def lower_state(state: State, use_cache: bool = True) -> LoweredProgram:
 
 
 def _lower_state_uncached(state: State) -> LoweredProgram:
-    # Lower a private snapshot: the program (its ``.state``, nest stages and
-    # iterators) must stay consistent even if the source state is mutated in
-    # place after it was lowered.
-    state = state.copy()
+    # The program's ``.state`` is a snapshot of the lists: later steps on the
+    # source state replace entries of its lists, never the stages themselves.
+    state = State(state.dag, list(state.stages), state.transform_steps)
     nests: Dict[str, StageNest] = {}
     for stage in state.stages:
         if stage.is_placeholder() or stage.is_inlined():

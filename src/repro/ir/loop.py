@@ -1,10 +1,16 @@
 """Loop-nest building blocks: iterators and stages.
 
 A :class:`Stage` is the schedulable unit corresponding to one operation of
-the computation DAG.  It owns an ordered list of :class:`Iterator` objects
-(the loop nest, outermost first) plus a *compute location* describing where
-the stage's loop nest is placed (at root, inlined into its consumer, or
-nested at a given loop of another stage).
+the computation DAG.  It holds a tuple of :class:`Iterator` objects (the
+loop nest, outermost first) plus a *compute location* describing where the
+stage's loop nest is placed (at root, inlined into its consumer, or nested
+at a given loop of another stage).
+
+Stages, iterators and compute locations are values: nothing writes them
+after construction.  A transform step puts a new version of the stage it
+changes into its state (:meth:`Stage.replace`), and that version shares
+every iterator the step left alone.  So states share stages freely: a
+copied state and a child bred from a parent hold the very same objects.
 
 Iterators remember which original axes they derive from and with what
 stride.  That bookkeeping is what lets the lowering pass reconstruct memory
@@ -13,8 +19,7 @@ access strides after arbitrary split / fuse / reorder sequences.
 
 from __future__ import annotations
 
-import copy
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..te.operation import ComputeOp, Operation, PlaceholderOp
 from ..te.tensor import IterVar
@@ -26,7 +31,7 @@ ANNOTATIONS = ("none", "parallel", "vectorize", "unroll")
 
 
 class Iterator:
-    """One loop of a stage's loop nest.
+    """One loop of a stage's loop nest (a value: see the module docstring).
 
     Attributes
     ----------
@@ -68,6 +73,7 @@ class Iterator:
         self.axis_strides = dict(axis_strides or {})
 
     def copy(self) -> "Iterator":
+        """A private duplicate, for lowering to shrink to a tile."""
         return Iterator(self.name, self.extent, self.kind, self.annotation, dict(self.axis_strides))
 
     def is_spatial(self) -> bool:
@@ -82,7 +88,8 @@ class Iterator:
 
 
 class ComputeLocation:
-    """Where a stage's loop nest is placed."""
+    """Where a stage's loop nest is placed (a value: see the module
+    docstring)."""
 
     ROOT = "root"
     INLINED = "inlined"
@@ -107,48 +114,69 @@ class ComputeLocation:
     def at(cls, stage_name: str, iter_index: int) -> "ComputeLocation":
         return cls(cls.AT, stage_name, iter_index)
 
-    def copy(self) -> "ComputeLocation":
-        return ComputeLocation(self.kind, self.target_stage, self.target_iter)
-
     def __repr__(self) -> str:
         if self.kind == self.AT:
             return f"ComputeLocation(at {self.target_stage}[{self.target_iter}])"
         return f"ComputeLocation({self.kind})"
 
 
+_ROOT = ComputeLocation.root()
+
+
 class Stage:
-    """The schedulable loop nest of one operation."""
+    """The schedulable loop nest of one operation (a value: see the module
+    docstring).  ``iters`` is a tuple, so an in-place edit fails loudly."""
 
     __slots__ = ("name", "op", "iters", "compute_location", "auto_unroll_max_step", "is_cache_stage", "is_rfactor_stage")
 
-    def __init__(self, name: str, op: Operation, iters: List[Iterator]):
+    def __init__(
+        self,
+        name: str,
+        op: Operation,
+        iters: Sequence[Iterator],
+        compute_location: ComputeLocation = _ROOT,
+        auto_unroll_max_step: int = 0,
+        is_cache_stage: bool = False,
+        is_rfactor_stage: bool = False,
+    ):
         self.name = name
         self.op = op
-        self.iters = iters
-        self.compute_location = ComputeLocation.root()
-        self.auto_unroll_max_step = 0
-        self.is_cache_stage = False
-        self.is_rfactor_stage = False
+        self.iters = tuple(iters)
+        self.compute_location = compute_location
+        self.auto_unroll_max_step = auto_unroll_max_step
+        self.is_cache_stage = is_cache_stage
+        self.is_rfactor_stage = is_rfactor_stage
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_op(cls, op: Operation) -> "Stage":
-        """Create the naive stage for an operation (one loop per axis)."""
+    def from_op(cls, op: Operation, **fields) -> "Stage":
+        """Create the naive stage for an operation (one loop per axis);
+        ``fields`` are the other constructor arguments."""
         iters: List[Iterator] = []
         if isinstance(op, ComputeOp):
             for ax in op.axes:
                 iters.append(Iterator(ax.name, ax.extent, "spatial", axis_strides={ax.name: 1}))
             for ax in op.reduce_axes:
                 iters.append(Iterator(ax.name, ax.extent, "reduce", axis_strides={ax.name: 1}))
-        return cls(op.name, op, iters)
+        return cls(op.name, op, iters, **fields)
 
-    def copy(self) -> "Stage":
-        new = Stage(self.name, self.op, [it.copy() for it in self.iters])
-        new.compute_location = self.compute_location.copy()
-        new.auto_unroll_max_step = self.auto_unroll_max_step
-        new.is_cache_stage = self.is_cache_stage
-        new.is_rfactor_stage = self.is_rfactor_stage
-        return new
+    def replace(
+        self,
+        iters: Optional[Sequence[Iterator]] = None,
+        compute_location: Optional[ComputeLocation] = None,
+        auto_unroll_max_step: Optional[int] = None,
+    ) -> "Stage":
+        """A new version of this stage with the given fields changed; it
+        shares everything else with this one."""
+        return Stage(
+            self.name,
+            self.op,
+            self.iters if iters is None else iters,
+            self.compute_location if compute_location is None else compute_location,
+            self.auto_unroll_max_step if auto_unroll_max_step is None else auto_unroll_max_step,
+            self.is_cache_stage,
+            self.is_rfactor_stage,
+        )
 
     # ------------------------------------------------------------------
     def is_placeholder(self) -> bool:

@@ -6,6 +6,14 @@ result of applying its ``transform_steps`` to the initial naive program of
 its :class:`~repro.te.dag.ComputeDAG`, so a state can be reconstructed from
 ``(dag, transform_steps)`` alone; that is what the tuning-log records store
 and what node-based crossover recombines.
+
+Stages and iterators are values (see :mod:`repro.ir.loop`): a step replaces
+the stages it changes in its own state's list.  So :meth:`State.copy` and
+:meth:`State.from_dag` copy lists of pointers, and a state shares every
+stage with the states it was copied or bred from.  A state that
+:meth:`State.from_dag` starts also records its stages after each step, and
+:meth:`State.from_steps` rebuilds a child from its parent's record at the
+first step the child changed, replaying only the steps from there on.
 """
 
 from __future__ import annotations
@@ -47,31 +55,70 @@ class State:
         self.transform_steps: List[Step] = list(transform_steps or [])
         self._fingerprint: Optional[str] = None
         self._lowered = None  # memo of repro.codegen.lowering.lower_state
+        #: memo: ``_trail[k]`` is the stage tuple after the first ``k``
+        #: steps (``None`` unless :meth:`from_dag` started this state)
+        self._trail: Optional[List[Tuple[Stage, ...]]] = None
 
     def __getstate__(self) -> dict:
-        # The lowered program is a memo: pickles (e.g. the RpcBuilder's
-        # payloads) never carry it, and the receiver lowers on demand.
-        return {**self.__dict__, "_lowered": None}
+        # The lowered program and the stage record are memos: pickles (e.g.
+        # the RpcBuilder's payloads) never carry them, the receiver lowers
+        # on demand, and its children replay from the DAG.
+        return {**self.__dict__, "_lowered": None, "_trail": None}
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
     def from_dag(cls, dag: ComputeDAG) -> "State":
-        """The initial naive program: one stage per op, one loop per axis."""
-        stages = [Stage.from_op(op) for op in dag.ops]
-        return cls(dag, stages)
+        """The initial naive program: one stage per op, one loop per axis.
+
+        The stages come from a template the DAG builds once and keeps (out
+        of its pickles).  Threads that race to build it build equal ones,
+        and the last assignment wins, so it needs no lock."""
+        template = dag._stage_template
+        if template is None:
+            template = dag._stage_template = tuple(Stage.from_op(op) for op in dag.ops)
+        state = cls(dag, list(template))
+        state._trail = [template]
+        return state
 
     def copy(self) -> "State":
-        new = State(self.dag, [s.copy() for s in self.stages], list(self.transform_steps))
+        """A state with the same stages and steps, free to take new steps:
+        it copies the two lists, and shares every stage and step in them."""
+        new = State(self.dag, list(self.stages), self.transform_steps)
         new._fingerprint = self._fingerprint
         return new
 
     @classmethod
-    def from_steps(cls, dag: ComputeDAG, steps: Sequence[Step]) -> "State":
-        """Replay a recorded step list onto a fresh initial state."""
-        state = cls.from_dag(dag)
-        for step in steps:
+    def from_steps(
+        cls, dag: ComputeDAG, steps: Sequence[Step], *, parent: Optional["State"] = None, start: int = 0
+    ) -> "State":
+        """Replay a step list onto the initial state of ``dag``.
+
+        A child bred from ``parent`` passes ``start``, the index of the
+        first step it changed: ``steps[:start]`` must be the parent's own
+        first ``start`` step objects (``ValueError`` otherwise).  The child
+        then starts from the stages the parent recorded after those steps,
+        which keep their recorded ``SplitStep.extent``, and applies only
+        ``steps[start:]``.  A parent without a record (unpickled, or not
+        started by :meth:`from_dag`) replays copies of the prefix instead,
+        so the parent's steps are never applied twice."""
+        steps = list(steps)
+        if start:
+            own = [] if parent is None or parent.dag is not dag else parent.transform_steps
+            if start > min(len(own), len(steps)) or any(
+                mine is not theirs for mine, theirs in zip(steps[:start], own)
+            ):
+                raise ValueError(f"the first {start} steps are not the parent's own step objects")
+            if parent._trail is None:
+                steps[:start] = [step.copy() for step in steps[:start]]
+                start = 0
+        if start:
+            state = cls(dag, list(parent._trail[start]), steps[:start])
+            state._trail = parent._trail[:start + 1]
+        else:
+            state = cls.from_dag(dag)
+        for step in steps[start:]:
             state.apply_step(step)
         return state
 
@@ -129,6 +176,8 @@ class State:
         self.transform_steps.append(step)
         self._fingerprint = None
         self._lowered = None
+        if self._trail is not None:
+            self._trail.append(tuple(self.stages))
         return self
 
     # Internal helpers used by steps --------------------------------------
@@ -137,26 +186,28 @@ class State:
         ``stage_name`` were inserted (positive delta) or removed (negative)."""
         if delta == 0:
             return
-        for stage in self.stages:
-            loc = stage.compute_location
-            if loc.kind != ComputeLocation.AT or loc.target_stage != stage_name:
-                continue
+        removed = -delta
+
+        def shifted(target_iter: int) -> int:
             if delta > 0:
-                if loc.target_iter > first_index:
-                    loc.target_iter += delta
-            else:
-                removed = -delta
-                if first_index < loc.target_iter <= first_index + removed:
-                    loc.target_iter = first_index
-                elif loc.target_iter > first_index + removed:
-                    loc.target_iter += delta
+                return target_iter + delta if target_iter > first_index else target_iter
+            if first_index < target_iter <= first_index + removed:
+                return first_index
+            return target_iter + delta if target_iter > first_index + removed else target_iter
+
+        self.remap_attached_iters(stage_name, shifted)
 
     def remap_attached_iters(self, stage_name: str, mapping: Callable[[int], int]) -> None:
-        """Remap compute_at anchors of other stages through ``mapping``."""
-        for stage in self.stages:
+        """Remap compute_at anchors of other stages through ``mapping``,
+        replacing each stage whose anchor moves."""
+        for index, stage in enumerate(self.stages):
             loc = stage.compute_location
             if loc.kind == ComputeLocation.AT and loc.target_stage == stage_name:
-                loc.target_iter = mapping(loc.target_iter)
+                target_iter = mapping(loc.target_iter)
+                if target_iter != loc.target_iter:
+                    self.stages[index] = stage.replace(
+                        compute_location=ComputeLocation.at(stage_name, target_iter)
+                    )
 
     # ------------------------------------------------------------------
     # Schedule primitives (each records and applies one step)
@@ -238,9 +289,10 @@ class State:
         replay caches and the search-level dedup sets.  It is a fixed-width
         hex digest (not the raw serialized steps) so those keys stay small.
         It is computed once and invalidated whenever a step is appended;
-        steps themselves must never be mutated in place on a live state (the
-        evolution operators always copy steps before editing, and replay
-        the copies).  The one write :meth:`apply_step` makes to a step is a
+        steps themselves must never be mutated in place on a live state.
+        The evolution operators share the parent's steps before the first
+        one they change, and copy (then edit and replay) the steps from
+        there on.  The one write :meth:`apply_step` makes to a step is a
         split's recorded ``SplitStep.extent``, which follows from the steps
         before it and is not part of the digest.
         """

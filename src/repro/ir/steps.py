@@ -11,6 +11,10 @@ Steps reference stages by *name* (stable across stage insertion) and
 iterators by *index at application time* (stable because replay happens in
 the original order).
 
+Applying a step never edits a stage: it puts a new version of each stage it
+changes into the state (:meth:`~repro.ir.loop.Stage.replace`), so states
+that share a stage never see each other's steps.
+
 Split steps may carry ``None`` placeholders as lengths: sketches (§4.1) fix
 the tile *structure* but not the tile *sizes*; the random annotation pass
 (§4.2) and the evolution operators (§5.1) fill in or mutate the concrete
@@ -50,7 +54,7 @@ class Step:
     kind = "step"
 
     def apply_to(self, state) -> None:
-        """Mutate ``state`` in place."""
+        """Put new versions of the stages this step changes into ``state``."""
         raise NotImplementedError
 
     def to_dict(self) -> dict:
@@ -129,7 +133,8 @@ class SplitStep(Step):
         return [1 if l is None else int(l) for l in self.lengths]
 
     def apply_to(self, state) -> None:
-        stage = state.stage(self.stage_name)
+        index = state.stage_index(self.stage_name)
+        stage = state.stages[index]
         if not (0 <= self.iter_id < len(stage.iters)):
             raise IndexError(f"split: iterator index {self.iter_id} out of range in stage {self.stage_name!r}")
         it = stage.iters[self.iter_id]
@@ -151,7 +156,10 @@ class SplitStep(Step):
             new_iters.append(
                 Iterator(f"{it.name}.{part}", extent, it.kind, "none", strides)
             )
-        stage.iters[self.iter_id: self.iter_id + 1] = new_iters
+        iters = stage.iters
+        state.stages[index] = stage.replace(
+            iters=iters[:self.iter_id] + tuple(new_iters) + iters[self.iter_id + 1:]
+        )
         state.shift_attached_iters(self.stage_name, self.iter_id, len(new_iters) - 1)
 
     def copy(self) -> "SplitStep":
@@ -182,7 +190,8 @@ class FuseStep(Step):
         self.iter_ids = ids
 
     def apply_to(self, state) -> None:
-        stage = state.stage(self.stage_name)
+        index = state.stage_index(self.stage_name)
+        stage = state.stages[index]
         if self.iter_ids[-1] >= len(stage.iters):
             raise IndexError(f"fuse: iterator indices {self.iter_ids} out of range in {self.stage_name!r}")
         parts = [stage.iters[i] for i in self.iter_ids]
@@ -204,7 +213,8 @@ class FuseStep(Step):
         name = "@".join(p.name for p in parts)
         fused = Iterator(name, extent, kind, "none", strides)
         first = self.iter_ids[0]
-        stage.iters[first: self.iter_ids[-1] + 1] = [fused]
+        iters = stage.iters
+        state.stages[index] = stage.replace(iters=iters[:first] + (fused,) + iters[self.iter_ids[-1] + 1:])
         state.shift_attached_iters(self.stage_name, first, -(len(parts) - 1))
 
     def to_dict(self) -> dict:
@@ -227,13 +237,14 @@ class ReorderStep(Step):
         self.order = [int(i) for i in order]
 
     def apply_to(self, state) -> None:
-        stage = state.stage(self.stage_name)
+        index = state.stage_index(self.stage_name)
+        stage = state.stages[index]
         if sorted(self.order) != list(range(len(stage.iters))):
             raise ValueError(
                 f"reorder of stage {self.stage_name!r} must be a permutation of "
                 f"0..{len(stage.iters) - 1}, got {self.order}"
             )
-        stage.iters = [stage.iters[i] for i in self.order]
+        state.stages[index] = stage.replace(iters=[stage.iters[i] for i in self.order])
         order = list(self.order)
         state.remap_attached_iters(self.stage_name, lambda old: order.index(old) if old in order else old)
 
@@ -257,10 +268,14 @@ class AnnotationStep(Step):
         self.annotation = annotation
 
     def apply_to(self, state) -> None:
-        stage = state.stage(self.stage_name)
+        index = state.stage_index(self.stage_name)
+        stage = state.stages[index]
         if not (0 <= self.iter_id < len(stage.iters)):
             raise IndexError(f"annotate: iterator index {self.iter_id} out of range in {self.stage_name!r}")
-        stage.iters[self.iter_id].annotation = self.annotation
+        iters = stage.iters
+        it = iters[self.iter_id]
+        annotated = Iterator(it.name, it.extent, it.kind, self.annotation, it.axis_strides)
+        state.stages[index] = stage.replace(iters=iters[:self.iter_id] + (annotated,) + iters[self.iter_id + 1:])
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "stage": self.stage_name, "iter": self.iter_id, "annotation": self.annotation}
@@ -282,11 +297,10 @@ class PragmaStep(Step):
         self.value = int(value)
 
     def apply_to(self, state) -> None:
-        stage = state.stage(self.stage_name)
-        if self.pragma == "auto_unroll_max_step":
-            stage.auto_unroll_max_step = self.value
-        else:
+        index = state.stage_index(self.stage_name)
+        if self.pragma != "auto_unroll_max_step":
             raise ValueError(f"unknown pragma {self.pragma!r}")
+        state.stages[index] = state.stages[index].replace(auto_unroll_max_step=self.value)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "stage": self.stage_name, "pragma": self.pragma, "value": self.value}
@@ -308,13 +322,15 @@ class ComputeAtStep(Step):
         self.target_iter = int(target_iter)
 
     def apply_to(self, state) -> None:
-        stage = state.stage(self.stage_name)
+        index = state.stage_index(self.stage_name)
         target = state.stage(self.target_stage)
         if not (0 <= self.target_iter < len(target.iters)):
             raise IndexError(
                 f"compute_at: iterator index {self.target_iter} out of range in {self.target_stage!r}"
             )
-        stage.compute_location = ComputeLocation.at(self.target_stage, self.target_iter)
+        state.stages[index] = state.stages[index].replace(
+            compute_location=ComputeLocation.at(self.target_stage, self.target_iter)
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -339,8 +355,8 @@ class ComputeInlineStep(Step):
         self.stage_name = stage_name
 
     def apply_to(self, state) -> None:
-        stage = state.stage(self.stage_name)
-        stage.compute_location = ComputeLocation.inlined()
+        index = state.stage_index(self.stage_name)
+        state.stages[index] = state.stages[index].replace(compute_location=ComputeLocation.inlined())
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "stage": self.stage_name}
@@ -360,8 +376,8 @@ class ComputeRootStep(Step):
         self.stage_name = stage_name
 
     def apply_to(self, state) -> None:
-        stage = state.stage(self.stage_name)
-        stage.compute_location = ComputeLocation.root()
+        index = state.stage_index(self.stage_name)
+        state.stages[index] = state.stages[index].replace(compute_location=ComputeLocation.root())
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "stage": self.stage_name}
@@ -388,7 +404,8 @@ class CacheWriteStep(Step):
         self.stage_name = stage_name
 
     def apply_to(self, state) -> None:
-        stage = state.stage(self.stage_name)
+        index = state.stage_index(self.stage_name)
+        stage = state.stages[index]
         op = stage.op
         if not isinstance(op, ComputeOp):
             raise ValueError(f"cache_write target {self.stage_name!r} is not a compute op")
@@ -407,14 +424,9 @@ class CacheWriteStep(Step):
         copy_body = TensorRead(cache_op.output, [ax.var for ax in copy_axes])
         copy_op = ComputeOp(op.name, axes=copy_axes, reduce_axes=[], body=copy_body, tag="cache_copy")
 
-        cache_stage = Stage.from_op(cache_op)
-        cache_stage.is_cache_stage = True
-        copy_stage = Stage.from_op(copy_op)
-        copy_stage.compute_location = stage.compute_location.copy()
-
-        index = state.stage_index(self.stage_name)
-        state.stages[index] = copy_stage
-        state.stages.insert(index, cache_stage)
+        cache_stage = Stage.from_op(cache_op, is_cache_stage=True)
+        copy_stage = Stage.from_op(copy_op, compute_location=stage.compute_location)
+        state.stages[index:index + 1] = [cache_stage, copy_stage]
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "stage": self.stage_name}
@@ -441,7 +453,8 @@ class RfactorStep(Step):
         self.iter_id = int(iter_id)
 
     def apply_to(self, state) -> None:
-        stage = state.stage(self.stage_name)
+        index = state.stage_index(self.stage_name)
+        stage = state.stages[index]
         op = stage.op
         if not isinstance(op, ComputeOp):
             raise ValueError(f"rfactor target {self.stage_name!r} is not a compute op")
@@ -479,14 +492,9 @@ class RfactorStep(Step):
         )
         final_op = ComputeOp(op.name, axes=list(op.axes), reduce_axes=[final_reduce], body=final_body, tag=op.tag)
 
-        rf_stage = Stage.from_op(rf_op)
-        rf_stage.is_rfactor_stage = True
-        final_stage = Stage.from_op(final_op)
-        final_stage.compute_location = stage.compute_location.copy()
-
-        index = state.stage_index(self.stage_name)
-        state.stages[index] = final_stage
-        state.stages.insert(index, rf_stage)
+        rf_stage = Stage.from_op(rf_op, is_rfactor_stage=True)
+        final_stage = Stage.from_op(final_op, compute_location=stage.compute_location)
+        state.stages[index:index + 1] = [rf_stage, final_stage]
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "stage": self.stage_name, "iter": self.iter_id}

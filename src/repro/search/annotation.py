@@ -56,7 +56,7 @@ def random_factor_split(
         divisors = _divisors(remaining)
         if part == n_inner - 1:
             divisors = [d for d in divisors if d <= max_innermost] or [1]
-        choice = int(rng.choice(divisors))
+        choice = divisors[int(rng.integers(len(divisors)))]  # as rng.choice(divisors)
         lengths.append(choice)
         remaining //= choice
     # Lengths were sampled outermost-inner first; SplitStep expects them in
@@ -165,7 +165,7 @@ def _annotate_unroll(
     if not isinstance(op, ComputeOp) or not op.reduce_axes:
         return
     candidates = options.auto_unroll_candidates
-    value = int(rng.choice(candidates))
+    value = int(candidates[int(rng.integers(len(candidates)))])  # as rng.choice(candidates)
     if value > 0:
         state.pragma(stage.name, "auto_unroll_max_step", value)
 

@@ -5,12 +5,16 @@ which are its genes.  Mutations rewrite one decision in the step list and
 replay; crossover recombines the per-node step groups of two parents.
 Offspring that fail to replay into a valid program are rejected (the paper's
 "Ansor further verifies the merged programs").
+
+A child shares its parent's steps before the first step it changes, and
+copies the rest: :meth:`~repro.ir.state.State.from_steps` starts it from the
+stages the parent recorded at that step and replays only the copies.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,17 +40,22 @@ __all__ = [
 Replays = Dict[str, Optional[State]]
 
 
-def _try_replay(dag, steps: List[Step], *, replays: Optional[Replays] = None) -> Optional[State]:
+def _try_replay(
+    dag, steps: List[Step], *, replays: Optional[Replays] = None,
+    parent: Optional[State] = None, start: int = 0,
+) -> Optional[State]:
     """Replay a step list and validate the result; ``None`` when invalid.
 
     Takes ownership of ``steps`` (the new state holds these very objects),
-    so callers pass a private copy.  A step list already in ``replays``
-    returns its recorded outcome without replaying or lowering again."""
+    so callers pass ``parent``'s own first ``start`` steps and private
+    copies of the rest (see :meth:`State.from_steps`).  A step list already
+    in ``replays`` returns its recorded outcome without replaying or
+    lowering again."""
     key = steps_fingerprint(steps)
     if replays is not None and key in replays:
         return replays[key]
     try:
-        state = State.from_steps(dag, steps)
+        state = State.from_steps(dag, steps, parent=parent, start=start)
         lower_state(state)  # validates structural consistency
     except Exception:
         state = None
@@ -59,6 +68,18 @@ def _try_replay(dag, steps: List[Step], *, replays: Optional[Replays] = None) ->
 
 def _divisors(n: int) -> List[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _draw(seq: Sequence, rng: np.random.Generator):
+    """A uniformly drawn element of ``seq``: the value and generator state
+    ``rng.choice(seq)`` gives, in a fraction of the time."""
+    return seq[int(rng.integers(len(seq)))]
+
+
+def _steps_from(state: State, index: int) -> List[Step]:
+    """The parent's own steps before ``index``, then copies of the rest."""
+    steps = state.transform_steps
+    return steps[:index] + [step.copy() for step in steps[index:]]
 
 
 # ---------------------------------------------------------------------------
@@ -80,38 +101,36 @@ def mutate_tile_size(
     step recorded when it was applied (``SplitStep.extent``); a parent whose
     chosen split was never applied raises ``ValueError``.
     """
-    steps = [s.copy() for s in state.transform_steps]
     split_ids = [
         i
-        for i, s in enumerate(steps)
+        for i, s in enumerate(state.transform_steps)
         if isinstance(s, SplitStep) and not s.is_placeholder and len(s.lengths) >= 1
     ]
     if not split_ids:
         return None
-    target_idx = int(rng.choice(split_ids))
-    target = steps[target_idx]
-    assert isinstance(target, SplitStep)
-    extent = state.transform_steps[target_idx].extent
+    target_idx = _draw(split_ids, rng)
+    split = state.transform_steps[target_idx]
+    extent = split.extent
     if extent is None:
         raise ValueError(f"split step {target_idx} of the parent was never applied: no recorded extent")
-    lengths = target.concrete_lengths()
+    lengths = split.concrete_lengths()
     parts = [extent // math.prod(lengths)] + lengths
     candidates = [i for i, p in enumerate(parts) if p > 1]
     if not candidates:
         return None
-    src = int(rng.choice(candidates))
-    dst_choices = [i for i in range(len(parts)) if i != src]
-    dst = int(rng.choice(dst_choices))
+    src = _draw(candidates, rng)
+    dst = _draw([i for i in range(len(parts)) if i != src], rng)
     divisors = [d for d in _divisors(parts[src]) if d > 1]
     if not divisors:
         return None
-    factor = int(rng.choice(divisors))
+    factor = _draw(divisors, rng)
     parts[src] //= factor
     parts[dst] *= factor
     if parts[-1] > options.max_innermost_split_factor:
         return None
-    target.lengths = parts[1:]
-    return _try_replay(state.dag, steps, replays=replays)
+    steps = _steps_from(state, target_idx)
+    steps[target_idx].lengths = parts[1:]
+    return _try_replay(state.dag, steps, replays=replays, parent=state, start=target_idx)
 
 
 def mutate_auto_unroll(
@@ -119,17 +138,17 @@ def mutate_auto_unroll(
     *, replays: Optional[Replays] = None,
 ) -> Optional[State]:
     """Change the value of one auto_unroll_max_step pragma."""
-    steps = [s.copy() for s in state.transform_steps]
-    pragma_ids = [i for i, s in enumerate(steps) if isinstance(s, PragmaStep)]
+    pragma_ids = [i for i, s in enumerate(state.transform_steps) if isinstance(s, PragmaStep)]
     if not pragma_ids:
         return None
-    target = steps[int(rng.choice(pragma_ids))]
-    assert isinstance(target, PragmaStep)
-    choices = [c for c in options.auto_unroll_candidates if c != target.value]
+    target_idx = _draw(pragma_ids, rng)
+    value = state.transform_steps[target_idx].value
+    choices = [c for c in options.auto_unroll_candidates if c != value]
     if not choices:
         return None
-    target.value = int(rng.choice(choices))
-    return _try_replay(state.dag, steps, replays=replays)
+    steps = _steps_from(state, target_idx)
+    steps[target_idx].value = int(_draw(choices, rng))
+    return _try_replay(state.dag, steps, replays=replays, parent=state, start=target_idx)
 
 
 def mutate_parallel_degree(
@@ -141,14 +160,14 @@ def mutate_parallel_degree(
     Change the number of loop levels fused into the parallel loop by one,
     either coarsening (fuse one more level) or refining (drop one level).
     """
-    steps = [s.copy() for s in state.transform_steps]
+    own = state.transform_steps
     # Find fuse steps whose stage later receives a parallel annotation on
     # iterator 0 — those are the parallel fusions created by annotation.
     candidates = []
-    for i, step in enumerate(steps):
+    for i, step in enumerate(own):
         if not isinstance(step, FuseStep) or step.iter_ids[0] != 0:
             continue
-        for later in steps[i + 1:]:
+        for later in own[i + 1:]:
             if (
                 isinstance(later, AnnotationStep)
                 and later.stage_name == step.stage_name
@@ -159,14 +178,14 @@ def mutate_parallel_degree(
                 break
     if not candidates:
         return None
-    idx = int(rng.choice(candidates))
+    idx = _draw(candidates, rng)
+    steps = _steps_from(state, idx)
     fuse = steps[idx]
-    assert isinstance(fuse, FuseStep)
     if rng.random() < 0.5 and len(fuse.iter_ids) > 2:
         fuse.iter_ids = fuse.iter_ids[:-1]
     else:
         fuse.iter_ids = fuse.iter_ids + [fuse.iter_ids[-1] + 1]
-    return _try_replay(state.dag, steps, replays=replays)
+    return _try_replay(state.dag, steps, replays=replays, parent=state, start=idx)
 
 
 def mutate_compute_location(
@@ -176,17 +195,16 @@ def mutate_compute_location(
     """Move a compute_at attachment one loop up or down in its target stage."""
     if not options.enable_compute_location_change:
         return None
-    steps = [s.copy() for s in state.transform_steps]
-    at_ids = [i for i, s in enumerate(steps) if isinstance(s, ComputeAtStep)]
+    at_ids = [i for i, s in enumerate(state.transform_steps) if isinstance(s, ComputeAtStep)]
     if not at_ids:
         return None
-    target = steps[int(rng.choice(at_ids))]
-    assert isinstance(target, ComputeAtStep)
-    delta = int(rng.choice([-1, 1]))
-    if target.target_iter + delta < 0:
+    target_idx = _draw(at_ids, rng)
+    delta = _draw((-1, 1), rng)
+    if state.transform_steps[target_idx].target_iter + delta < 0:
         return None
-    target.target_iter += delta
-    return _try_replay(state.dag, steps, replays=replays)
+    steps = _steps_from(state, target_idx)
+    steps[target_idx].target_iter += delta
+    return _try_replay(state.dag, steps, replays=replays, parent=state, start=target_idx)
 
 
 MUTATION_OPERATORS: List[Tuple[Callable, float]] = [
@@ -195,6 +213,22 @@ MUTATION_OPERATORS: List[Tuple[Callable, float]] = [
     (mutate_parallel_degree, 0.15),
     (mutate_compute_location, 0.15),
 ]
+
+
+def _weights_cdf(operators: Sequence[Tuple[Callable, float]]) -> np.ndarray:
+    """The operators' weights as a normalized CDF: ``cdf.searchsorted(
+    rng.random(), side="right")`` is the index ``rng.choice(len(operators),
+    p=weights / weights.sum())`` draws."""
+    weights = np.array([w for _, w in operators])
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+#: the operators as defined here, and their CDF; a replaced or edited
+#: ``MUTATION_OPERATORS`` gets its own CDF per call
+_OPERATORS = tuple(MUTATION_OPERATORS)
+_OPERATOR_CDF = _weights_cdf(_OPERATORS)
 
 
 def random_mutation(
@@ -208,11 +242,10 @@ def random_mutation(
     """Apply one randomly chosen mutation operator; retry a few times.
 
     ``replays`` is the calling search's replay table (see ``_try_replay``)."""
-    operators = [op for op, _ in MUTATION_OPERATORS]
-    weights = np.array([w for _, w in MUTATION_OPERATORS])
-    weights = weights / weights.sum()
+    operators = MUTATION_OPERATORS
+    cdf = _OPERATOR_CDF if tuple(operators) == _OPERATORS else _weights_cdf(operators)
     for _ in range(max_attempts):
-        op = operators[int(rng.choice(len(operators), p=weights))]
+        op = operators[int(cdf.searchsorted(rng.random(), side="right"))][0]
         child = op(state, rng, options, replays=replays)
         if child is not None:
             return child
@@ -264,7 +297,8 @@ def node_based_crossover(
     (higher total score) provides the step ordering; the selected nodes'
     steps of the other parent are substituted in place.  The merged step list
     is replayed and validated; ``None`` is returned when the combination is
-    invalid.
+    invalid.  The child shares the primary parent's steps on the longest
+    prefix where the merged list serializes as the parent's does.
     """
     total_a = sum(node_scores_a.values())
     total_b = sum(node_scores_b.values())
@@ -294,7 +328,7 @@ def node_based_crossover(
     if not take_from_b:
         # Nothing to exchange; force a random node swap so crossover explores.
         if nodes:
-            take_from_b.add(rng.choice(sorted(nodes)))
+            take_from_b.add(_draw(sorted(nodes), rng))
 
     merged: List[Step] = []
     inserted_b_nodes = set()
@@ -305,13 +339,20 @@ def node_based_crossover(
                 inserted_b_nodes.add(node)
                 for other in parent_b.transform_steps:
                     if _node_of_step(other) == node:
-                        merged.append(other.copy())
+                        merged.append(other)
             continue
-        merged.append(step.copy())
+        merged.append(step)
     # Nodes present only in parent_b's history.
     for node in take_from_b - inserted_b_nodes:
         for other in parent_b.transform_steps:
             if _node_of_step(other) == node:
-                merged.append(other.copy())
+                merged.append(other)
 
-    return _try_replay(parent_a.dag, merged, replays=replays)
+    own = parent_a.transform_steps
+    shared = 0
+    for mine, theirs in zip(merged, own):
+        if mine is not theirs and mine.to_dict() != theirs.to_dict():
+            break
+        shared += 1
+    steps = own[:shared] + [step.copy() for step in merged[shared:]]
+    return _try_replay(parent_a.dag, steps, replays=replays, parent=parent_a, start=shared)

@@ -159,15 +159,16 @@ def multi_level_tiling(
     spatial_names = [it.name for it in stage.iters if it.is_spatial()]
     reduce_names = [it.name for it in stage.iters if it.is_reduce()]
 
-    # Split every axis (placeholder lengths).
+    # Split every axis (placeholder lengths).  Each split puts a new version
+    # of the stage into the state, so iterator indices come from the state.
     spatial_parts: List[List[str]] = []
     for name in spatial_names:
-        idx = stage.iter_index(name)
+        idx = state.stage(stage_name).iter_index(name)
         state.split(stage_name, idx, [None] * (spatial_levels - 1))
         spatial_parts.append([f"{name}.{p}" for p in range(spatial_levels)])
     reduce_parts: List[List[str]] = []
     for name in reduce_names:
-        idx = stage.iter_index(name)
+        idx = state.stage(stage_name).iter_index(name)
         state.split(stage_name, idx, [None] * (reduction_levels - 1))
         reduce_parts.append([f"{name}.{p}" for p in range(reduction_levels)])
 
@@ -188,6 +189,7 @@ def multi_level_tiling(
             order_names.extend(parts[space_level] for parts in spatial_parts)
             space_level += 1
 
+    stage = state.stage(stage_name)
     order = [stage.iter_index(name) for name in order_names]
     state.reorder(stage_name, order)
     return state

@@ -25,6 +25,10 @@ __all__ = ["ComputeDAG"]
 class ComputeDAG:
     """A directed acyclic graph of tensor operations."""
 
+    #: the naive program's stages, which ``State.from_dag`` builds on first
+    #: use and every initial state shares; a memo that pickles leave out
+    _stage_template = None
+
     def __init__(self, outputs: Sequence[Tensor]):
         if isinstance(outputs, Tensor):
             outputs = [outputs]
@@ -33,6 +37,11 @@ class ComputeDAG:
             raise ValueError("a ComputeDAG needs at least one output tensor")
         self.ops: List[Operation] = self._topological_sort()
         self._op_index: Dict[Operation, int] = {op: i for i, op in enumerate(self.ops)}
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_stage_template", None)
+        return state
 
     # ------------------------------------------------------------------
     # Construction helpers

@@ -1,5 +1,8 @@
 """Tests for the program state: stage relations, copies and replay."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.ir.state import State
@@ -56,6 +59,39 @@ def test_copy_is_deep_for_stages(state):
     assert len(clone.stage("C").iters) == 4
     assert len(state.transform_steps) == 0
     assert len(clone.transform_steps) == 1
+
+
+def test_threads_starting_from_one_dag_keep_their_steps_apart(dag):
+    """Threads racing to build a fresh DAG's stage template each get a state
+    of their own: no thread's steps show in another's state or in the
+    template."""
+
+    def build(i):
+        state = State.from_dag(dag)
+        state.split("C", 0, [2 ** (i % 6)]).parallel("C", 0).compute_at("D", "C", 1)
+        return i, state
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(build, i) for i in range(64)]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for i, state in results:
+        c = state.stage("C")
+        assert [it.extent for it in c.iters] == [64 // 2 ** (i % 6), 2 ** (i % 6), 64, 64]
+        assert [it.annotation for it in c.iters] == ["parallel", "none", "none", "none"]
+        assert state.stage("D").compute_location.target_iter == 1
+        assert len(state.transform_steps) == 3 and len(state._trail) == 4
+    naive = [(s.name, [(it.extent, it.annotation) for it in s.iters], s.compute_location.kind) for s in State.from_dag(dag).stages]
+    assert naive == [
+        ("A", [], "root"),
+        ("B", [], "root"),
+        ("C", [(64, "none"), (64, "none"), (64, "none")], "root"),
+        ("D", [(64, "none"), (64, "none")], "root"),
+    ]
 
 
 def test_steps_are_recorded_in_order(state):

@@ -1,14 +1,22 @@
-"""Breeding parity: a bred child costs one replay and no second booster
-call, and seeded breeding is unchanged.
+"""Breeding parity: a bred child costs one replay of the steps it changed
+and no second booster call, and seeded breeding is unchanged.
 
-Two references are kept here verbatim from the code they replaced:
+These references are kept here verbatim from the code they replaced:
 
 * ``reference_mutate_tile_size`` replays every step before the chosen split
   on a scratch state to read that split's extent; the library reads the
   extent the parent's own step recorded when it was applied;
 * ``reference_select_parent`` draws a parent with ``rng.choice(n, p=p)``
   from the probabilities of ``reference_selection_probabilities``; the
-  library draws from one normalized CDF per generation.
+  library draws from one normalized CDF per generation;
+* the reference operators (``reference_random_mutation`` and the operators
+  it draws, and ``reference_node_based_crossover``) copy every step of the
+  parent, replay the child from the DAG, draw the operator with
+  ``rng.choice(4, p=weights)`` and draw list elements with
+  ``rng.choice(seq)``; the library shares the parent's steps before the
+  first one a child changes, replays the child from the stages its parent
+  recorded there, draws the operator from one CDF and draws list elements
+  as ``seq[int(rng.integers(len(seq)))]``.
 
 A search that runs on the references (and on the per-parent booster call
 of ``reference_predict_stages``, and the serialization round trip of
@@ -27,7 +35,7 @@ from repro.cost_model.features import clear_feature_cache, extract_program_featu
 from repro.hardware import MeasureInput, MeasurePipeline, intel_cpu
 from repro.hardware.platform import wide_vector_cpu
 from repro.ir.state import State
-from repro.ir.steps import SplitStep, Step, step_from_dict
+from repro.ir.steps import AnnotationStep, ComputeAtStep, FuseStep, PragmaStep, SplitStep, Step, step_from_dict
 from repro.search import (
     EvolutionarySearch,
     evolutionary,
@@ -105,6 +113,170 @@ def reference_mutate_tile_size(
         return None
     target.lengths = parts[1:]
     return _try_replay(state.dag, steps, replays=replays)
+
+
+def reference_mutate_auto_unroll(
+    state: State, rng: np.random.Generator, options: SearchSpaceOptions = FULL_SPACE,
+    *, replays=None,
+) -> Optional[State]:
+    """Change the value of one auto_unroll_max_step pragma."""
+    steps = [s.copy() for s in state.transform_steps]
+    pragma_ids = [i for i, s in enumerate(steps) if isinstance(s, PragmaStep)]
+    if not pragma_ids:
+        return None
+    target = steps[int(rng.choice(pragma_ids))]
+    assert isinstance(target, PragmaStep)
+    choices = [c for c in options.auto_unroll_candidates if c != target.value]
+    if not choices:
+        return None
+    target.value = int(rng.choice(choices))
+    return _try_replay(state.dag, steps, replays=replays)
+
+
+def reference_mutate_parallel_degree(
+    state: State, rng: np.random.Generator, options: SearchSpaceOptions = FULL_SPACE,
+    *, replays=None,
+) -> Optional[State]:
+    """Parallel granularity mutation (§5.1).
+
+    Change the number of loop levels fused into the parallel loop by one,
+    either coarsening (fuse one more level) or refining (drop one level).
+    """
+    steps = [s.copy() for s in state.transform_steps]
+    # Find fuse steps whose stage later receives a parallel annotation on
+    # iterator 0 — those are the parallel fusions created by annotation.
+    candidates = []
+    for i, step in enumerate(steps):
+        if not isinstance(step, FuseStep) or step.iter_ids[0] != 0:
+            continue
+        for later in steps[i + 1:]:
+            if (
+                isinstance(later, AnnotationStep)
+                and later.stage_name == step.stage_name
+                and later.annotation == "parallel"
+                and later.iter_id == 0
+            ):
+                candidates.append(i)
+                break
+    if not candidates:
+        return None
+    idx = int(rng.choice(candidates))
+    fuse = steps[idx]
+    assert isinstance(fuse, FuseStep)
+    if rng.random() < 0.5 and len(fuse.iter_ids) > 2:
+        fuse.iter_ids = fuse.iter_ids[:-1]
+    else:
+        fuse.iter_ids = fuse.iter_ids + [fuse.iter_ids[-1] + 1]
+    return _try_replay(state.dag, steps, replays=replays)
+
+
+def reference_mutate_compute_location(
+    state: State, rng: np.random.Generator, options: SearchSpaceOptions = FULL_SPACE,
+    *, replays=None,
+) -> Optional[State]:
+    """Move a compute_at attachment one loop up or down in its target stage."""
+    if not options.enable_compute_location_change:
+        return None
+    steps = [s.copy() for s in state.transform_steps]
+    at_ids = [i for i, s in enumerate(steps) if isinstance(s, ComputeAtStep)]
+    if not at_ids:
+        return None
+    target = steps[int(rng.choice(at_ids))]
+    assert isinstance(target, ComputeAtStep)
+    delta = int(rng.choice([-1, 1]))
+    if target.target_iter + delta < 0:
+        return None
+    target.target_iter += delta
+    return _try_replay(state.dag, steps, replays=replays)
+
+
+REFERENCE_OPERATORS = [
+    (reference_mutate_tile_size, 0.55),
+    (reference_mutate_auto_unroll, 0.15),
+    (reference_mutate_parallel_degree, 0.15),
+    (reference_mutate_compute_location, 0.15),
+]
+
+
+def reference_random_mutation(
+    state: State,
+    rng: np.random.Generator,
+    options: SearchSpaceOptions = FULL_SPACE,
+    max_attempts: int = 4,
+    *,
+    replays=None,
+) -> Optional[State]:
+    """Apply one randomly chosen mutation operator; retry a few times."""
+    operators = [op for op, _ in REFERENCE_OPERATORS]
+    weights = np.array([w for _, w in REFERENCE_OPERATORS])
+    weights = weights / weights.sum()
+    for _ in range(max_attempts):
+        op = operators[int(rng.choice(len(operators), p=weights))]
+        child = op(state, rng, options, replays=replays)
+        if child is not None:
+            return child
+    return None
+
+
+def reference_node_based_crossover(
+    parent_a: State,
+    parent_b: State,
+    node_scores_a,
+    node_scores_b,
+    rng: np.random.Generator,
+    *,
+    replays=None,
+) -> Optional[State]:
+    """Combine the rewriting steps of two parents at node granularity."""
+    total_a = sum(node_scores_a.values())
+    total_b = sum(node_scores_b.values())
+    if total_b > total_a:
+        parent_a, parent_b = parent_b, parent_a
+        node_scores_a, node_scores_b = node_scores_b, node_scores_a
+
+    nodes = {
+        node
+        for node in (
+            [mutation._node_of_step(s) for s in parent_a.transform_steps]
+            + [mutation._node_of_step(s) for s in parent_b.transform_steps]
+        )
+        if node is not None
+    }
+    take_from_b = set()
+    for node in nodes:
+        score_a = node_scores_a.get(node)
+        score_b = node_scores_b.get(node)
+        if score_a is None or score_b is None:
+            if rng.random() < 0.25:
+                take_from_b.add(node)
+        elif score_b > score_a:
+            take_from_b.add(node)
+        elif score_b == score_a and rng.random() < 0.5:
+            take_from_b.add(node)
+    if not take_from_b:
+        # Nothing to exchange; force a random node swap so crossover explores.
+        if nodes:
+            take_from_b.add(rng.choice(sorted(nodes)))
+
+    merged: List[Step] = []
+    inserted_b_nodes = set()
+    for step in parent_a.transform_steps:
+        node = mutation._node_of_step(step)
+        if node in take_from_b:
+            if node not in inserted_b_nodes:
+                inserted_b_nodes.add(node)
+                for other in parent_b.transform_steps:
+                    if mutation._node_of_step(other) == node:
+                        merged.append(other.copy())
+            continue
+        merged.append(step.copy())
+    # Nodes present only in parent_b's history.
+    for node in take_from_b - inserted_b_nodes:
+        for other in parent_b.transform_steps:
+            if mutation._node_of_step(other) == node:
+                merged.append(other.copy())
+
+    return _try_replay(parent_a.dag, merged, replays=replays)
 
 
 def reference_selection_probabilities(scores: np.ndarray) -> np.ndarray:
@@ -224,11 +396,73 @@ def test_tile_mutation_does_not_replay_the_prefix(monkeypatch):
         return apply_step(self, step)
 
     monkeypatch.setattr(State, "apply_step", counting)
+    skipped = 0
     for index, parent in enumerate(population):
         del applied[:]
         child = mutate_tile_size(parent, np.random.default_rng(index))
-        # One replay of the child's steps, nothing else.
-        assert len(applied) == (0 if child is None else len(child.transform_steps))
+        if child is None:
+            assert not applied
+            continue
+        target_idx = next(
+            i for i, (mine, theirs) in enumerate(zip(child.transform_steps, parent.transform_steps))
+            if mine.to_dict() != theirs.to_dict()
+        )
+        # One replay of the steps from the changed split on, nothing else.
+        assert len(applied) == len(child.transform_steps) - target_idx
+        skipped += target_idx
+    assert skipped
+
+
+def _node_scores(state, rng):
+    nodes = {mutation._node_of_step(step) for step in state.transform_steps} - {None}
+    return {node: float(rng.integers(3)) for node in sorted(nodes)}
+
+
+def _crossover(reference):
+    """Crossover of a parent and the population member after it, with
+    node scores that tie, differ or are missing."""
+    def breed(parent, rng, population, index):
+        other = population[(index + 1) % len(population)]
+        scores = np.random.default_rng(index)
+        node_scores = _node_scores(parent, scores), _node_scores(other, scores)
+        if index % 3 == 0:
+            node_scores = {}, {}
+        return reference(parent, other, *node_scores, rng)
+    return breed
+
+
+def _mutation(operator):
+    return lambda parent, rng, population, index: operator(parent, rng)
+
+
+OPERATORS = {
+    "tile_size": (mutate_tile_size, reference_mutate_tile_size),
+    "auto_unroll": (mutation.mutate_auto_unroll, reference_mutate_auto_unroll),
+    "parallel_degree": (mutation.mutate_parallel_degree, reference_mutate_parallel_degree),
+    "compute_location": (mutation.mutate_compute_location, reference_mutate_compute_location),
+    "random_mutation": (random_mutation, reference_random_mutation),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TASKS))
+@pytest.mark.parametrize("operator", sorted(OPERATORS) + ["crossover"])
+def test_operators_match_choice_references(name, operator):
+    if operator == "crossover":
+        breed, reference = _crossover(mutation.node_based_crossover), _crossover(reference_node_based_crossover)
+    else:
+        breed, reference = (_mutation(op) for op in OPERATORS[operator])
+    population = _population(TASKS[name](), 0)
+    bred = 0
+    for index, parent in enumerate(population):
+        for draw in range(2):
+            seed = 100 * index + draw
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            child = breed(parent, rng, population, index)
+            expected = reference(parent, ref_rng, population, index)
+            assert _fingerprint(child) == _fingerprint(expected)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            bred += child is not None
+    assert bred
 
 
 def test_tile_mutation_raises_on_an_unapplied_parent():
@@ -238,6 +472,61 @@ def test_tile_mutation_raises_on_an_unapplied_parent():
     assert mutate_tile_size(applied, np.random.default_rng(0)) is not None
     with pytest.raises(ValueError, match="no recorded extent"):
         mutate_tile_size(unapplied, np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# Draws
+# ---------------------------------------------------------------------------
+
+_NAMES = st.text("abcdefghijklmnopqrstuvwxyz_.0123456789", min_size=1, max_size=8)
+
+
+@given(
+    values=st.one_of(
+        st.lists(st.integers(-2**62, 2**62), min_size=1, max_size=97),
+        st.lists(_NAMES, min_size=1, max_size=97),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_list_draws_match_generator_choice(values, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(4):
+        drawn, expected = mutation._draw(values, rng), ref_rng.choice(values)
+        assert drawn == expected and type(drawn) is type(values[0])
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@given(
+    weights=st.one_of(
+        st.just([w for _, w in mutation.MUTATION_OPERATORS]),
+        st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_operator_draws_match_generator_choice(weights, seed):
+    cdf = mutation._weights_cdf([(None, w) for w in weights])
+    probabilities = np.array(weights)
+    probabilities = probabilities / probabilities.sum()
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(8):
+        drawn = int(cdf.searchsorted(rng.random(), side="right"))
+        assert drawn == int(ref_rng.choice(len(weights), p=probabilities))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_random_mutation_follows_a_replaced_operator_list(monkeypatch):
+    population = _population(_matmul_task(), 2, count=4, chain=0)
+    drawn = []
+
+    def only(state, rng, options, *, replays=None):
+        drawn.append(state)
+        return None
+
+    monkeypatch.setattr(mutation, "MUTATION_OPERATORS", [(only, 1.0)])
+    assert random_mutation(population[0], np.random.default_rng(0)) is None
+    assert drawn == [population[0]] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -354,14 +643,8 @@ def test_seeded_search_matches_reference_breeding(name, monkeypatch):
     # One booster call per scored batch, none for crossover's node scores.
     assert booster_calls and all(booster_calls)
 
-    monkeypatch.setattr(
-        mutation,
-        "MUTATION_OPERATORS",
-        [
-            (reference_mutate_tile_size if op is mutate_tile_size else op, weight)
-            for op, weight in mutation.MUTATION_OPERATORS
-        ],
-    )
+    monkeypatch.setattr(evolutionary, "random_mutation", reference_random_mutation)
+    monkeypatch.setattr(evolutionary, "node_based_crossover", reference_node_based_crossover)
     monkeypatch.setattr(evolutionary, "_selection_cdf", reference_selection_probabilities)
     monkeypatch.setattr(EvolutionarySearch, "_select_parent", reference_select_parent)
     monkeypatch.setattr(LearnedCostModel, "predict_stages", reference_predict_stages)

@@ -1,8 +1,10 @@
 """Memoized lowering: ``lower_state`` memoizes the program on the state
 itself.  The memo must serve repeated lowerings of one state, must never
-serve a stale program after a step is appended, must not leak later
-in-place steps into a program lowered earlier (programs snapshot their
-stages and iterators), and must never travel in a pickle."""
+serve a stale program after a step is appended, must not leak later steps
+on the state into a program lowered earlier (programs snapshot the state's
+stage list, and steps replace stages instead of editing them), and must
+never travel in a pickle, nor may the other memos: a state's stage record
+and a DAG's stage template."""
 
 import pickle
 import sys
@@ -50,11 +52,11 @@ def test_mutated_state_is_relowered_with_new_program(dag):
 
 
 def test_program_is_isolated_from_in_place_state_mutation(dag):
-    """Lower a state, then mutate the same state in place: the program
+    """Lower a state, then apply more steps to the same state: the program
     lowered earlier keeps describing the old schedule."""
     state = State.from_dag(dag).split("C", 0, [8])
     lowered = lower_state(state)
-    # In-place mutation: annotates an Iterator object and sets a stage pragma.
+    # Annotates an iterator of the lowered stage and sets a stage pragma.
     state.parallel("C", 0)
     state.pragma("C", "auto_unroll_max_step", 64)
     assert all(loop.annotation == "none" for loop in lowered.nests["C"].loops)
@@ -85,7 +87,10 @@ def test_uncached_lowering_matches_cached(dag):
 
 
 def test_lowered_state_pickles_without_its_program(dag):
+    without_template = pickle.dumps(dag)
     state = State.from_dag(dag).split("C", 0, [8]).parallel("C", 0)
+    assert dag._stage_template is not None
+    assert len(pickle.dumps(dag)) == len(without_template)
     state.fingerprint()
     unlowered = pickle.dumps(state)
     program = lower_state(state)
@@ -93,8 +98,24 @@ def test_lowered_state_pickles_without_its_program(dag):
     assert len(lowered) == len(unlowered)
     clone = pickle.loads(lowered)
     assert clone._lowered is None
+    assert clone._trail is None and state._trail is not None
     assert lower_state(state) is program  # pickling left the memo in place
     assert _loops(lower_state(clone)) == _loops(program)
+
+    # Serving as a parent leaves a state's pickle as it was.
+    rng = np.random.default_rng(0)
+    parents = sample_initial_population(
+        SearchTask(dag, intel_cpu()), generate_sketches(SearchTask(dag, intel_cpu())), 4, rng
+    )
+    for parent in parents:
+        parent.fingerprint()
+    before = [len(pickle.dumps(parent)) for parent in parents]
+    children = [random_mutation(parent, rng) for parent in parents for _ in range(4)]
+    assert any(
+        child is not None and child.transform_steps[0] is parent.transform_steps[0]
+        for child, parent in zip(children, [p for p in parents for _ in range(4)])
+    )
+    assert [len(pickle.dumps(parent)) for parent in parents] == before
 
 
 def test_threads_lowering_one_state_get_equal_programs(dag):

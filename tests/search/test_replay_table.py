@@ -33,9 +33,9 @@ def replayed(monkeypatch):
     keys = []
     from_steps = State.from_steps.__func__
 
-    def counting(cls, dag, steps):
+    def counting(cls, dag, steps, **kwargs):
         keys.append(steps_fingerprint(steps))
-        return from_steps(cls, dag, steps)
+        return from_steps(cls, dag, steps, **kwargs)
 
     monkeypatch.setattr(State, "from_steps", classmethod(counting))
     return keys

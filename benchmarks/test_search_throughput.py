@@ -9,11 +9,11 @@ evolution does with its surviving elites — through two pipelines:
 * **seed**: the original per-row implementation — every state is re-lowered
   and re-featurized from scratch each generation, and the GBDT walks one
   row at a time in pure Python (``predict_rowwise``),
-* **batched**: the cached/vectorized pipeline — memoized lowering, the LRU
-  feature cache, one stacked booster call per generation with vectorized
-  tree traversal.  It scores a freshly sampled population (equal programs
-  in new, unlowered states) with a cleared feature cache, so its first
-  generation lowers and featurizes from cold.
+* **batched**: the memoized/vectorized pipeline — lowering and features
+  memoized on each state, one stacked booster call per generation with
+  vectorized tree traversal.  It scores a freshly sampled population (equal
+  programs in new states that hold no memo), so its first generation lowers
+  and featurizes from cold.
 
 It asserts bit-level score parity between the two, requires the batched
 pipeline to be at least 6x faster, and writes ``BENCH_search_throughput.json``
@@ -36,7 +36,7 @@ import pytest
 
 from harness import merge_benchmark_result
 from repro.cost_model import LearnedCostModel
-from repro.cost_model.features import clear_feature_cache, extract_program_features
+from repro.cost_model.features import extract_program_features
 from repro.hardware import MeasureInput, MeasurePipeline, intel_cpu
 from repro.search import generate_sketches, sample_initial_population
 from repro.task import SearchTask
@@ -67,7 +67,7 @@ def _seed_scores_one_round(model, population):
     """The pre-optimization evolution-generation scoring loop."""
     return np.array([
         float(model.booster.predict_rowwise(
-            extract_program_features(state, use_cache=False)
+            extract_program_features(state.copy())
         ).sum())
         for state in population
     ])
@@ -83,9 +83,8 @@ def run_throughput():
         seed_scores = _seed_scores_one_round(model, population)
     seed_elapsed = time.perf_counter() - start
 
-    # --- batched/cached pipeline ---------------------------------------------
+    # --- batched/memoized pipeline -------------------------------------------
     population = _population(task)  # unlowered: the first generation lowers
-    clear_feature_cache()
     start = time.perf_counter()
     for _ in range(GENERATIONS):
         batched_scores = model.predict(task, population)

@@ -18,15 +18,15 @@ paper-versus-reproduction results.
 Performance
 -----------
 The search hot path — scoring candidate programs with the cost model —
-runs through a batched, cached inference pipeline: ``lower_state`` is
+runs through a batched, memoized inference pipeline: ``lower_state`` is
 memoized on the state itself (one lowering per state, shared by mutation
 validation, featurization, the simulator and the printer, and freed with
 the state); each evolutionary search replays a distinct offspring step list
 once, so a duplicate child reuses the first replay's state and lowering;
-feature matrices sit in an LRU cache so surviving programs are
-featurized once per search, not once per generation; a scoring batch's
-uncached programs are featurized in one pass, each nest reading its
-footprints from one suffix-footprint table (:mod:`repro.codegen.footprint`,
+feature matrices are memoized on the state in the same way, so a surviving
+program is featurized once per search, not once per generation; a scoring
+batch's unfeaturized programs are featurized in one pass, each nest reading
+its footprints from one suffix-footprint table (:mod:`repro.codegen.footprint`,
 shared with the simulator); the GBDT routes whole feature matrices through
 flattened node arrays instead of per-row Python traversals; and the
 evolutionary loop carries elite scores across generations so each distinct
@@ -37,7 +37,7 @@ starts from the stages its parent recorded at the first step the child
 changed and replays only the steps from there on; tile-size mutation reads
 the extent its parent's split step recorded when it was applied; and
 crossover's per-node scores read back the per-statement rows that one
-prediction computed.  The tracked
+prediction computed and left on the scored state.  The tracked
 baseline is ``benchmarks/test_search_throughput.py`` (predicted states/sec,
 written to ``BENCH_search_throughput.json``); profile the loop with
 ``make profile``.
@@ -119,9 +119,7 @@ covers the whole retained set so the default is bit-identical anyway.
 ``TuningOptions(cost_model_path=...)`` persists booster + training set
 across sessions (bit-identical predictions after reload; truncated or
 corrupt files raise ``CostModelLoadError`` instead of silently
-cold-starting), and ``CostModelService.predict_batch`` coalesces concurrent
-searches' predictions into one booster invocation per target.  The tracked
-baseline is the ``train_throughput`` stage of
+cold-starting).  The tracked baseline is the ``train_throughput`` stage of
 ``benchmarks/test_search_throughput.py`` (``make model-bench``), gating
 windowed retraining >= 3x faster per update than the full refit at 5k
 accumulated records with the final best cost within 5%.

@@ -363,23 +363,22 @@ def _shrink_attached_nest(nest: StageNest, parent: StageNest, attach_index: int)
         _shrink_loops_to_region(nest.loops, needed, child_axis_extents)
 
 
-# Lowering is memoized on the state itself (``State._lowered``).  The same
-# program is lowered by several clients per search step (mutation
-# validation, feature extraction, the simulator, the printer, node scoring),
-# and a lowered program lives exactly as long as the state that holds it:
-# ``State.apply_step`` drops the memo, and pickled states travel without it.
+# Lowering is memoized on the state itself (``State._lowered``), as feature
+# extraction is (``State._features``).  The same program is lowered by
+# several clients per search step (mutation validation, feature extraction,
+# the simulator, the printer, node scoring), and a lowered program lives
+# exactly as long as the state that holds it: ``State.apply_step`` drops the
+# memo, and pickled states travel without it.  A copy carries no memo, so
+# ``lower_state(state.copy())`` lowers afresh.
 # Lowering reads a snapshot of the state's stage and step lists.  Stages and
 # iterators are values that no step writes (a step puts new versions into
 # the state's list), and the nests shrink only their own iterator copies, so
 # later steps on the state never leak into a program lowered earlier.  No
 # lock is needed: threads that race to lower one state each compute the
 # same program, and the last assignment wins.
-def lower_state(state: State, use_cache: bool = True) -> LoweredProgram:
+def lower_state(state: State) -> LoweredProgram:
     """Lower a state into its loop-nest program description, memoized on
-    the state (``use_cache=False`` lowers afresh and leaves the memo
-    alone)."""
-    if not use_cache:
-        return _lower_state_uncached(state)
+    the state."""
     program = state._lowered
     if program is None:
         program = state._lowered = _lower_state_uncached(state)

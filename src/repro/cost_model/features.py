@@ -31,13 +31,17 @@ over whole rows.  It calls :func:`math.log2` value by value because
 ``np.log2`` rounds some inputs differently (100 of the 267,582 values of a
 seeded ``matmul_relu`` tuning session's programs on an AVX-512 x86 host),
 and seeded searches rank their candidates by these rows.
+
+A program's matrix is memoized on its :class:`~repro.ir.state.State`,
+beside the lowered program, as ``State._features``: it lives exactly as
+long as the state, a step applied to the state drops it, and pickles
+leave it out.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,7 +73,6 @@ __all__ = [
     "extract_nest_features",
     "extract_program_features",
     "extract_program_features_batch",
-    "clear_feature_cache",
     "feature_names",
 ]
 
@@ -406,70 +409,43 @@ def _program_matrices(programs: Sequence[LoweredProgram]) -> List[np.ndarray]:
     return out
 
 
-# Feature matrices are pure functions of (dag, step history), so they are
-# cached by state fingerprint: during evolutionary search the same surviving
-# programs are featurized once per search instead of once per generation.
-# Cached matrices are frozen (non-writeable) so no caller can corrupt them.
-_FEATURE_CACHE: "OrderedDict[Tuple[int, str], Tuple[object, np.ndarray]]" = OrderedDict()
-_FEATURE_CACHE_SIZE = 4096
+def extract_program_features(state: State) -> np.ndarray:
+    """Feature matrix of a complete program: one row per innermost statement.
 
-
-def clear_feature_cache() -> None:
-    _FEATURE_CACHE.clear()
-
-
-def _cache_get(key: Tuple[int, str], dag: object) -> Optional[np.ndarray]:
-    entry = _FEATURE_CACHE.get(key)
-    if entry is not None and entry[0] is dag:
-        _FEATURE_CACHE.move_to_end(key)
-        return entry[1]
-    return None
-
-
-def _cache_put(key: Tuple[int, str], dag: object, features: np.ndarray) -> None:
-    features.flags.writeable = False
-    _FEATURE_CACHE[key] = (dag, features)
-    if len(_FEATURE_CACHE) > _FEATURE_CACHE_SIZE:
-        _FEATURE_CACHE.popitem(last=False)
-
-
-def extract_program_features(state: State, use_cache: bool = True) -> np.ndarray:
-    """Feature matrix of a complete program: one row per innermost statement."""
-    if not use_cache:
-        return _program_matrices([lower_state(state, use_cache=False)])[0]
-    key = (id(state.dag), state.fingerprint())
-    features = _cache_get(key, state.dag)
+    The matrix is read-only and memoized on the state, beside its lowered
+    program."""
+    features = state._features
     if features is None:
         features = _program_matrices([lower_state(state)])[0]
-        _cache_put(key, state.dag, features)
+        features.flags.writeable = False
+        state._features = features
     return features
 
 
 def extract_program_features_batch(states: Sequence[State]) -> List[Optional[np.ndarray]]:
-    """Feature matrices for a batch of states, one entry per state (cached).
+    """Feature matrices for a batch of states, one entry per state.
 
-    The states without a cached matrix are lowered, then featurized in one
-    pass.  The entry is ``None`` for a state whose lowering raises; an error
-    raised while featurizing lowered programs propagates."""
-    out: List[Optional[np.ndarray]] = [None] * len(states)
-    pending: Dict[Tuple[int, str], List[int]] = {}  # uncached key -> its positions
+    A state that holds its matrix (see :func:`extract_program_features`)
+    gets it back.  The others are grouped by program (DAG and fingerprint):
+    each program is lowered once, all of them are featurized in one pass,
+    and every state of a program gets, and keeps, the same read-only
+    matrix.  The entry is ``None`` for a state whose lowering raises; an
+    error raised while featurizing lowered programs propagates."""
+    out: List[Optional[np.ndarray]] = [state._features for state in states]
+    pending: Dict[Tuple[int, str], List[int]] = {}  # program -> positions of its unfeaturized states
     for position, state in enumerate(states):
-        key = (id(state.dag), state.fingerprint())
-        features = _cache_get(key, state.dag)
-        if features is not None:
-            out[position] = features
-        else:
-            pending.setdefault(key, []).append(position)
+        if out[position] is None:
+            pending.setdefault((id(state.dag), state.fingerprint()), []).append(position)
     lowered = []
-    for key, positions in pending.items():
+    for positions in pending.values():
         try:
             program = lower_state(states[positions[0]])
         except Exception:
             continue
-        lowered.append((key, positions, program))
-    matrices = _program_matrices([program for _, _, program in lowered])
-    for (key, positions, _), features in zip(lowered, matrices):
-        _cache_put(key, states[positions[0]].dag, features)
+        lowered.append((positions, program))
+    matrices = _program_matrices([program for _, program in lowered])
+    for (positions, _), features in zip(lowered, matrices):
+        features.flags.writeable = False
         for position in positions:
-            out[position] = features
+            out[position] = states[position]._features = features
     return out

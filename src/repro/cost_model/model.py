@@ -15,7 +15,7 @@ Two models are provided:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -28,8 +28,6 @@ __all__ = ["CostModel", "RandomCostModel", "LearnedCostModel"]
 
 #: default bounded retraining window (samples) of ``retrain="window"`` mode
 DEFAULT_RETRAIN_WINDOW = 1024
-#: scored programs whose per-statement rows a model keeps between retrains
-_STAGE_ROWS_SIZE = 4096
 
 
 class CostModel:
@@ -82,11 +80,11 @@ class LearnedCostModel(CostModel):
       covers the whole retained set, so ``"window"`` is itself
       bit-identical to ``"full"`` until the history outgrows the window.
 
-    Batched prediction keeps each scored program's per-statement booster
-    rows until the next retrain, keyed like the feature cache by
-    ``(id(dag), fingerprint)``, so :meth:`predict_stages` (node-based
+    Batched prediction leaves each scored state its per-statement booster
+    rows (``State._stage_rows``), tagged with this model and its booster
+    version, so until the next retrain :meth:`predict_stages` (node-based
     crossover's per-node scores) reads them back instead of running the
-    booster again.  Pickles never carry them.
+    booster again.  Pickled states never carry them.
     """
 
     def __init__(
@@ -138,21 +136,6 @@ class LearnedCostModel(CostModel):
         self.samples_ingested = 0
         self.retrains_run = 0
         self.retrains_skipped = 0
-        #: (id(dag), fingerprint) -> (dag, booster version, read-only rows)
-        #: of the programs batched prediction scored
-        self._stage_rows: Dict[Tuple[int, str], Tuple[object, int, np.ndarray]] = {}
-
-    def __getstate__(self) -> dict:
-        # The kept rows (and the DAGs they hold) stay out of pickles, such as
-        # CostModelService.save files, which keep the layout of models saved
-        # before the rows were kept.
-        state = dict(self.__dict__)
-        state.pop("_stage_rows", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._stage_rows = {}
 
     @property
     def version(self) -> int:
@@ -262,7 +245,6 @@ class LearnedCostModel(CostModel):
         self._trained = True
         self._version += 1
         self.retrains_run += 1
-        self._stage_rows.clear()
 
     @property
     def num_samples(self) -> int:
@@ -276,11 +258,12 @@ class LearnedCostModel(CostModel):
     # Prediction
     # ------------------------------------------------------------------
     def predict(self, task, states: Sequence[State]) -> np.ndarray:
-        """Batched prediction: featurize (cached), stack every statement of
-        every state into one matrix, run the booster once, and sum rows per
-        program.  Equivalent to per-state prediction, without the per-state
-        Python round trips.  Each program's rows are kept for
-        :meth:`predict_stages`."""
+        """Batched prediction: featurize (memoized on each state), stack
+        every statement of every state into one matrix, run the booster
+        once, and sum rows per program.  Equivalent to per-state prediction,
+        without the per-state Python round trips.  Each scored state keeps
+        its (read-only) rows, tagged with this model and the booster version
+        that computed them, for :meth:`predict_stages`."""
         if not states:
             return np.zeros(0)
         if not self._trained:
@@ -297,7 +280,6 @@ class LearnedCostModel(CostModel):
         version = self._version
         rows = self.booster.predict(stacked)
         rows.flags.writeable = False
-        kept = self._stage_rows
         offset = 0
         for i in valid:
             count = feature_list[i].shape[0]
@@ -305,59 +287,20 @@ class LearnedCostModel(CostModel):
             # Per-program slice sum: the same reduction the per-state path
             # performs, so scores match it bit for bit.
             scores[i] = float(program_rows.sum())
-            if len(kept) >= _STAGE_ROWS_SIZE:
-                kept.clear()  # atomic, where evicting one entry is not
-            state = states[i]
-            kept[(id(state.dag), state.fingerprint())] = (state.dag, version, program_rows)
+            states[i]._stage_rows = (self, version, program_rows)
             offset += count
         return scores
 
     def predict_stages(self, task, state: State) -> np.ndarray:
-        """Per-statement scores of ``state``.  A program that batched
-        prediction scored since the last retrain returns its kept (read-only)
-        rows; any other runs the booster on its features."""
+        """Per-statement scores of ``state``.  A state that this model's
+        :meth:`predict` scored since the last retrain returns the (read-only)
+        rows it kept; any other state runs the booster on its features."""
         if not self._trained:
             return self.rng.random(max(len(state.compute_stages()), 1))
-        kept = self._stage_rows.get((id(state.dag), state.fingerprint()))
-        if kept is not None and kept[0] is state.dag and kept[1] == self._version:
+        kept = state._stage_rows
+        if kept is not None and kept[0] is self and kept[1] == self._version:
             return kept[2]
         features = extract_program_features(state)
         if features.shape[0] == 0:
             return np.zeros(1)
         return self.booster.predict(features)
-
-    def predict_batch(
-        self, requests: Sequence[Tuple[object, Sequence[State]]]
-    ) -> List[np.ndarray]:
-        """Coalesced prediction for several concurrent searches.
-
-        ``requests`` is a sequence of ``(task, states)`` pairs; every
-        statement of every state of every request is stacked into ONE
-        booster invocation, then summed back per program per request.  The
-        booster scores rows independently, so the result is bit-identical
-        to calling :meth:`predict` once per request — minus the per-call
-        Python and tree-dispatch overhead (the cross-search extension of
-        the PR 2 vectorized path).  Untrained models fall back to
-        per-request prediction to preserve the RNG stream."""
-        if not self._trained:
-            return [self.predict(task, states) for task, states in requests]
-        feature_lists = [
-            extract_program_features_batch(states) if states else []
-            for _, states in requests
-        ]
-        scores = [np.full(len(states), -1e9) for _, states in requests]
-        stacked_parts = []
-        slots = []  # (request index, state index, row count) per valid program
-        for r, feature_list in enumerate(feature_lists):
-            for i, features in enumerate(feature_list):
-                if features is not None and features.shape[0] > 0:
-                    stacked_parts.append(features)
-                    slots.append((r, i, features.shape[0]))
-        if not stacked_parts:
-            return scores
-        rows = self.booster.predict(np.vstack(stacked_parts))
-        offset = 0
-        for r, i, count in slots:
-            scores[r][i] = float(rows[offset: offset + count].sum())
-            offset += count
-        return scores

@@ -17,10 +17,7 @@ every layer of the tuner:
 * ``save(path)`` / ``load(path)`` persist booster + training set with
   bit-identical predictions after reload (the cross-session warm-start
   analogous to the PR 6 :class:`~repro.store.ScheduleStore`), wired to
-  sessions through ``TuningOptions(cost_model_path=...)``;
-* :meth:`predict_batch` coalesces prediction requests from concurrent
-  searches into single booster invocations per target (the cross-search
-  extension of the PR 2 vectorized path).
+  sessions through ``TuningOptions(cost_model_path=...)``.
 
 A truncated or corrupt save file raises :class:`CostModelLoadError` — a
 session asked to warm-start must never silently cold-start instead.
@@ -33,7 +30,7 @@ import pickle
 import tempfile
 import threading
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -103,9 +100,6 @@ class ServiceCostModel(CostModel):
 
     def predict_stages(self, task, state: State) -> np.ndarray:
         return self.model.predict_stages(task, state)
-
-    def predict_batch(self, requests):
-        return self.model.predict_batch(requests)
 
     # -- passthrough introspection (what callers read off a LearnedCostModel)
     @property
@@ -237,32 +231,6 @@ class CostModelService:
     def predict(self, task, states: Sequence[State]) -> np.ndarray:
         """Scores of ``states`` under the task's target model."""
         return self.model_for(task).predict(task, states)
-
-    def predict_batch(
-        self, requests: Sequence[Tuple[object, Sequence[State]]]
-    ) -> List[np.ndarray]:
-        """Coalesce predict calls from several concurrent searches.
-
-        ``requests`` is a sequence of ``(task, states)`` pairs; requests
-        landing on the same target model are merged into a single booster
-        invocation (see :meth:`LearnedCostModel.predict_batch`).  Results
-        come back in request order, bit-identical to issuing
-        :meth:`predict` once per request."""
-        out: List[Optional[np.ndarray]] = [None] * len(requests)
-        by_model: Dict[int, Tuple[CostModel, List[Tuple[int, object, Sequence[State]]]]] = {}
-        for index, (task, states) in enumerate(requests):
-            model = self.model_for(task)
-            by_model.setdefault(id(model), (model, []))[1].append((index, task, states))
-        for model, group in by_model.values():
-            batched = getattr(model, "predict_batch", None)
-            if batched is None:
-                for index, task, states in group:
-                    out[index] = model.predict(task, states)
-                continue
-            scores = batched([(task, states) for _, task, states in group])
-            for (index, _, _), score in zip(group, scores):
-                out[index] = score
-        return out  # type: ignore[return-value]
 
     def version(self, target) -> int:
         """The target model's training version (0 = untrained)."""

@@ -55,15 +55,21 @@ class State:
         self.transform_steps: List[Step] = list(transform_steps or [])
         self._fingerprint: Optional[str] = None
         self._lowered = None  # memo of repro.codegen.lowering.lower_state
+        self._features = None  # memo of repro.cost_model.features.extract_program_features
+        #: ``(model, booster version, rows)``: the per-statement booster rows
+        #: of the last trained ``LearnedCostModel.predict`` that scored it
+        self._stage_rows = None
         #: memo: ``_trail[k]`` is the stage tuple after the first ``k``
         #: steps (``None`` unless :meth:`from_dag` started this state)
         self._trail: Optional[List[Tuple[Stage, ...]]] = None
 
     def __getstate__(self) -> dict:
-        # The lowered program and the stage record are memos: pickles (e.g.
+        # The lowered program, the feature matrix, the kept booster rows (and
+        # the model they name) and the stage record are memos: pickles (e.g.
         # the RpcBuilder's payloads) never carry them, the receiver lowers
-        # on demand, and its children replay from the DAG.
-        return {**self.__dict__, "_lowered": None, "_trail": None}
+        # and featurizes on demand, and its children replay from the DAG.
+        memos = dict.fromkeys(("_lowered", "_features", "_stage_rows", "_trail"))
+        return {**self.__dict__, **memos}
 
     # ------------------------------------------------------------------
     # Construction
@@ -175,7 +181,7 @@ class State:
         step.apply_to(self)
         self.transform_steps.append(step)
         self._fingerprint = None
-        self._lowered = None
+        self._lowered = self._features = self._stage_rows = None
         if self._trail is not None:
             self._trail.append(tuple(self.stages))
         return self
@@ -285,9 +291,10 @@ class State:
         """A stable identity of the program: a digest of its step history.
 
         States reached through the same step sequence on the same DAG lower
-        to the same program, so this string keys the feature, score and
-        replay caches and the search-level dedup sets.  It is a fixed-width
-        hex digest (not the raw serialized steps) so those keys stay small.
+        to the same program, so this string keys the search's replay table
+        and dedup sets, and groups a scoring batch's states by program.  It
+        is a fixed-width hex digest (not the raw serialized steps) so those
+        keys stay small.
         It is computed once and invalidated whenever a step is appended;
         steps themselves must never be mutated in place on a live state.
         The evolution operators share the parent's steps before the first

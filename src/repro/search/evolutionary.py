@@ -91,9 +91,9 @@ def _node_scores_for(
     Cached per program, so each parent is scored once per search rather
     than once per crossover attempt.  Every parent was scored by the
     search's batched ``predict``, and a trained
-    :class:`~repro.cost_model.model.LearnedCostModel` keeps those
-    per-statement rows, so ``predict_stages`` reads them back instead of
-    running the booster a second time."""
+    :class:`~repro.cost_model.model.LearnedCostModel` leaves those
+    per-statement rows on each state it scores, so ``predict_stages`` reads
+    them back instead of running the booster a second time."""
     key = state.fingerprint()
     cached = cache.get(key)
     if cached is not None:

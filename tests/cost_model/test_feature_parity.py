@@ -20,7 +20,6 @@ from repro import te
 from repro.codegen.lowering import BufferAccess, StageNest, lower_state
 from repro.cost_model.features import (
     FEATURE_LENGTH,
-    clear_feature_cache,
     extract_nest_features,
     extract_program_features,
     extract_program_features_batch,
@@ -544,13 +543,6 @@ def assert_rows_match_reference(states, matrices):
         assert np.array_equal(_bits(features), _bits(expected))
 
 
-@pytest.fixture(autouse=True)
-def cold_caches():
-    clear_feature_cache()
-    yield
-    clear_feature_cache()
-
-
 # ---------------------------------------------------------------------------
 # Feature rows
 # ---------------------------------------------------------------------------
@@ -569,7 +561,7 @@ def test_single_state_and_nest_paths_match_reference(name):
     states = _population(TASKS[name](), 2, count=8, chain=1)
     for state in states:
         expected = reference_program_features(lower_state(state))
-        fresh = extract_program_features(state, use_cache=False)
+        fresh = extract_program_features(state.copy())
         assert np.array_equal(_bits(fresh), _bits(expected))
         for row, nest in zip(expected, lower_state(state).all_nests()):
             assert np.array_equal(_bits(extract_nest_features(nest)), _bits(row))

@@ -6,7 +6,6 @@ import pytest
 from repro.cost_model import features as features_module
 from repro.cost_model.features import (
     FEATURE_LENGTH,
-    clear_feature_cache,
     extract_nest_features,
     extract_program_features,
     extract_program_features_batch,
@@ -131,19 +130,16 @@ def _unlowerable_state(dag):
 
 
 def test_batch_gives_none_only_for_a_state_that_fails_to_lower(dag):
-    clear_feature_cache()
     tiled = dag.init_state()
     tiled.split("C", 0, [8])
     states = [dag.init_state(), _unlowerable_state(dag), tiled]
     out = extract_program_features_batch(states)
     assert len(out) == 3 and out[1] is None
     for index in (0, 2):
-        assert np.array_equal(out[index], extract_program_features(states[index], use_cache=False))
+        assert np.array_equal(out[index], extract_program_features(states[index].copy()))
 
 
 def test_batch_raises_when_featurizing_a_lowered_program_fails(dag, monkeypatch):
-    clear_feature_cache()
-
     def broken(loops, accesses):
         raise RuntimeError("injected featurizer fault")
 

@@ -1,17 +1,18 @@
-"""Parity tests: the vectorized / batched / cached prediction pipeline must
-produce scores identical to the seed per-row implementation.
+"""Parity tests: the vectorized / batched / memoized prediction pipeline
+must produce scores identical to the seed per-row implementation.
 
 Three layers are pinned down:
 
 * ``RegressionTree.predict`` (vectorized level-stepping) versus
   ``predict_rowwise`` (the seed per-row traversal) — bit-identical,
 * ``GBDTRegressor.predict`` versus ``predict_rowwise`` — bit-identical,
-* ``LearnedCostModel.predict`` (batched, cached features) versus the seed
-  path (fresh per-state featurization + per-row booster) on real tuned
-  states — identical scores (``np.allclose`` with ``rtol=0``),
-* the per-statement rows batched prediction keeps for ``predict_stages``
-  versus a fresh booster call — bit-identical, never served for another
-  booster or another DAG, and never pickled.
+* ``LearnedCostModel.predict`` (batched, memoized features) versus the
+  seed path (fresh per-state featurization + per-row booster) on real
+  tuned states — identical scores (``np.allclose`` with ``rtol=0``),
+* the per-statement rows batched prediction leaves on each scored state
+  for ``predict_stages`` versus a fresh booster call — bit-identical,
+  never served for another model or another booster version, and never
+  pickled.
 """
 
 import copyreg
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.cost_model import LearnedCostModel
-from repro.cost_model.features import clear_feature_cache, extract_program_features
+from repro.cost_model.features import extract_program_features
 from repro.cost_model.gbdt import GBDTRegressor, RegressionTree
 from repro.hardware import MeasureInput, MeasurePipeline, intel_cpu
 from repro.search import generate_sketches, sample_initial_population
@@ -91,7 +92,6 @@ def test_gbdt_vectorized_predict_matches_rowwise(seed):
 
 @pytest.fixture
 def trained_model_and_states():
-    clear_feature_cache()
     task = SearchTask(make_matmul_relu_dag(64, 64, 64), intel_cpu())
     rng = np.random.default_rng(0)
     sketches = generate_sketches(task)
@@ -109,28 +109,29 @@ def trained_model_and_states():
 def test_learned_model_batched_predict_matches_seed_path(trained_model_and_states):
     task, model, states = trained_model_and_states
     batched = model.predict(task, states)
-    # The seed path: fresh (uncached) featurization per state, per-row booster.
+    # The seed path: fresh (unmemoized) featurization per state, per-row
+    # booster.
     expected = np.array([
         float(model.booster.predict_rowwise(
-            extract_program_features(state, use_cache=False)
+            extract_program_features(state.copy())
         ).sum())
         for state in states
     ])
     assert np.allclose(batched, expected, rtol=0, atol=0)
-    # Second call runs fully out of the feature cache — still identical.
+    # Second call reads every state's memoized features — still identical.
     assert np.allclose(model.predict(task, states), expected, rtol=0, atol=0)
 
 
 def test_cached_feature_extraction_is_identical_to_fresh(trained_model_and_states):
     _, _, states = trained_model_and_states
-    clear_feature_cache()
     for state in states[:6]:
-        cached = extract_program_features(state)          # fills the cache
-        again = extract_program_features(state)           # cache hit
-        fresh = extract_program_features(state, use_cache=False)
-        assert again is cached
+        state = state.copy()                              # carries no memo
+        cached = extract_program_features(state)          # fills the memo
+        again = extract_program_features(state)           # memo hit
+        fresh = extract_program_features(state.copy())
+        assert again is cached and state._features is cached
         assert np.array_equal(cached, fresh)
-        assert not cached.flags.writeable  # cached matrices are frozen
+        assert not cached.flags.writeable  # memoized matrices are frozen
 
 
 def test_predict_stages_uses_same_features_as_predict(trained_model_and_states):
@@ -163,7 +164,7 @@ def test_normalized_labels_match_reference_loop():
 
 
 def _fresh_rows(model, state):
-    return model.booster.predict(extract_program_features(state, use_cache=False))
+    return model.booster.predict(extract_program_features(state.copy()))
 
 
 @pytest.fixture
@@ -211,22 +212,32 @@ def test_predict_stages_after_a_retrain_gives_the_new_boosters_rows(trained_mode
     assert changed
 
 
-def test_a_reused_dag_id_misses_the_kept_rows(trained_model_and_states, booster_calls):
+def test_rows_kept_by_another_model_or_version_are_not_served(trained_model_and_states, monkeypatch):
     task, model, states = trained_model_and_states
     state = states[0]
-    model.predict(task, [state])
-    # A structurally equal program on another DAG object, filed under that
-    # DAG's id as if it reused the id of the first (collected) DAG.
-    other = make_matmul_relu_dag(64, 64, 64).replay_steps(state.transform_steps)
-    assert other.fingerprint() == state.fingerprint()
-    key = (id(state.dag), state.fingerprint())
-    dag, version, rows = model._stage_rows[key]
-    planted = np.full_like(rows, 123.0)
-    model._stage_rows[(id(other.dag), other.fingerprint())] = (dag, version, planted)
-    calls = len(booster_calls)
-    rows = model.predict_stages(task, other)
-    assert len(booster_calls) == calls + 1
-    assert np.array_equal(rows, _fresh_rows(model, state))
+    other = pickle.loads(pickle.dumps(model))  # trained, same version, another object
+    other.predict(task, [state])
+    assert state._stage_rows[0] is other and state._stage_rows[1] == model.version
+    expected = _fresh_rows(model, state)
+    planted = np.full_like(expected, 123.0)
+    calls = []
+    predict = model.booster.predict
+
+    def counting(features):
+        calls.append(len(features))
+        return predict(features)
+
+    monkeypatch.setattr(model.booster, "predict", counting)
+    for owner, version in ((other, model.version), (model, model.version - 1)):
+        state._stage_rows = (owner, version, planted)
+        before = len(calls)
+        rows = model.predict_stages(task, state)
+        assert len(calls) == before + 1
+        assert np.array_equal(rows.view(np.uint64), expected.view(np.uint64))
+    # The same rows, tagged with this model and its current version, are served.
+    state._stage_rows = (model, model.version, planted)
+    assert model.predict_stages(task, state) is planted
+    assert len(calls) == 2
 
 
 def test_untrained_predict_stages_draws_are_unchanged(trained_model_and_states):
@@ -238,17 +249,20 @@ def test_untrained_predict_stages_draws_are_unchanged(trained_model_and_states):
         expected = expected_rng.random(max(len(state.compute_stages()), 1))
         assert np.array_equal(model.predict_stages(task, state), expected)
     assert model.rng.bit_generator.state == expected_rng.bit_generator.state
-    assert not model._stage_rows
+    assert all(state._stage_rows is None for state in states)
 
 
 def test_kept_rows_never_reach_a_pickle(trained_model_and_states):
     task, model, states = trained_model_and_states
+    for state in states:
+        state.fingerprint()
     before = pickle.dumps(model)
+    state_sizes = [len(pickle.dumps(state)) for state in states]
     model.predict(task, states)
-    assert model._stage_rows
+    assert all(state._stage_rows[0] is model for state in states)
     assert len(pickle.dumps(model)) == len(before)
+    assert [len(pickle.dumps(state)) for state in states] == state_sizes
     clone = pickle.loads(pickle.dumps(model))
-    assert not clone._stage_rows
     assert np.array_equal(clone.predict(task, states), model.predict(task, states))
     assert np.array_equal(clone.predict_stages(task, states[0]), model.predict_stages(task, states[0]))
 
@@ -272,7 +286,6 @@ def test_model_pickled_by_an_earlier_release_loads(trained_model_and_states):
     earlier = buffer.getvalue()
     assert earlier == pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
     loaded = pickle.loads(earlier)
-    assert loaded._stage_rows == {}
     scores = loaded.predict(task, states)
     assert np.array_equal(scores, model.predict(task, states))
     for state in states:

@@ -1,7 +1,6 @@
 """The cost-model service (PR 9): per-target model sharing, save/load with
-bit-identical predictions, loud load failures, coalesced cross-search
-prediction, wiring through Tuner/TaskScheduler, and the cross-session
-warm-start panel."""
+bit-identical predictions, loud load failures, wiring through
+Tuner/TaskScheduler, and the cross-session warm-start panel."""
 
 import pickle
 from dataclasses import replace
@@ -139,50 +138,6 @@ def test_foreign_pickle_raises(tmp_path):
 def test_save_needs_a_path_when_none_bound(task):
     with pytest.raises(ValueError, match="needs a path"):
         CostModelService().save()
-
-
-# ----------------------------------------------------------------------
-# Coalesced prediction
-# ----------------------------------------------------------------------
-def test_predict_batch_matches_sequential_predicts(task):
-    service = _trained_service(task)
-    batch_a, batch_b = _states(task, 5, seed=3), _states(task, 7, seed=4)
-    sequential = [service.predict(task, batch_a), service.predict(task, batch_b)]
-    batched = service.predict_batch([(task, batch_a), (task, batch_b)])
-    for got, want in zip(batched, sequential):
-        np.testing.assert_array_equal(got, want)
-
-
-def test_predict_batch_coalesces_into_one_booster_invocation(task):
-    service = _trained_service(task)
-    model = service.model_for(task)
-    calls = []
-    original = model.booster.predict
-
-    def counting_predict(X):
-        calls.append(len(X))
-        return original(X)
-
-    model.booster.predict = counting_predict
-    try:
-        service.predict_batch(
-            [(task, _states(task, 5, seed=3)), (task, _states(task, 7, seed=4))]
-        )
-    finally:
-        model.booster.predict = original
-    assert len(calls) == 1  # both requests rode one invocation
-
-
-def test_predict_batch_mixed_targets_group_per_model(task):
-    arm_task = SearchTask(make_matmul_relu_dag(256, 256, 256), arm_cpu(), desc="arm")
-    service = CostModelService(n_rounds=5)
-    for t in (task, arm_task):
-        inputs, results = _sample_and_measure(t, 24)
-        service.ingest(t, inputs, results)
-    states = _states(task)
-    scores = service.predict_batch([(task, states), (arm_task, states)])
-    np.testing.assert_array_equal(scores[0], service.predict(task, states))
-    np.testing.assert_array_equal(scores[1], service.predict(arm_task, states))
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cost_model import LearnedCostModel
-from repro.cost_model.features import clear_feature_cache, extract_program_features
+from repro.cost_model.features import extract_program_features
 from repro.hardware import MeasureInput, MeasurePipeline, intel_cpu
 from repro.hardware.platform import wide_vector_cpu
 from repro.ir.state import State
@@ -357,13 +357,6 @@ def _fingerprint(state: Optional[State]) -> Optional[str]:
     return None if state is None else state.fingerprint()
 
 
-@pytest.fixture(autouse=True)
-def cold_caches():
-    clear_feature_cache()
-    yield
-    clear_feature_cache()
-
-
 # ---------------------------------------------------------------------------
 # Tile-size mutation
 # ---------------------------------------------------------------------------
@@ -650,7 +643,6 @@ def test_seeded_search_matches_reference_breeding(name, monkeypatch):
     monkeypatch.setattr(LearnedCostModel, "predict_stages", reference_predict_stages)
     monkeypatch.setattr(Step, "copy", reference_step_copy)
     monkeypatch.delattr(SplitStep, "copy")
-    clear_feature_cache()
     ref_best, ref_rng_state, ref_model_rng_state, ref_booster_calls = _search(task, 3)
 
     assert best == ref_best

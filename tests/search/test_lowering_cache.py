@@ -3,8 +3,10 @@ itself.  The memo must serve repeated lowerings of one state, must never
 serve a stale program after a step is appended, must not leak later steps
 on the state into a program lowered earlier (programs snapshot the state's
 stage list, and steps replace stages instead of editing them), and must
-never travel in a pickle, nor may the other memos: a state's stage record
-and a DAG's stage template."""
+never travel in a pickle, nor may the other memos: a state's feature
+matrix, the booster rows a trained model kept on it, its stage record and
+a DAG's stage template.  A step drops the feature and row memos with the
+program, and a copy carries none of them."""
 
 import pickle
 import sys
@@ -14,10 +16,11 @@ import numpy as np
 import pytest
 
 from repro.codegen.lowering import lower_state
+from repro.cost_model import LearnedCostModel
 from repro.ir.state import State
 from repro.search import generate_sketches, sample_initial_population
 from repro.search.mutation import random_mutation
-from repro.hardware import intel_cpu
+from repro.hardware import MeasureInput, MeasurePipeline, intel_cpu
 from repro.task import SearchTask
 
 from ..conftest import make_matmul_relu_dag
@@ -33,6 +36,29 @@ def _loops(program):
         name: [(l.name, l.extent, l.annotation) for l in nest.loops]
         for name, nest in program.nests.items()
     }
+
+
+def _trained_model(dag):
+    task = SearchTask(dag, intel_cpu())
+    population = sample_initial_population(
+        task, generate_sketches(task), 8, np.random.default_rng(0)
+    )
+    inputs = [MeasureInput(task, state) for state in population]
+    model = LearnedCostModel(n_rounds=5, seed=0)
+    model.update(inputs, MeasurePipeline(intel_cpu(), seed=0).measure(inputs))
+    assert model.is_trained
+    return task, model
+
+
+@pytest.fixture
+def scored(dag):
+    """A state that a trained model featurized and scored."""
+    task, model = _trained_model(dag)
+    state = State.from_dag(dag).split("C", 0, [8]).parallel("C", 0)
+    model.predict(task, [state])
+    assert state._lowered is not None and state._features is not None
+    assert state._stage_rows[0] is model
+    return state
 
 
 def test_lowering_one_state_twice_returns_the_same_program(dag):
@@ -77,7 +103,7 @@ def test_pragma_is_visible_after_mutation(dag):
 def test_uncached_lowering_matches_cached(dag):
     state = State.from_dag(dag).split("C", 1, [16]).vectorize("C", 2)
     cached = lower_state(state)
-    fresh = lower_state(state, use_cache=False)
+    fresh = lower_state(state.copy())
     assert fresh is not cached
     assert lower_state(state) is cached  # the fresh lowering left the memo alone
     assert set(fresh.nests) == set(cached.nests)
@@ -117,12 +143,36 @@ def test_lowered_state_pickles_without_its_program(dag):
     )
     assert [len(pickle.dumps(parent)) for parent in parents] == before
 
+    # Featurized and scored by a trained model, a state (and each parent)
+    # pickles to its earlier length, and its clone holds neither memo.
+    task, model = _trained_model(dag)
+    model.predict(task, [state] + parents)
+    assert state._features is not None and state._stage_rows[0] is model
+    assert all(parent._stage_rows[0] is model for parent in parents)
+    assert len(pickle.dumps(state)) == len(unlowered)
+    assert [len(pickle.dumps(parent)) for parent in parents] == before
+    clone = pickle.loads(pickle.dumps(state))
+    assert clone._features is None and clone._stage_rows is None
+
+
+def test_a_step_drops_the_feature_and_row_memos(scored):
+    scored.pragma("C", "auto_unroll_max_step", 16)
+    assert scored._lowered is None
+    assert scored._features is None
+    assert scored._stage_rows is None
+
+
+def test_a_copy_carries_no_feature_or_row_memo(scored):
+    clone = scored.copy()
+    assert clone._lowered is None and clone._features is None and clone._stage_rows is None
+    assert scored._features is not None and scored._stage_rows is not None
+
 
 def test_threads_lowering_one_state_get_equal_programs(dag):
     """Threads racing on one unlowered state may each lower it, but every
     one gets an equal program and the memo keeps one of them."""
     state = State.from_dag(dag).split("C", 0, [8]).split("C", 2, [4]).vectorize("C", 3)
-    expected = _loops(lower_state(state, use_cache=False))
+    expected = _loops(lower_state(state.copy()))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -149,7 +199,7 @@ def test_mutation_never_observes_stale_programs():
     assert children
     for child in children:
         cached = lower_state(child)
-        fresh = lower_state(child, use_cache=False)
+        fresh = lower_state(child.copy())
         assert _loops(fresh) == _loops(cached)
         for name in fresh.nests:
             assert fresh.nests[name].stage.auto_unroll_max_step == (

@@ -92,10 +92,10 @@ def test_child_equal_to_an_unlowerable_initial_member_is_rejected(task, monkeypa
     bad_key = bad.fingerprint()
     lower_state = mutation.lower_state
 
-    def lower(state, use_cache=True):
+    def lower(state):
         if state.fingerprint() == bad_key:
             raise ValueError("unlowerable program")
-        return lower_state(state, use_cache)
+        return lower_state(state)
 
     def breed_bad(state, rng, options, *, replays=None):
         steps = [step.copy() for step in bad.transform_steps]

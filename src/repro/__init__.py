@@ -21,7 +21,11 @@ The search hot path — scoring candidate programs with the cost model —
 runs through a batched, memoized inference pipeline: ``lower_state`` is
 memoized on the state itself (one lowering per state, shared by mutation
 validation, featurization, the simulator and the printer, and freed with
-the state); each evolutionary search replays a distinct offspring step list
+the state); a lowering composes each nest's statement from access tables
+that every op builds once (its flop count, one shared, frozen access with
+precomputed strides per read site and for the write, and its arithmetic
+feature counts), so no expression tree is walked again;
+each evolutionary search replays a distinct offspring step list
 once, so a duplicate child reuses the first replay's state and lowering;
 feature matrices are memoized on the state in the same way, so a surviving
 program is featurized once per search, not once per generation; a scoring
@@ -37,7 +41,10 @@ starts from the stages its parent recorded at the first step the child
 changed and replays only the steps from there on; tile-size mutation reads
 the extent its parent's split step recorded when it was applied; and
 crossover's per-node scores read back the per-statement rows that one
-prediction computed and left on the scored state.  The tracked
+prediction computed and left on the state the search scored for that
+program, also when the parent is an equal state bred again.  A retrain
+bins its matrix once, sorting it once and taking the quantiles of every
+group of columns that share a bin count in one call.  The tracked
 baseline is ``benchmarks/test_search_throughput.py`` (predicted states/sec,
 written to ``BENCH_search_throughput.json``); profile the loop with
 ``make profile``.
@@ -46,7 +53,10 @@ per-row ``predict_rowwise``, enforced by
 ``tests/cost_model/test_predict_parity.py``, and the featurizer and the
 simulator with the per-nest extractor and per-suffix footprint loop they
 replaced, which now live only in ``tests/cost_model/test_feature_parity.py``,
-and breeding with the full-replay operators and the ``Generator.choice``
+lowering with the expression-tree walk kept in
+``tests/codegen/test_access_tables.py``, the trainer with the per-column
+binning kept in ``tests/cost_model/test_gbdt_train_parity.py``, and
+breeding with the full-replay operators and the ``Generator.choice``
 draws kept in ``tests/search/test_breeding_parity.py``.
 
 Measurement is a two-stage builder/runner pipeline

@@ -16,24 +16,36 @@ The lowering resolves, for every non-inlined stage:
   coefficients over the *original* iteration axes, so access strides with
   respect to any scheduled loop can be recovered from the loop's
   ``axis_strides``.
+
+Ops never change, so nothing about an op's body is derived twice: each
+:class:`~repro.te.operation.ComputeOp` keeps one :class:`AccessTable`
+(:func:`access_table`), built on first use, with the body's flop count,
+one shared :class:`BufferAccess` per read site and for the write, and the
+arithmetic counts the cost-model features read.  A state only decides which
+producers are inlined, so a nest's statement is composed from tables: an
+inlined producer adds its flops and its reads in place of the read of its
+output, and every other read contributes the op's own shared access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..ir.loop import ComputeLocation, Iterator, Stage
 from ..ir.state import State
 from ..te.expr import (
     Add,
-    BinaryOp,
     Call,
-    Cast,
     Compare,
+    Div,
     Expr,
     FloatImm,
+    FloorDiv,
     IntImm,
+    Max,
+    Min,
+    Mod,
     Mul,
     Reduce,
     Select,
@@ -41,14 +53,17 @@ from ..te.expr import (
     TensorRead,
     Var,
     count_flop,
+    post_order_visit,
 )
-from ..te.operation import ComputeOp, PlaceholderOp
+from ..te.operation import ComputeOp
 from .footprint import axis_span
 
 __all__ = [
+    "AccessTable",
     "BufferAccess",
     "StageNest",
     "LoweredProgram",
+    "access_table",
     "lower_state",
     "linear_coefficients",
 ]
@@ -101,24 +116,24 @@ def linear_coefficients(expr: Expr) -> Tuple[Dict[str, int], int]:
     return {v.name: 1 for v in collect_vars(expr)}, 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class BufferAccess:
-    """One buffer access of an innermost statement."""
+    """One buffer access of an innermost statement.
+
+    A value: every statement that reads through one read site of an op's
+    body shares that site's access (see :class:`AccessTable`), so assigning
+    to a field raises.  Treat ``dim_coeffs`` and ``strides`` as read-only
+    too."""
 
     buffer: str
     shape: Tuple[int, ...]
     is_write: bool
-    dim_coeffs: List[Dict[str, int]]
+    dim_coeffs: Sequence[Dict[str, int]]
     dtype_bytes: int = 4
+    #: stride (in elements of the buffer) of each original axis
+    strides: Dict[str, int] = field(init=False, repr=False, compare=False)
 
-    def size_bytes(self) -> int:
-        total = self.dtype_bytes
-        for dim in self.shape:
-            total *= dim
-        return total
-
-    def element_strides(self) -> Dict[str, int]:
-        """Stride (in elements of the buffer) of each original axis."""
+    def __post_init__(self) -> None:
         strides: Dict[str, int] = {}
         dim_stride = 1
         # innermost dimension has stride 1
@@ -130,15 +145,32 @@ class BufferAccess:
         for dim_idx, coeffs in enumerate(self.dim_coeffs):
             for axis, coeff in coeffs.items():
                 strides[axis] = strides.get(axis, 0) + coeff * buffer_strides[dim_idx]
-        return strides
+        object.__setattr__(self, "strides", strides)
 
-    def touched_axes(self) -> List[str]:
-        axes = []
-        for coeffs in self.dim_coeffs:
-            for axis in coeffs:
-                if axis not in axes:
-                    axes.append(axis)
-        return axes
+    def size_bytes(self) -> int:
+        total = self.dtype_bytes
+        for dim in self.shape:
+            total *= dim
+        return total
+
+    def element_strides(self) -> Dict[str, int]:
+        """Stride (in elements of the buffer) of each original axis: the
+        shared ``strides``."""
+        return self.strides
+
+
+class AccessTable(NamedTuple):
+    """What lowering and featurization read of one op's body, built once
+    per op by :func:`access_table`."""
+
+    #: floating point operations of one body evaluation, at least 1
+    flops: int
+    #: ``(producer name, access)`` of every read site, in body order
+    reads: Tuple[Tuple[str, BufferAccess], ...]
+    #: the write to the op's own output buffer, indexed by its spatial axes
+    write: BufferAccess
+    #: the cost-model features' arithmetic counts (float, then integer)
+    arith: Tuple[int, ...]
 
 
 @dataclass
@@ -203,56 +235,78 @@ def _dtype_bytes(dtype: str) -> int:
     return DTYPE_BYTES.get(dtype, 4)
 
 
-def _collect_accesses(state: State, op: ComputeOp) -> Tuple[List[BufferAccess], float]:
-    """Buffer accesses and flops of one innermost statement of ``op``.
+#: the column of each expression node type among the float arithmetic
+#: counts (add, sub, mul, div, mod, cmp, intrinsic, other); a reduction's
+#: accumulate counts as an add
+_ARITH_COLUMNS = {
+    Add: 0, Reduce: 0, Sub: 1, Mul: 2, Div: 3, FloorDiv: 3, Mod: 4,
+    Compare: 5, Call: 6, Max: 7, Min: 7, Select: 7,
+}
+
+
+def _arith_counts(body: Expr, reads: Sequence[TensorRead]) -> Tuple[int, ...]:
+    """Counts of float arithmetic by category, then integer arithmetic."""
+    counts = [0] * 16
+
+    def visit(node: Expr) -> None:
+        column = _ARITH_COLUMNS.get(type(node))
+        if column is not None:
+            counts[column] += 1
+
+    post_order_visit(body, visit)
+    # Integer arithmetic: index computation — approximate by the number of
+    # non-trivial index expressions (those with sub-expressions) in the
+    # reads, as both an add and a multiply.
+    counts[8] = counts[10] = sum(1 for read in reads for index in read.indices if index.children())
+    return tuple(counts)
+
+
+def access_table(op: ComputeOp) -> AccessTable:
+    """The access table of ``op``, built on first use and kept on the op
+    (out of its pickles).  Threads that race to build it build equal
+    tables, and the last assignment wins, so it needs no lock."""
+    table = op._access_table
+    if table is None:
+        reads = op.reads()
+        accesses = []
+        for read in reads:
+            tensor = read.tensor
+            dim_coeffs = tuple(linear_coefficients(index)[0] for index in read.indices)
+            access = BufferAccess(tensor.name, tensor.shape, False, dim_coeffs, _dtype_bytes(tensor.dtype))
+            accesses.append((tensor.name, access))
+        write_coeffs = tuple({ax.name: 1} for ax in op.axes)
+        write = BufferAccess(op.name, op.output.shape, True, write_coeffs, _dtype_bytes(op.output.dtype))
+        table = op._access_table = AccessTable(
+            max(count_flop(op.body), 1), tuple(accesses), write, _arith_counts(op.body, reads)
+        )
+    return table
+
+
+def _collect_accesses(stages: Dict[str, Stage], op: ComputeOp) -> Tuple[List[BufferAccess], float]:
+    """Buffer accesses and flops of one innermost statement of ``op``, whose
+    state's stages are ``stages`` (by name).
 
     Reads of tensors produced by *inlined* stages are replaced by the inlined
     op's own reads (recursively) and their flops are added, modelling the
     effect of inlining on the innermost statement.
     """
+    table = access_table(op)
     accesses: List[BufferAccess] = []
-    flops = float(max(count_flop(op.body), 1))
+    flops = float(table.flops)
 
-    def expand_read(read: TensorRead) -> None:
+    def expand(table: AccessTable) -> None:
         nonlocal flops
-        tensor = read.tensor
-        producer_inlined = False
-        if state.has_stage(tensor.name):
-            producer = state.stage(tensor.name)
-            producer_inlined = producer.is_inlined()
-        if producer_inlined and isinstance(producer.op, ComputeOp):
-            flops += max(count_flop(producer.op.body), 1)
-            for inner in producer.op.reads():
-                expand_read(inner)
-            return
-        dim_coeffs = []
-        for index in read.indices:
-            coeffs, _ = linear_coefficients(index)
-            dim_coeffs.append(coeffs)
-        accesses.append(
-            BufferAccess(
-                buffer=tensor.name,
-                shape=tensor.shape,
-                is_write=False,
-                dim_coeffs=dim_coeffs,
-                dtype_bytes=_dtype_bytes(tensor.dtype),
-            )
-        )
+        for producer, access in table.reads:
+            stage = stages.get(producer)
+            if stage is not None and stage.is_inlined() and isinstance(stage.op, ComputeOp):
+                inlined = access_table(stage.op)
+                flops += inlined.flops
+                expand(inlined)
+            else:
+                accesses.append(access)
 
-    for read in op.reads():
-        expand_read(read)
-
-    # The write to the op's own output buffer, indexed by its spatial axes.
-    write_coeffs = [{ax.name: 1} for ax in op.axes]
-    accesses.append(
-        BufferAccess(
-            buffer=op.name,
-            shape=op.output.shape,
-            is_write=True,
-            dim_coeffs=write_coeffs,
-            dtype_bytes=_dtype_bytes(op.output.dtype),
-        )
-    )
+    expand(table)
+    accesses.append(table.write)
     return accesses, flops
 
 
@@ -376,6 +430,12 @@ def _shrink_attached_nest(nest: StageNest, parent: StageNest, attach_index: int)
 # later steps on the state never leak into a program lowered earlier.  No
 # lock is needed: threads that race to lower one state each compute the
 # same program, and the last assignment wins.
+# What a lowering that misses the memo derives from ops, it reads from
+# their access tables (``ComputeOp._access_table``, see
+# :func:`access_table`): ops outlive every state, so no lowering walks an
+# expression tree once each op has its table.  Ops that a replay builds
+# anew (the ``CacheWriteStep`` and ``RfactorStep`` ops) build their own
+# tables on their first lowering.
 def lower_state(state: State) -> LoweredProgram:
     """Lower a state into its loop-nest program description, memoized on
     the state."""
@@ -389,13 +449,14 @@ def _lower_state_uncached(state: State) -> LoweredProgram:
     # The program's ``.state`` is a snapshot of the lists: later steps on the
     # source state replace entries of its lists, never the stages themselves.
     state = State(state.dag, list(state.stages), state.transform_steps)
+    by_name = {stage.name: stage for stage in state.stages}
     nests: Dict[str, StageNest] = {}
     for stage in state.stages:
         if stage.is_placeholder() or stage.is_inlined():
             continue
         op = stage.op
         assert isinstance(op, ComputeOp)
-        accesses, flops = _collect_accesses(state, op)
+        accesses, flops = _collect_accesses(by_name, op)
         nests[stage.name] = StageNest(
             stage=stage,
             loops=list(stage.iters),

@@ -23,8 +23,10 @@ Extraction runs a batch of nests at once.  Each nest gets one *raw* row:
 counts, extents, bytes and intensities as computed, one-hot columns as 0
 or 1.  Every footprint the row needs (the intensity curve's, the buffers'
 unique bytes and reuse distances) is read from the nest's
-:func:`~repro.codegen.footprint.suffix_footprints` table, and each op's
-arithmetic counts are computed once per batch.  A single pass then maps
+:func:`~repro.codegen.footprint.suffix_footprints` table, each op's
+arithmetic counts from the access table lowering keeps on the op
+(:func:`~repro.codegen.lowering.access_table`), and each access's strides
+from the access itself.  A single pass then maps
 every value ``x`` of the batch to ``log2(1 + x)``.  One-hot columns are
 fixed points of that map (``log2 2 = 1``, ``log2 1 = 0``), so the pass runs
 over whole rows.  It calls :func:`math.log2` value by value because
@@ -47,25 +49,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..codegen.footprint import loop_affects_access, loop_stride_elements, suffix_footprints
-from ..codegen.lowering import LoweredProgram, StageNest, lower_state
+from ..codegen.lowering import LoweredProgram, StageNest, access_table, lower_state
 from ..ir.loop import Iterator
 from ..ir.state import State
-from ..te.expr import (
-    Add,
-    Call,
-    Compare,
-    Div,
-    Expr,
-    FloorDiv,
-    Max,
-    Min,
-    Mod,
-    Mul,
-    Reduce,
-    Select,
-    Sub,
-    post_order_visit,
-)
 from ..te.operation import ComputeOp
 
 __all__ = [
@@ -79,57 +65,6 @@ __all__ = [
 _MAX_BUFFERS = 5
 _CURVE_SAMPLES = 10
 _CACHE_LINE_BYTES = 64
-
-
-# ---------------------------------------------------------------------------
-# Arithmetic features
-# ---------------------------------------------------------------------------
-
-
-def _arith_counts(op: ComputeOp) -> List[int]:
-    """Counts of float arithmetic by category, then integer arithmetic."""
-    add = sub = mul = div = mod = cmp = intrinsic = other = 0
-
-    def visit(node: Expr) -> None:
-        nonlocal add, sub, mul, div, mod, cmp, intrinsic, other
-        if isinstance(node, Add):
-            add += 1
-        elif isinstance(node, Sub):
-            sub += 1
-        elif isinstance(node, Mul):
-            mul += 1
-        elif isinstance(node, (Div, FloorDiv)):
-            div += 1
-        elif isinstance(node, Mod):
-            mod += 1
-        elif isinstance(node, Compare):
-            cmp += 1
-        elif isinstance(node, Call):
-            intrinsic += 1
-        elif isinstance(node, (Max, Min, Select)):
-            other += 1
-        elif isinstance(node, Reduce):
-            add += 1  # the accumulate
-
-    post_order_visit(op.body, visit)
-    float_counts = [add, sub, mul, div, mod, cmp, intrinsic, other]
-    # Integer arithmetic: index computation — approximate by the number of
-    # non-trivial index expressions in the reads.
-    int_add = int_mul = 0
-    for read in op.reads():
-        for index in read.indices:
-            n_nodes = 0
-
-            def count(node: Expr) -> None:
-                nonlocal n_nodes
-                n_nodes += 1
-
-            post_order_visit(index, count)
-            if n_nodes > 1:
-                int_add += 1
-                int_mul += 1
-    int_counts = [int_add, 0, int_mul, 0, 0, 0, 0, 0]
-    return float_counts + int_counts
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +232,7 @@ def _buffer_features(nest: StageNest, table: List[List[float]]) -> List[float]:
 
         stride = 0
         if inner is not None:
-            stride = abs(loop_stride_elements(inner, access.element_strides()))
+            stride = abs(loop_stride_elements(inner, access.strides))
 
         per_reuse = max(reuse_count, 1.0)
         features += _ACCESS_ONE_HOT[access_type]
@@ -340,18 +275,15 @@ def _other_features(nest: StageNest) -> List[float]:
 
 def _feature_matrix(nests: Sequence[StageNest]) -> np.ndarray:
     """Feature rows of ``nests``, one per nest: raw rows, then one
-    ``log2(1 + x)`` pass over all of them."""
-    arith: Dict[int, List[int]] = {}
+    ``log2(1 + x)`` pass over all of them.  The arithmetic counts come from
+    each op's access table, which lowering built."""
     raw: List[float] = []
     for nest in nests:
         op = nest.stage.op
         assert isinstance(op, ComputeOp)
-        counts = arith.get(id(op))
-        if counts is None:
-            counts = arith[id(op)] = _arith_counts(op)
         loops = nest.outer_context + nest.loops
         table = suffix_footprints(loops, nest.accesses)
-        raw.extend(counts)
+        raw.extend(access_table(op).arith)
         raw.extend(_annotation_features(loops, "vectorize"))
         raw.extend(_annotation_features(loops, "unroll"))
         raw.extend(_annotation_features(loops, "parallel"))

@@ -15,7 +15,9 @@ model needs:
 Training cost: the cost model retrains after every measurement round, so
 the fit is a search-time cost.  The quantile bin edges and the binned
 matrix depend only on ``X``, which every boosting round shares, so
-:meth:`GBDTRegressor.fit_boosting` bins once per fit, not once per tree.
+:meth:`GBDTRegressor.fit_boosting` bins once per fit, not once per tree,
+from one sorted copy of ``X`` and one ``np.quantile`` call per group of
+columns that share a bin count.
 Each node then scores all its candidate features from one ``np.bincount``
 histogram: the features sit side by side, padded to one bin width, and
 split positions past a feature's highest bin in the node are masked out.
@@ -61,20 +63,30 @@ class _BinnedMatrix(NamedTuple):
 
 
 def _bin_matrix(X: np.ndarray, n_bins: int) -> _BinnedMatrix:
+    """Quantile bins of every column of ``X``.
+
+    A column of ``u`` distinct values (``np.unique`` counts every NaN as one
+    value) gets the distinct ``min(n_bins, u)``-quantiles between its
+    extremes as edges, or none when ``u <= 1``.  The columns are sorted
+    once, their distinct values are counted from the sorted copy, and the
+    columns that share a bin count share one ``np.quantile`` call."""
     n, d = X.shape
-    edges_list: List[np.ndarray] = []
-    bins = np.empty((n, d), dtype=np.int16)
-    for j in range(d):
-        col = X[:, j]
-        unique = np.unique(col)
-        if len(unique) <= 1:
-            edges = np.array([])
-        else:
-            qs = np.linspace(0, 1, min(n_bins, len(unique)) + 1)[1:-1]
-            edges = np.unique(np.quantile(col, qs))
-        edges_list.append(edges)
-        bins[:, j] = np.searchsorted(edges, col, side="right") if len(edges) else 0
-    splittable = np.fromiter((len(e) > 0 for e in edges_list), dtype=bool, count=d)
+    S = np.sort(X, axis=0)
+    nan = np.isnan(S)
+    distinct = 1 + ((S[1:] != S[:-1]) & ~(nan[1:] & nan[:-1])).sum(axis=0)
+    counts = np.where(distinct > 1, np.minimum(distinct, n_bins), 0)
+    edges_list: List[np.ndarray] = [np.array([])] * d
+    for count in np.unique(counts[counts > 0]).tolist():
+        cols = np.flatnonzero(counts == count)
+        qs = np.linspace(0, 1, count + 1)[1:-1]
+        quantiles = np.quantile(S[:, cols], qs, axis=0)
+        for k, j in enumerate(cols.tolist()):
+            edges_list[j] = np.unique(quantiles[:, k])
+    bins = np.zeros((n, d), dtype=np.int16)
+    for j, edges in enumerate(edges_list):
+        if len(edges):
+            bins[:, j] = np.searchsorted(edges, X[:, j], side="right")
+    splittable = counts > 0
     return _BinnedMatrix(edges_list, bins, splittable)
 
 
@@ -204,7 +216,7 @@ class RegressionTree:
             return None
         base_score = total_wy * total_wy / total_w
 
-        node_bins = binned.bins[idx[:, None], features]
+        node_bins = binned.bins[idx][:, features]
         top = node_bins.max(axis=0)
         width = int(top.max()) + 1
         if width <= 1:

@@ -36,29 +36,31 @@ def _score_with_cache(
     cost_model: CostModel,
     task: SearchTask,
     population: List[State],
-    score_cache: Dict[str, float],
+    scored: Dict[str, Tuple[float, State]],
 ) -> np.ndarray:
     """Scores for ``population``, predicting only not-yet-seen programs.
 
     One batched ``cost_model.predict`` call covers all fresh programs, and
     every distinct program is predicted exactly once per search: elites
     (and any re-discovered program) carry their score from the generation
-    that first produced them.
+    that first produced them.  ``scored`` maps each program's fingerprint
+    to its score and the state that was scored, in the order the programs
+    were first scored.
     """
     fresh: List[State] = []
     fresh_keys: List[str] = []
     fresh_seen: set = set()
     for state in population:
         key = state.fingerprint()
-        if key not in score_cache and key not in fresh_seen:
+        if key not in scored and key not in fresh_seen:
             fresh.append(state)
             fresh_keys.append(key)
             fresh_seen.add(key)
     if fresh:
         predicted = np.asarray(cost_model.predict(task, fresh), dtype=np.float64)
-        for key, score in zip(fresh_keys, predicted):
-            score_cache[key] = float(score)
-    return np.asarray([score_cache[s.fingerprint()] for s in population], dtype=np.float64)
+        for key, state, score in zip(fresh_keys, fresh, predicted):
+            scored[key] = (float(score), state)
+    return np.asarray([scored[s.fingerprint()][0] for s in population], dtype=np.float64)
 
 
 def _selection_cdf(scores: np.ndarray) -> np.ndarray:
@@ -89,8 +91,8 @@ def _node_scores_for(
     """Per-DAG-node scores used by crossover to pick the better parent.
 
     Cached per program, so each parent is scored once per search rather
-    than once per crossover attempt.  Every parent was scored by the
-    search's batched ``predict``, and a trained
+    than once per crossover attempt.  ``state`` is the state the search's
+    batched ``predict`` scored for the program, and a trained
     :class:`~repro.cost_model.model.LearnedCostModel` leaves those
     per-statement rows on each state it scores, so ``predict_stages`` reads
     them back instead of running the booster a second time."""
@@ -140,21 +142,26 @@ class EvolutionarySearch:
             mutation_prob=mutation_prob,
         )
         self.rng = np.random.default_rng(seed)
-        #: fingerprint -> per-node scores, valid for the duration of one
-        #: ``search()`` call (the model does not retrain mid-search)
+        # Both valid for the duration of one ``search()`` call (the model
+        # does not retrain mid-search):
+        #: fingerprint -> (predicted score, the state that was scored)
+        self._scored: Dict[str, Tuple[float, State]] = {}
+        #: fingerprint -> per-node scores
         self._node_scores_cache: Dict[str, Dict[str, float]] = {}
 
     # ------------------------------------------------------------------
     def _node_scores(self, state: State) -> Dict[str, float]:
-        return _node_scores_for(self.cost_model, self.task, state, self._node_scores_cache)
+        """Per-node scores of a parent's program, taken from the state that
+        was scored for it: a re-discovered program (an equal state bred
+        again) carries its score, not the rows its first state keeps."""
+        scored = self._scored[state.fingerprint()][1]
+        return _node_scores_for(self.cost_model, self.task, scored, self._node_scores_cache)
 
     def _select_parent(self, population: List[State], cdf: np.ndarray) -> State:
         return population[int(cdf.searchsorted(self.rng.random(), side="right"))]
 
-    def _score_population(
-        self, population: List[State], score_cache: Dict[str, float]
-    ) -> np.ndarray:
-        return _score_with_cache(self.cost_model, self.task, population, score_cache)
+    def _score_population(self, population: List[State]) -> np.ndarray:
+        return _score_with_cache(self.cost_model, self.task, population, self._scored)
 
     # ------------------------------------------------------------------
     def search(self, initial_population: Sequence[State], num_best: int) -> List[State]:
@@ -163,26 +170,16 @@ class EvolutionarySearch:
         population = [s for s in initial_population]
         if not population:
             return []
+        self._scored = {}
         self._node_scores_cache = {}
         options = self.options
 
-        # Best-so-far across all generations, keyed by program fingerprint.
-        hall_of_fame: Dict[str, Tuple[float, State]] = {}
-        #: fingerprint -> predicted score, for the whole search
-        score_cache: Dict[str, float] = {}
         #: step-list fingerprint -> replay outcome of every offspring this
         #: search bred, so a duplicate child is replayed and lowered once
         replays: Dict[str, Optional[State]] = {}
 
-        scores = self._score_population(population, score_cache)
-        for generation in range(options.num_generations + 1):
-            for state, score in zip(population, scores):
-                key = state.fingerprint()
-                if key not in hall_of_fame or score > hall_of_fame[key][0]:
-                    hall_of_fame[key] = (float(score), state)
-            if generation == options.num_generations:
-                break
-
+        scores = self._score_population(population)
+        for _ in range(options.num_generations):
             cdf = _selection_cdf(scores)
 
             elite_count = max(1, int(options.elite_fraction * options.population_size))
@@ -221,7 +218,10 @@ class EvolutionarySearch:
             population = next_population
             # Elites keep their carried scores; only the new offspring of this
             # generation hit the cost model.
-            scores = self._score_population(population, score_cache)
+            scores = self._score_population(population)
 
-        ranked = sorted(hall_of_fame.values(), key=lambda pair: -pair[0])
+        # Best-so-far across all generations: every program the search
+        # scored, each with the first state that carried it.
+        ranked = sorted(self._scored.values(), key=lambda pair: -pair[0])
+        self._scored, self._node_scores_cache = {}, {}
         return [state for _, state in ranked[:num_best]]

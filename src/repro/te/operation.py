@@ -69,6 +69,11 @@ class ComputeOp(Operation):
         give simple hints in the computation definition).
     """
 
+    #: the op's reads, write and counts, which lowering
+    #: (:func:`repro.codegen.lowering.access_table`) builds on first use;
+    #: a memo that pickles leave out
+    _access_table = None
+
     def __init__(
         self,
         name: str,
@@ -86,6 +91,11 @@ class ComputeOp(Operation):
         self.attrs = dict(attrs or {})
         shape = tuple(ax.extent for ax in self.axes)
         self.output = Tensor(self, shape, "float32", name)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_access_table", None)
+        return state
 
     # -- structural queries -------------------------------------------------
     @property

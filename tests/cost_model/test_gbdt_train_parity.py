@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro import MeasureCallback, SearchTask, Tuner, TuningOptions, intel_cpu
-from repro.cost_model.gbdt import GBDTRegressor, RegressionTree, _Node
+from repro.cost_model.gbdt import _N_BINS, GBDTRegressor, RegressionTree, _bin_matrix, _Node
 
 from ..conftest import make_matmul_relu_dag
 
@@ -256,6 +256,18 @@ def _single_tree_case(name):
         # A node splits only on a gain > 0, whatever min_gain allows.
         y = np.zeros(60)
         params["min_gain"] = -1.0
+    elif name == "NaN and infinite columns":
+        # np.unique counts all the NaNs of a column as one value, so an
+        # all-NaN column is constant; a column's NaNs turn its quantile
+        # edges into NaN, and infinities sort to its ends.
+        X[::4, 0] = np.nan
+        X[1::5, 1] = np.inf
+        X[2::5, 1] = -np.inf
+        X[:, 2] = np.nan
+        X[:, 3] = np.where(np.arange(60) % 3, 1.0, np.nan)
+        X[:, 4] = np.where(np.arange(60) % 2, np.inf, -np.inf)
+        X[::7, 5] = np.inf
+        X[1::7, 5] = np.nan
     return X, y, w, params
 
 
@@ -268,6 +280,7 @@ def _single_tree_case(name):
         "large target offset",
         "overflowing bin sums",
         "zero gains, negative min_gain",
+        "NaN and infinite columns",
     ],
 )
 def test_single_tree_matches_reference(case):
@@ -279,6 +292,25 @@ def test_single_tree_matches_reference(case):
             new.fit(X, y, sample_weight=w, rng=np.random.default_rng(0))
             reference_fit_tree(ref, X, y, w, rng=np.random.default_rng(0))
             assert_same_trees(new, ref)
+
+
+@pytest.mark.parametrize("case", ["mixed columns", "all columns constant", "NaN and infinite columns"])
+def test_binning_matches_reference(case):
+    """Edges, bins and splittable columns equal the per-column binning,
+    including on columns no tree would split (an all-NaN column)."""
+    X = _single_tree_case(case)[0]
+    matrices = [X] + [random_training_set(np.random.default_rng(seed), 90, 30)[0] for seed in range(4)]
+    for X in matrices:
+        with np.errstate(invalid="ignore"):
+            binned = _bin_matrix(X, _N_BINS)
+            ref = reference_fit_tree(RegressionTree(max_depth=0), X, np.zeros(len(X)))
+        assert len(binned.edges) == len(ref._edges)
+        for j, (edges, expected) in enumerate(zip(binned.edges, ref._edges)):
+            np.testing.assert_array_equal(edges, expected, err_msg=f"column {j}", strict=True)
+            column = np.searchsorted(expected, X[:, j], side="right") if len(expected) else 0
+            np.testing.assert_array_equal(binned.bins[:, j], column, err_msg=f"column {j}")
+        assert binned.bins.dtype == np.int16
+        assert binned.splittable.tolist() == [len(e) > 0 for e in ref._edges]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,13 @@ These references are kept here verbatim from the code they replaced:
   ``rng.choice(seq)``; the library shares the parent's steps before the
   first one a child changes, replays the child from the stages its parent
   recorded there, draws the operator from one CDF and draws list elements
-  as ``seq[int(rng.integers(len(seq)))]``.
+  as ``seq[int(rng.integers(len(seq)))]``;
+* ``reference_node_scores`` scores a crossover parent's nodes from the
+  parent itself, so a re-discovered program (a state bred again with the
+  steps of a program the search already scored, which carries that score
+  but none of the booster rows batched prediction kept) runs the booster
+  a second time; the library takes the node scores from the state the
+  search scored for the program.
 
 A search that runs on the references (and on the per-parent booster call
 of ``reference_predict_stages``, and the serialization round trip of
@@ -24,7 +30,7 @@ of ``reference_predict_stages``, and the serialization round trip of
 in the same state.
 """
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 import pytest
@@ -305,6 +311,10 @@ def reference_predict_stages(self, task, state: State) -> np.ndarray:
 
 def reference_step_copy(self) -> Step:
     return step_from_dict(self.to_dict())
+
+
+def reference_node_scores(self, state: State) -> Dict[str, float]:
+    return evolutionary._node_scores_for(self.cost_model, self.task, state, self._node_scores_cache)
 
 
 # ---------------------------------------------------------------------------
@@ -596,11 +606,12 @@ def _trained_model(task, seed=0):
     return model
 
 
-def _search(task, seed):
+def _search(task, seed, population=None):
     """The best programs and final RNG states of one seeded search, and the
     booster calls it made outside batched prediction."""
     model = _trained_model(task)
-    population = _population(task, seed, count=12, chain=1)
+    if population is None:
+        population = _population(task, seed, count=12, chain=1)
     search = EvolutionarySearch(
         task, model, population_size=16, num_generations=3, mutation_prob=0.6, seed=seed
     )
@@ -649,4 +660,55 @@ def test_seeded_search_matches_reference_breeding(name, monkeypatch):
     assert rng_state == ref_rng_state
     assert model_rng_state == ref_model_rng_state
     # The reference scored crossover parents with a second booster call.
+    assert not all(ref_booster_calls)
+
+
+def _search_breeding(task, seed, monkeypatch):
+    """:func:`_search` from an initial population that holds every program
+    twice: the sampled states, then each one replayed again from its steps,
+    a re-discovered program that carries the first state's score but none
+    of its booster rows.  Also returns every child the search bred (in
+    order) and whether a crossover had a re-discovered parent."""
+    sampled = _population(task, seed, count=8, chain=0)
+    population = sampled + [task.compute_dag.replay_steps(state.transform_steps) for state in sampled]
+    children, rediscovered = [], []
+
+    def recording_mutation(*args, **kwargs):
+        child = mutation.random_mutation(*args, **kwargs)
+        children.append(_fingerprint(child))
+        return child
+
+    def recording_crossover(parent_a, parent_b, *args, **kwargs):
+        rediscovered.append(parent_a._stage_rows is None or parent_b._stage_rows is None)
+        child = mutation.node_based_crossover(parent_a, parent_b, *args, **kwargs)
+        children.append(_fingerprint(child))
+        return child
+
+    monkeypatch.setattr(evolutionary, "random_mutation", recording_mutation)
+    monkeypatch.setattr(evolutionary, "node_based_crossover", recording_crossover)
+    return _search(task, seed, population) + (children, rediscovered)
+
+
+@pytest.mark.parametrize("name", sorted(TASKS))
+def test_rediscovered_crossover_parent_costs_no_booster_call(name, monkeypatch):
+    """A re-discovered program's node scores come from the rows batched
+    prediction kept on the state the search scored for it.  The first
+    crossover, which comes before any draw that depends on the
+    interpreter's hash order, has a re-discovered parent."""
+    task = TASKS[name]()
+    best, rng_state, model_rng_state, booster_calls, children, rediscovered = _search_breeding(
+        task, 4, monkeypatch
+    )
+    assert rediscovered[0]
+    assert booster_calls and all(booster_calls)
+
+    monkeypatch.setattr(EvolutionarySearch, "_node_scores", reference_node_scores)
+    ref_best, ref_rng_state, ref_model_rng_state, ref_booster_calls, ref_children, _ = _search_breeding(
+        task, 4, monkeypatch
+    )
+    assert children == ref_children
+    assert best == ref_best
+    assert rng_state == ref_rng_state
+    assert model_rng_state == ref_model_rng_state
+    # The reference ran the booster again on the re-discovered parent.
     assert not all(ref_booster_calls)

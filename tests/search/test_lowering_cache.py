@@ -4,8 +4,8 @@ serve a stale program after a step is appended, must not leak later steps
 on the state into a program lowered earlier (programs snapshot the state's
 stage list, and steps replace stages instead of editing them), and must
 never travel in a pickle, nor may the other memos: a state's feature
-matrix, the booster rows a trained model kept on it, its stage record and
-a DAG's stage template.  A step drops the feature and row memos with the
+matrix, the booster rows a trained model kept on it, its stage record, a
+DAG's stage template and an op's access table.  A step drops the feature and row memos with the
 program, and a copy carries none of them."""
 
 import pickle
@@ -114,6 +114,8 @@ def test_uncached_lowering_matches_cached(dag):
 
 def test_lowered_state_pickles_without_its_program(dag):
     without_template = pickle.dumps(dag)
+    op = next(op for op in dag.ops if op.name == "C")
+    without_table = pickle.dumps(op)
     state = State.from_dag(dag).split("C", 0, [8]).parallel("C", 0)
     assert dag._stage_template is not None
     assert len(pickle.dumps(dag)) == len(without_template)
@@ -122,6 +124,7 @@ def test_lowered_state_pickles_without_its_program(dag):
     program = lower_state(state)
     lowered = pickle.dumps(state)
     assert len(lowered) == len(unlowered)
+    assert op._access_table is not None and len(pickle.dumps(op)) == len(without_table)
     clone = pickle.loads(lowered)
     assert clone._lowered is None
     assert clone._trail is None and state._trail is not None
@@ -143,12 +146,15 @@ def test_lowered_state_pickles_without_its_program(dag):
     )
     assert [len(pickle.dumps(parent)) for parent in parents] == before
 
-    # Featurized and scored by a trained model, a state (and each parent)
-    # pickles to its earlier length, and its clone holds neither memo.
+    # Featurized and scored by a trained model, a state (and each parent,
+    # and an op and DAG they lowered) pickles to its earlier length, and its
+    # clone holds neither memo.
     task, model = _trained_model(dag)
     model.predict(task, [state] + parents)
     assert state._features is not None and state._stage_rows[0] is model
     assert all(parent._stage_rows[0] is model for parent in parents)
+    assert len(pickle.dumps(op)) == len(without_table)
+    assert len(pickle.dumps(dag)) == len(without_template)
     assert len(pickle.dumps(state)) == len(unlowered)
     assert [len(pickle.dumps(parent)) for parent in parents] == before
     clone = pickle.loads(pickle.dumps(state))

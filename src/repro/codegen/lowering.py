@@ -19,22 +19,25 @@ The lowering resolves, for every non-inlined stage:
 
 Ops never change, so nothing about an op's body is derived twice: each
 :class:`~repro.te.operation.ComputeOp` keeps one :class:`AccessTable`
-(:func:`access_table`), built on first use, with the body's flop count,
-one shared :class:`BufferAccess` per read site and for the write, and the
-arithmetic counts the cost-model features read.  A state only decides which
-producers are inlined, so a nest's statement is composed from tables: an
-inlined producer adds its flops and its reads in place of the read of its
-output, and every other read contributes the op's own shared access.
+(:func:`access_table`), built on first use from one walk of the body, with
+the body's flop count, one shared :class:`BufferAccess` per read site and
+for the write, and the arithmetic counts the cost-model features read.  A
+state only decides which producers are inlined, so a nest's statement is
+composed from tables: an inlined producer adds its flops and its reads in
+place of the read of its output, and every other read contributes the op's
+own shared access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..ir.loop import ComputeLocation, Iterator, Stage
 from ..ir.state import State
 from ..te.expr import (
+    FLOP_NODE_TYPES,
     Add,
     Call,
     Compare,
@@ -52,8 +55,6 @@ from ..te.expr import (
     Sub,
     TensorRead,
     Var,
-    count_flop,
-    post_order_visit,
 )
 from ..te.operation import ComputeOp
 from .footprint import axis_span
@@ -130,10 +131,11 @@ class BufferAccess:
     is_write: bool
     dim_coeffs: Sequence[Dict[str, int]]
     dtype_bytes: int = 4
-    #: stride (in elements of the buffer) of each original axis
-    strides: Dict[str, int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    @cached_property
+    def strides(self) -> Dict[str, int]:
+        """Stride (in elements of the buffer) of each original axis,
+        computed on first use (lowering alone never reads it) and kept."""
         strides: Dict[str, int] = {}
         dim_stride = 1
         # innermost dimension has stride 1
@@ -145,7 +147,7 @@ class BufferAccess:
         for dim_idx, coeffs in enumerate(self.dim_coeffs):
             for axis, coeff in coeffs.items():
                 strides[axis] = strides.get(axis, 0) + coeff * buffer_strides[dim_idx]
-        object.__setattr__(self, "strides", strides)
+        return strides
 
     def size_bytes(self) -> int:
         total = self.dtype_bytes
@@ -244,21 +246,34 @@ _ARITH_COLUMNS = {
 }
 
 
-def _arith_counts(body: Expr, reads: Sequence[TensorRead]) -> Tuple[int, ...]:
-    """Counts of float arithmetic by category, then integer arithmetic."""
+def _walk_body(body: Expr) -> Tuple[List[TensorRead], int, Tuple[int, ...]]:
+    """One post-order walk of an op's body: its read sites (as
+    ``collect_reads`` lists them), its ``count_flop``, and its counts of
+    float arithmetic by category, then integer arithmetic."""
+    reads: List[TensorRead] = []
     counts = [0] * 16
+    flops = 0
 
-    def visit(node: Expr) -> None:
+    def visit(node: Expr, in_index: bool) -> None:
+        nonlocal flops
+        is_read = isinstance(node, TensorRead)
+        for child in node.children():
+            visit(child, in_index or is_read)
         column = _ARITH_COLUMNS.get(type(node))
         if column is not None:
             counts[column] += 1
+        if is_read:
+            reads.append(node)
+        elif not in_index and isinstance(node, FLOP_NODE_TYPES):
+            # index arithmetic is address computation, not flops
+            flops += 1
 
-    post_order_visit(body, visit)
+    visit(body, False)
     # Integer arithmetic: index computation — approximate by the number of
     # non-trivial index expressions (those with sub-expressions) in the
     # reads, as both an add and a multiply.
     counts[8] = counts[10] = sum(1 for read in reads for index in read.indices if index.children())
-    return tuple(counts)
+    return reads, flops, tuple(counts)
 
 
 def access_table(op: ComputeOp) -> AccessTable:
@@ -267,7 +282,7 @@ def access_table(op: ComputeOp) -> AccessTable:
     tables, and the last assignment wins, so it needs no lock."""
     table = op._access_table
     if table is None:
-        reads = op.reads()
+        reads, flops, arith = _walk_body(op.body)
         accesses = []
         for read in reads:
             tensor = read.tensor
@@ -276,9 +291,7 @@ def access_table(op: ComputeOp) -> AccessTable:
             accesses.append((tensor.name, access))
         write_coeffs = tuple({ax.name: 1} for ax in op.axes)
         write = BufferAccess(op.name, op.output.shape, True, write_coeffs, _dtype_bytes(op.output.dtype))
-        table = op._access_table = AccessTable(
-            max(count_flop(op.body), 1), tuple(accesses), write, _arith_counts(op.body, reads)
-        )
+        table = op._access_table = AccessTable(max(flops, 1), tuple(accesses), write, arith)
     return table
 
 

@@ -418,7 +418,9 @@ def substitute(expr: Expr, mapping: Dict[Var, Expr]) -> Expr:
     raise TypeError(f"unknown expression node {type(expr).__name__}")
 
 
-_FLOP_OPS = (Add, Sub, Mul, Div, Max, Min)
+#: the node types :func:`count_flop` counts, one operation each; a
+#: reduction counts its accumulation (+=, max=, min=) per reduction step
+FLOP_NODE_TYPES = (Add, Sub, Mul, Div, Max, Min, Call, Select, Compare, Reduce)
 
 
 def count_flop(expr: Expr) -> int:
@@ -435,16 +437,7 @@ def count_flop(expr: Expr) -> int:
             # Do not descend into index expressions.
             return 0
         count = sum(visit(child) for child in node.children())
-        if isinstance(node, _FLOP_OPS):
-            count += 1
-        elif isinstance(node, Call):
-            count += 1
-        elif isinstance(node, Select):
-            count += 1
-        elif isinstance(node, Compare):
-            count += 1
-        elif isinstance(node, Reduce):
-            # The accumulation (+=, max=, min=) performed per reduction step.
+        if isinstance(node, FLOP_NODE_TYPES):
             count += 1
         return count
 

@@ -277,11 +277,20 @@ def test_an_op_pickles_without_its_table():
 
 def test_threads_racing_to_build_tables_get_equal_statements():
     """Threads that lower states of a fresh DAG at once may each build an
-    op's table; the last assignment wins, and every statement is equal."""
+    op's table; the last assignment wins, and every statement is equal.
+
+    Each thread lowers a state of its own: the race under test is on the
+    tables the states' shared ops keep, not on one state's lowering memo."""
     dag = matmul_relu(64, 64, 64)
-    split = [State.from_dag(dag).split("C", 0, [factor]) for factor in (2, 4, 8, 16)]
-    inlined = [State.from_dag(dag).compute_inline("C").split("D", 0, [factor]) for factor in (2, 4, 8, 16)]
-    states = (split + inlined) * 4
+    states = [
+        state
+        for _ in range(4)
+        for factor in (2, 4, 8, 16)
+        for state in (
+            State.from_dag(dag).split("C", 0, [factor]),
+            State.from_dag(dag).compute_inline("C").split("D", 0, [factor]),
+        )
+    ]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -22,9 +22,10 @@ runs through a batched, memoized inference pipeline: ``lower_state`` is
 memoized on the state itself (one lowering per state, shared by mutation
 validation, featurization, the simulator and the printer, and freed with
 the state); a lowering composes each nest's statement from access tables
-that every op builds once (its flop count, one shared, frozen access with
-precomputed strides per read site and for the write, and its arithmetic
-feature counts), so no expression tree is walked again;
+that every op builds once from one walk of its body (its flop count, one
+shared, frozen access per read site and for the write, each keeping its
+strides once computed, and its node counts, from which the features take
+their arithmetic counts), so no expression tree is walked again;
 each evolutionary search replays a distinct offspring step list
 once, so a duplicate child reuses the first replay's state and lowering;
 feature matrices are memoized on the state in the same way, so a surviving

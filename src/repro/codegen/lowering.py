@@ -21,17 +21,16 @@ Ops never change, so nothing about an op's body is derived twice: each
 :class:`~repro.te.operation.ComputeOp` keeps one :class:`AccessTable`
 (:func:`access_table`), built on first use from one walk of the body, with
 the body's flop count, one shared :class:`BufferAccess` per read site and
-for the write, and the arithmetic counts the cost-model features read.  A
-state only decides which producers are inlined, so a nest's statement is
-composed from tables: an inlined producer adds its flops and its reads in
-place of the read of its output, and every other read contributes the op's
-own shared access.
+for the write, and the body's node counts, from which the cost-model
+features take their arithmetic counts.  A state only decides which
+producers are inlined, so a nest's statement is composed from tables: an
+inlined producer adds its flops and its reads in place of the read of its
+output, and every other read contributes the op's own shared access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..ir.loop import ComputeLocation, Iterator, Stage
@@ -39,19 +38,10 @@ from ..ir.state import State
 from ..te.expr import (
     FLOP_NODE_TYPES,
     Add,
-    Call,
-    Compare,
-    Div,
     Expr,
     FloatImm,
-    FloorDiv,
     IntImm,
-    Max,
-    Min,
-    Mod,
     Mul,
-    Reduce,
-    Select,
     Sub,
     TensorRead,
     Var,
@@ -123,20 +113,30 @@ class BufferAccess:
 
     A value: every statement that reads through one read site of an op's
     body shares that site's access (see :class:`AccessTable`), so assigning
-    to a field raises.  Treat ``dim_coeffs`` and ``strides`` as read-only
-    too."""
+    to a field raises.  Treat ``dim_coeffs`` and the dict
+    :meth:`element_strides` returns as read-only too."""
 
     buffer: str
     shape: Tuple[int, ...]
     is_write: bool
     dim_coeffs: Sequence[Dict[str, int]]
     dtype_bytes: int = 4
+    # the memo of ``element_strides`` (not a field)
+    _strides = None
 
-    @cached_property
-    def strides(self) -> Dict[str, int]:
+    def size_bytes(self) -> int:
+        total = self.dtype_bytes
+        for dim in self.shape:
+            total *= dim
+        return total
+
+    def element_strides(self) -> Dict[str, int]:
         """Stride (in elements of the buffer) of each original axis,
         computed on first use (lowering alone never reads it) and kept."""
-        strides: Dict[str, int] = {}
+        strides = self._strides
+        if strides is not None:
+            return strides
+        strides = {}
         dim_stride = 1
         # innermost dimension has stride 1
         buffer_strides = []
@@ -147,18 +147,8 @@ class BufferAccess:
         for dim_idx, coeffs in enumerate(self.dim_coeffs):
             for axis, coeff in coeffs.items():
                 strides[axis] = strides.get(axis, 0) + coeff * buffer_strides[dim_idx]
+        object.__setattr__(self, "_strides", strides)
         return strides
-
-    def size_bytes(self) -> int:
-        total = self.dtype_bytes
-        for dim in self.shape:
-            total *= dim
-        return total
-
-    def element_strides(self) -> Dict[str, int]:
-        """Stride (in elements of the buffer) of each original axis: the
-        shared ``strides``."""
-        return self.strides
 
 
 class AccessTable(NamedTuple):
@@ -167,12 +157,16 @@ class AccessTable(NamedTuple):
 
     #: floating point operations of one body evaluation, at least 1
     flops: int
-    #: ``(producer name, access)`` of every read site, in body order
-    reads: Tuple[Tuple[str, BufferAccess], ...]
+    #: the access of every read site, in body order; its buffer names the
+    #: producer
+    reads: Tuple[BufferAccess, ...]
     #: the write to the op's own output buffer, indexed by its spatial axes
     write: BufferAccess
-    #: the cost-model features' arithmetic counts (float, then integer)
-    arith: Tuple[int, ...]
+    #: how many nodes of each expression type the body holds, index
+    #: expressions included
+    node_counts: Dict[type, int]
+    #: how many read indices are compound (neither an axis nor a constant)
+    compound_indices: int
 
 
 @dataclass
@@ -237,21 +231,12 @@ def _dtype_bytes(dtype: str) -> int:
     return DTYPE_BYTES.get(dtype, 4)
 
 
-#: the column of each expression node type among the float arithmetic
-#: counts (add, sub, mul, div, mod, cmp, intrinsic, other); a reduction's
-#: accumulate counts as an add
-_ARITH_COLUMNS = {
-    Add: 0, Reduce: 0, Sub: 1, Mul: 2, Div: 3, FloorDiv: 3, Mod: 4,
-    Compare: 5, Call: 6, Max: 7, Min: 7, Select: 7,
-}
-
-
-def _walk_body(body: Expr) -> Tuple[List[TensorRead], int, Tuple[int, ...]]:
+def _walk_body(body: Expr) -> Tuple[List[TensorRead], int, Dict[type, int]]:
     """One post-order walk of an op's body: its read sites (as
-    ``collect_reads`` lists them), its ``count_flop``, and its counts of
-    float arithmetic by category, then integer arithmetic."""
+    ``collect_reads`` lists them), its ``count_flop``, and its number of
+    nodes of each type."""
     reads: List[TensorRead] = []
-    counts = [0] * 16
+    node_counts: Dict[type, int] = {}
     flops = 0
 
     def visit(node: Expr, in_index: bool) -> None:
@@ -259,9 +244,7 @@ def _walk_body(body: Expr) -> Tuple[List[TensorRead], int, Tuple[int, ...]]:
         is_read = isinstance(node, TensorRead)
         for child in node.children():
             visit(child, in_index or is_read)
-        column = _ARITH_COLUMNS.get(type(node))
-        if column is not None:
-            counts[column] += 1
+        node_counts[type(node)] = node_counts.get(type(node), 0) + 1
         if is_read:
             reads.append(node)
         elif not in_index and isinstance(node, FLOP_NODE_TYPES):
@@ -269,11 +252,7 @@ def _walk_body(body: Expr) -> Tuple[List[TensorRead], int, Tuple[int, ...]]:
             flops += 1
 
     visit(body, False)
-    # Integer arithmetic: index computation — approximate by the number of
-    # non-trivial index expressions (those with sub-expressions) in the
-    # reads, as both an add and a multiply.
-    counts[8] = counts[10] = sum(1 for read in reads for index in read.indices if index.children())
-    return reads, flops, tuple(counts)
+    return reads, flops, node_counts
 
 
 def access_table(op: ComputeOp) -> AccessTable:
@@ -282,16 +261,21 @@ def access_table(op: ComputeOp) -> AccessTable:
     tables, and the last assignment wins, so it needs no lock."""
     table = op._access_table
     if table is None:
-        reads, flops, arith = _walk_body(op.body)
-        accesses = []
-        for read in reads:
-            tensor = read.tensor
-            dim_coeffs = tuple(linear_coefficients(index)[0] for index in read.indices)
-            access = BufferAccess(tensor.name, tensor.shape, False, dim_coeffs, _dtype_bytes(tensor.dtype))
-            accesses.append((tensor.name, access))
+        reads, flops, node_counts = _walk_body(op.body)
+        accesses = tuple(
+            BufferAccess(
+                read.tensor.name,
+                read.tensor.shape,
+                False,
+                tuple(linear_coefficients(index)[0] for index in read.indices),
+                _dtype_bytes(read.tensor.dtype),
+            )
+            for read in reads
+        )
+        compound = sum(1 for read in reads for index in read.indices if index.children())
         write_coeffs = tuple({ax.name: 1} for ax in op.axes)
         write = BufferAccess(op.name, op.output.shape, True, write_coeffs, _dtype_bytes(op.output.dtype))
-        table = op._access_table = AccessTable(max(flops, 1), tuple(accesses), write, arith)
+        table = op._access_table = AccessTable(max(flops, 1), accesses, write, node_counts, compound)
     return table
 
 
@@ -309,8 +293,8 @@ def _collect_accesses(stages: Dict[str, Stage], op: ComputeOp) -> Tuple[List[Buf
 
     def expand(table: AccessTable) -> None:
         nonlocal flops
-        for producer, access in table.reads:
-            stage = stages.get(producer)
+        for access in table.reads:
+            stage = stages.get(access.buffer)
             if stage is not None and stage.is_inlined() and isinstance(stage.op, ComputeOp):
                 inlined = access_table(stage.op)
                 flops += inlined.flops

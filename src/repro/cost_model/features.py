@@ -24,9 +24,9 @@ counts, extents, bytes and intensities as computed, one-hot columns as 0
 or 1.  Every footprint the row needs (the intensity curve's, the buffers'
 unique bytes and reuse distances) is read from the nest's
 :func:`~repro.codegen.footprint.suffix_footprints` table, each op's
-arithmetic counts from the access table lowering keeps on the op
-(:func:`~repro.codegen.lowering.access_table`), and each access's strides
-from the access itself.  A single pass then maps
+arithmetic counts from the node counts of the access table lowering keeps
+on the op (:func:`~repro.codegen.lowering.access_table`), and each
+access's strides from the access itself.  A single pass then maps
 every value ``x`` of the batch to ``log2(1 + x)``.  One-hot columns are
 fixed points of that map (``log2 2 = 1``, ``log2 1 = 0``), so the pass runs
 over whole rows.  It calls :func:`math.log2` value by value because
@@ -49,9 +49,23 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..codegen.footprint import loop_affects_access, loop_stride_elements, suffix_footprints
-from ..codegen.lowering import LoweredProgram, StageNest, access_table, lower_state
+from ..codegen.lowering import AccessTable, LoweredProgram, StageNest, access_table, lower_state
 from ..ir.loop import Iterator
 from ..ir.state import State
+from ..te.expr import (
+    Add,
+    Call,
+    Compare,
+    Div,
+    FloorDiv,
+    Max,
+    Min,
+    Mod,
+    Mul,
+    Reduce,
+    Select,
+    Sub,
+)
 from ..te.operation import ComputeOp
 
 __all__ = [
@@ -65,6 +79,32 @@ __all__ = [
 _MAX_BUFFERS = 5
 _CURVE_SAMPLES = 10
 _CACHE_LINE_BYTES = 64
+
+
+# ---------------------------------------------------------------------------
+# Arithmetic features
+# ---------------------------------------------------------------------------
+
+
+def _arith_counts(table: AccessTable) -> List[int]:
+    """Counts of float arithmetic by category, then integer arithmetic, of
+    the op whose access table is ``table``."""
+    count = table.node_counts.get
+    float_counts = [
+        count(Add, 0) + count(Reduce, 0),  # a reduction's accumulate is an add
+        count(Sub, 0),
+        count(Mul, 0),
+        count(Div, 0) + count(FloorDiv, 0),
+        count(Mod, 0),
+        count(Compare, 0),
+        count(Call, 0),
+        count(Max, 0) + count(Min, 0) + count(Select, 0),
+    ]
+    # Integer arithmetic: index computation — approximate by the number of
+    # non-trivial index expressions in the reads.
+    index = table.compound_indices
+    int_counts = [index, 0, index, 0, 0, 0, 0, 0]
+    return float_counts + int_counts
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +272,7 @@ def _buffer_features(nest: StageNest, table: List[List[float]]) -> List[float]:
 
         stride = 0
         if inner is not None:
-            stride = abs(loop_stride_elements(inner, access.strides))
+            stride = abs(loop_stride_elements(inner, access.element_strides()))
 
         per_reuse = max(reuse_count, 1.0)
         features += _ACCESS_ONE_HOT[access_type]
@@ -283,7 +323,7 @@ def _feature_matrix(nests: Sequence[StageNest]) -> np.ndarray:
         assert isinstance(op, ComputeOp)
         loops = nest.outer_context + nest.loops
         table = suffix_footprints(loops, nest.accesses)
-        raw.extend(access_table(op).arith)
+        raw.extend(_arith_counts(access_table(op)))
         raw.extend(_annotation_features(loops, "vectorize"))
         raw.extend(_annotation_features(loops, "unroll"))
         raw.extend(_annotation_features(loops, "parallel"))

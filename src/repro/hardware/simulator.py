@@ -212,7 +212,7 @@ class CostSimulator:
         if reads:
             contiguous = 0
             for access in reads:
-                stride = abs(loop_stride_elements(inner, access.strides))
+                stride = abs(loop_stride_elements(inner, access.element_strides()))
                 if stride <= 1:
                     contiguous += 1
             contig_fraction = contiguous / len(reads)

@@ -281,16 +281,6 @@ def _node_of_step(step: Step) -> Optional[str]:
     return name.split(".")[0]
 
 
-def _crossover_nodes(parent_a: State, parent_b: State) -> List[str]:
-    """The DAG nodes that either parent's steps touch, in the DAG's
-    topological order (a stage name outside the DAG last, by name): a fixed
-    order, so crossover's draws never depend on string-hash order."""
-    stepped = {_node_of_step(s) for s in (*parent_a.transform_steps, *parent_b.transform_steps)}
-    stepped.discard(None)
-    position = {op.name: i for i, op in enumerate(parent_a.dag.ops)}
-    return sorted(stepped, key=lambda node: (position.get(node, len(position)), node))
-
-
 def node_based_crossover(
     parent_a: State,
     parent_b: State,
@@ -302,14 +292,13 @@ def node_based_crossover(
 ) -> Optional[State]:
     """Combine the rewriting steps of two parents at node granularity (§5.1).
 
-    For every DAG node, in the DAG's order, the steps of the parent whose
-    node score is higher are kept (ties and unknown scores resolve
-    randomly).  The primary parent (higher total score) provides the step
-    ordering; the selected nodes' steps of the other parent are substituted
-    in place.  The merged step list is replayed and validated; ``None`` is
-    returned when the combination is invalid.  The child shares the primary
-    parent's steps on the longest prefix where the merged list serializes as
-    the parent's does.
+    For every DAG node, the steps of the parent whose node score is higher
+    are kept (ties and unknown scores resolve randomly).  The primary parent
+    (higher total score) provides the step ordering; the selected nodes'
+    steps of the other parent are substituted in place.  The merged step list
+    is replayed and validated; ``None`` is returned when the combination is
+    invalid.  The child shares the primary parent's steps on the longest
+    prefix where the merged list serializes as the parent's does.
     """
     total_a = sum(node_scores_a.values())
     total_b = sum(node_scores_b.values())
@@ -317,7 +306,14 @@ def node_based_crossover(
         parent_a, parent_b = parent_b, parent_a
         node_scores_a, node_scores_b = node_scores_b, node_scores_a
 
-    nodes = _crossover_nodes(parent_a, parent_b)
+    nodes = {
+        node
+        for node in (
+            [_node_of_step(s) for s in parent_a.transform_steps]
+            + [_node_of_step(s) for s in parent_b.transform_steps]
+        )
+        if node is not None
+    }
     take_from_b = set()
     for node in nodes:
         score_a = node_scores_a.get(node)
@@ -347,11 +343,10 @@ def node_based_crossover(
             continue
         merged.append(step)
     # Nodes present only in parent_b's history.
-    for node in nodes:
-        if node in take_from_b and node not in inserted_b_nodes:
-            for other in parent_b.transform_steps:
-                if _node_of_step(other) == node:
-                    merged.append(other)
+    for node in take_from_b - inserted_b_nodes:
+        for other in parent_b.transform_steps:
+            if _node_of_step(other) == node:
+                merged.append(other)
 
     own = parent_a.transform_steps
     shared = 0

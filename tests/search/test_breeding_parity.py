@@ -24,10 +24,6 @@ These references are kept here verbatim from the code they replaced:
   a second time; the library takes the node scores from the state the
   search scored for the program.
 
-Both crossovers visit the parents' nodes in the DAG's order
-(``mutation._crossover_nodes``), which no interpreter's string-hash order
-changes.
-
 A search that runs on the references (and on the per-parent booster call
 of ``reference_predict_stages``, and the serialization round trip of
 ``reference_step_copy``) must breed the same children and leave every RNG
@@ -244,7 +240,14 @@ def reference_node_based_crossover(
         parent_a, parent_b = parent_b, parent_a
         node_scores_a, node_scores_b = node_scores_b, node_scores_a
 
-    nodes = mutation._crossover_nodes(parent_a, parent_b)
+    nodes = {
+        node
+        for node in (
+            [mutation._node_of_step(s) for s in parent_a.transform_steps]
+            + [mutation._node_of_step(s) for s in parent_b.transform_steps]
+        )
+        if node is not None
+    }
     take_from_b = set()
     for node in nodes:
         score_a = node_scores_a.get(node)
@@ -274,11 +277,10 @@ def reference_node_based_crossover(
             continue
         merged.append(step.copy())
     # Nodes present only in parent_b's history.
-    for node in nodes:
-        if node in take_from_b and node not in inserted_b_nodes:
-            for other in parent_b.transform_steps:
-                if mutation._node_of_step(other) == node:
-                    merged.append(other.copy())
+    for node in take_from_b - inserted_b_nodes:
+        for other in parent_b.transform_steps:
+            if mutation._node_of_step(other) == node:
+                merged.append(other.copy())
 
     return _try_replay(parent_a.dag, merged, replays=replays)
 
@@ -691,7 +693,8 @@ def _search_breeding(task, seed, monkeypatch):
 def test_rediscovered_crossover_parent_costs_no_booster_call(name, monkeypatch):
     """A re-discovered program's node scores come from the rows batched
     prediction kept on the state the search scored for it.  The first
-    crossover has a re-discovered parent."""
+    crossover, which comes before any draw that depends on the
+    interpreter's hash order, has a re-discovered parent."""
     task = TASKS[name]()
     best, rng_state, model_rng_state, booster_calls, children, rediscovered = _search_breeding(
         task, 4, monkeypatch

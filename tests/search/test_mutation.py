@@ -1,10 +1,5 @@
 """Tests for the evolution operators: mutations and crossover (§5.1)."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -20,7 +15,6 @@ from repro.search import (
     random_mutation,
     sample_complete_program,
 )
-from repro.search.mutation import _crossover_nodes
 from repro.task import SearchTask
 
 from ..conftest import make_matmul_relu_dag
@@ -172,50 +166,3 @@ def test_crossover_many_random_pairs_mostly_valid(task, sampled, rng):
                 valid += 1
     assert trials > 0
     assert valid / trials > 0.3
-
-
-# Crossovers of every ordered pair of seeded programs, with no node scores,
-# so every node's choice is a draw.  Prints the order in which a set of the
-# nodes iterates in this interpreter, then the children and the RNG state.
-_CROSSOVER_SCRIPT = """
-import numpy as np
-from repro.hardware import intel_cpu
-from repro.search import generate_sketches, node_based_crossover, sample_initial_population
-from repro.search.mutation import _node_of_step
-from repro.task import SearchTask
-from repro.workloads import matmul_relu
-
-task = SearchTask(matmul_relu(64, 64, 64), intel_cpu())
-rng = np.random.default_rng(0)
-programs = sample_initial_population(task, generate_sketches(task), 8, rng)
-print(list({_node_of_step(step) for step in programs[0].transform_steps} - {None}))
-children = []
-for a in programs:
-    for b in programs:
-        if a is not b:
-            child = node_based_crossover(a, b, {}, {}, rng)
-            children.append(None if child is None else child.fingerprint())
-print(children)
-print(rng.bit_generator.state)
-"""
-
-
-def _crossovers_under_hash_seed(seed: str) -> list:
-    src = str(Path(__file__).resolve().parents[2] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
-    out = subprocess.run(
-        [sys.executable, "-c", _CROSSOVER_SCRIPT],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
-    )
-    return out.stdout.splitlines()
-
-
-def test_crossover_breeds_the_same_children_under_every_hash_seed(sampled):
-    """Crossover visits the nodes in the DAG's order, so interpreters that
-    iterate a set of the node names in different orders breed the same
-    children from the same RNG draws."""
-    assert _crossover_nodes(sampled[0], sampled[1]) == ["C", "D"]
-    first, second = (_crossovers_under_hash_seed(seed) for seed in ("0", "6"))
-    assert first[0] != second[0]
-    assert first[1:] == second[1:]

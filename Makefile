@@ -2,9 +2,8 @@
 #
 # Performance: `make throughput` runs the search-hot-path microbenchmark
 # (predicted states/sec), `make measure-throughput` the measurement-pipeline
-# benchmark (measured trials/sec: parallel builder vs the serial builder, the
-# rpc stage — process-pool vs thread-pool builds on CPU-bound compile cost —
-# and the async-session stage: one-round-lookahead overlap vs the sync
+# benchmark (measured trials/sec: parallel builder vs the serial builder, and
+# the async-session stage: one-round-lookahead overlap vs the sync
 # breed|measure schedule, gated >= 1.3x when device latency dominates),
 # `make model-bench` the cost-model training stage (windowed vs full
 # retraining at 5k records, gated >= 3x with best-cost parity) —
@@ -34,9 +33,8 @@ bench:
 throughput:
 	$(PYTEST) -q -s benchmarks/test_search_throughput.py
 
-# Measurement-throughput baseline: parallel builder vs the serial builder, the
-# rpc (process-pool) builder vs the thread-pool builder, and the async
-# session overlap vs the synchronous round schedule.
+# Measurement-throughput baseline: parallel builder vs the serial builder, and
+# the async session overlap vs the synchronous round schedule.
 measure-throughput:
 	$(PYTEST) -q -s benchmarks/test_measure_throughput.py
 
@@ -74,7 +72,7 @@ help:
 	@echo "make test-fast   - quick loop, skips tests marked slow"
 	@echo "make bench       - paper-figure benchmarks (slow)"
 	@echo "make throughput  - search states/sec baseline -> BENCH_search_throughput.json"
-	@echo "make measure-throughput - measured trials/sec: parallel vs serial, rpc vs thread, async overlap vs sync"
+	@echo "make measure-throughput - measured trials/sec: parallel vs serial, async overlap vs sync"
 	@echo "make store-bench - schedule store: indexed lookup vs log rescan, warm-start vs cold search"
 	@echo "make fleet-bench - device fleet: breaker vs fault storm, estimate convergence, no-fault parity"
 	@echo "make model-bench - cost model: windowed vs full retraining at 5k records (>= 3x, best-cost parity)"

@@ -44,9 +44,9 @@ import pytest
 from repro.hardware import (
     CircuitBreakerConfig,
     DeviceState,
+    LocalRunner,
     MeasureInput,
     MeasurePipeline,
-    RpcRunner,
     intel_cpu,
 )
 from repro.search import generate_sketches, sample_initial_population
@@ -90,7 +90,7 @@ def _attempt_latency(result):
 
 
 def _storm_pool(circuit_breaker):
-    runner = RpcRunner(
+    runner = LocalRunner(
         intel_cpu(),
         devices=[f"dev{i}" for i in range(N_DEVICES)],
         seed=0,
@@ -152,7 +152,7 @@ def run_fault_storm():
 
 def run_convergence():
     """Estimated fault rate vs injected truth after CONVERGENCE_TRIALS."""
-    runner = RpcRunner(intel_cpu(), devices=["solo"], seed=0)
+    runner = LocalRunner(intel_cpu(), devices=["solo"], seed=0)
     runner.inject_profile("solo", run_error_prob=STORM_FAULT_RATE)
     pipeline = MeasurePipeline(intel_cpu(), runner=runner)
     pipeline.measure(_make_inputs(CONVERGENCE_TRIALS))

@@ -19,27 +19,12 @@ two paths and a measured wall-clock speedup for the parallel builder, and
 merges ``measured_trials_per_sec`` into ``BENCH_search_throughput.json``
 next to the search-throughput numbers.
 
-A second stage gates the remote backend: the same batch through
-
-* **thread**: ``LocalBuilder`` with ``N_PARALLEL`` threads,
-* **rpc**: :class:`~repro.hardware.rpc.RpcBuilder` with ``N_PARALLEL``
-  worker processes,
-
-this time with a *CPU-bound* emulated compile cost (``RPC_BUILD_CPU`` of
-burned CPU time per candidate — in-process IR passes, which the GIL
-serializes across threads but worker processes genuinely parallelize).  On
-a multi-core host the process pool must be at least as fast as the thread
-pool; on a single-core host true parallelism is physically unavailable for
-either pool, so the gate only bounds the process pool's dispatch overhead.
-Both pools are warmed (worker start-up) before timing, so the gate compares
-steady-state dispatch, the regime a tuning session lives in.
-
 Every timed pass of every stage measures a freshly sampled batch of equal,
 unlowered states (the input helper is seeded), so every pass lowers from
-cold: a thread-pool pass never times lowerings memoized on the states by an
-earlier pass, just as the rpc workers lower the states they unpickle.
+cold: a pass never times lowerings memoized on the states by an earlier
+pass.
 
-A third stage gates the asynchronous session overlap (PR 5): the same
+A second stage gates the asynchronous session overlap (PR 5): the same
 round-structured workload — R rounds of C candidates, each round preceded
 by an emulated breeding cost and each run attempt charged a slept
 per-device ``measure_latency_sec`` — is driven through
@@ -55,14 +40,13 @@ When device latency dominates, the async schedule must deliver at least
 cost parity between the two paths.
 """
 
-import os
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.hardware import LocalBuilder, MeasureInput, MeasurePipeline, RpcBuilder, intel_cpu
+from repro.hardware import LocalBuilder, MeasureInput, MeasurePipeline, intel_cpu
 from repro.search import generate_sketches, sample_initial_population
 from repro.task import SearchTask
 from repro.workloads import matmul_relu
@@ -74,9 +58,6 @@ N_PARALLEL = 8
 TIMING_REPEATS = 3  # best-of-N timing for the load-sensitive speedup gates
 BUILD_LATENCY = 0.008  # emulated per-candidate compile cost (seconds)
 MIN_SPEEDUP = 2.0
-RPC_BUILD_CPU = 0.004  # emulated CPU-bound compile cost (seconds, burned)
-# True parallelism needs >1 core; a single-core host can only gate overhead.
-MIN_RPC_SPEEDUP = 1.0 if (os.cpu_count() or 1) > 1 else 0.6
 # Async-session stage: R rounds x C candidates, slept per-run device
 # latency (dominating) plus a per-round emulated breeding cost.
 SESSION_ROUNDS = 5
@@ -95,28 +76,22 @@ def _make_inputs(count=N_CANDIDATES):
     return [MeasureInput(task, s) for s in states]
 
 
-def _timed_measure(pipeline, make_inputs, repeats=1, reset=None):
+def _timed_measure(pipeline, make_inputs, repeats=1):
     """Time ``pipeline.measure`` of a fresh ``make_inputs()`` batch; with
     ``repeats`` > 1, best-of-N.
 
     The minimum over repeats is the standard noise-robust estimator for a
     capability ratio: a single-shot measurement folds in transient host
     load, which on a contended single-core host can halve a measurement
-    without saying anything about steady-state throughput.  ``reset`` runs
-    before each repeat — the process-pool stage uses it to recycle and
-    re-warm its worker pool, because the *first* pool forked from a
-    large parent (late in a long test session) pays fork/copy-on-write
-    amortization on every dispatch; fresh workers reach steady state.
-    Costs are seeded per program, so every repeat returns bit-identical
-    results and the parity checks are unaffected.  Each repeat builds its
-    batch before the clock starts: equal programs in new, unlowered states,
-    so every pass lowers from cold.
+    without saying anything about steady-state throughput.  Costs are
+    seeded per program, so every repeat returns bit-identical results and
+    the parity checks are unaffected.  Each repeat builds its batch before
+    the clock starts: equal programs in new, unlowered states, so every
+    pass lowers from cold.
     """
     best = None
     results = None
     for _ in range(repeats):
-        if reset is not None:
-            reset()
         inputs = make_inputs()
         start = time.perf_counter()
         results = pipeline.measure(inputs)
@@ -160,57 +135,6 @@ def run_measure_throughput():
             "measured_trials_per_sec": result["parallel_trials_per_sec"],
         },
     )
-    return result
-
-
-def run_rpc_throughput():
-    """The rpc-vs-local stage: process-pool vs thread-pool builds on a
-    CPU-bound emulated compile cost, both pools warmed before timing."""
-    inputs = _make_inputs()
-    thread = MeasurePipeline(
-        intel_cpu(),
-        builder=LocalBuilder(n_parallel=N_PARALLEL, build_cpu_sec=RPC_BUILD_CPU),
-        seed=0,
-    )
-    rpc = MeasurePipeline(
-        intel_cpu(),
-        builder=RpcBuilder(n_parallel=N_PARALLEL, build_cpu_sec=RPC_BUILD_CPU),
-        seed=0,
-    )
-    def _recycle_rpc_pool():
-        # A process pool forked from a large parent (this file runs inside
-        # a long pytest session) pays copy-on-write page-table cost on every
-        # dispatch to the *first* pool; fresh workers reach steady state.
-        # Recycle and re-warm the pool before each timed repeat so the
-        # best-of-N measures dispatch throughput, not fork amortization.
-        rpc.builder.close()
-        rpc.measure(inputs)
-
-    try:
-        # Warm-up pass (the rpc pool's runs in its reset), so the timed
-        # passes compare steady-state dispatch on both paths.
-        thread.measure(inputs)
-        thread_results, thread_elapsed = _timed_measure(thread, _make_inputs, TIMING_REPEATS)
-        rpc_results, rpc_elapsed = _timed_measure(
-            rpc, _make_inputs, TIMING_REPEATS, reset=_recycle_rpc_pool
-        )
-    finally:
-        rpc.builder.close()
-
-    parity = [r.costs for r in thread_results] == [r.costs for r in rpc_results]
-    result = {
-        "candidates": len(inputs),
-        "n_parallel": N_PARALLEL,
-        "build_cpu_sec": RPC_BUILD_CPU,
-        "cpu_count": os.cpu_count() or 1,
-        "thread_seconds": thread_elapsed,
-        "rpc_seconds": rpc_elapsed,
-        "thread_trials_per_sec": len(inputs) / thread_elapsed,
-        "rpc_trials_per_sec": len(inputs) / rpc_elapsed,
-        "speedup": thread_elapsed / rpc_elapsed,
-        "parity": parity,
-    }
-    merge_benchmark_result(RESULT_PATH, {"rpc_measure_throughput": result})
     return result
 
 
@@ -293,23 +217,6 @@ def test_measure_throughput_parallel_vs_serial():
 
 
 @pytest.mark.slow
-def test_rpc_builder_vs_thread_builder():
-    result = run_rpc_throughput()
-    print("\n=== rpc measurement throughput: process pool vs thread pool ===")
-    print(f"candidates x cpu-bound cost: {result['candidates']} x {RPC_BUILD_CPU*1e3:.0f}ms "
-          f"({result['cpu_count']} cores)")
-    print(f"thread-pool builder (x{N_PARALLEL})  : {result['thread_trials_per_sec']:.0f} trials/s")
-    print(f"process-pool builder (x{N_PARALLEL}) : {result['rpc_trials_per_sec']:.0f} trials/s")
-    print(f"speedup                     : {result['speedup']:.2f}x (gate >= {MIN_RPC_SPEEDUP}x)")
-    print(f"results merged into         : {RESULT_PATH.name}")
-    assert result["parity"], "rpc-build costs diverged from the thread-pool path"
-    assert result["speedup"] >= MIN_RPC_SPEEDUP, (
-        f"process-pool builder is only {result['speedup']:.2f}x the thread-pool "
-        f"builder (need >= {MIN_RPC_SPEEDUP}x on {result['cpu_count']} core(s))"
-    )
-
-
-@pytest.mark.slow
 def test_async_session_overlap_vs_sync():
     result = run_async_session_throughput()
     total = result["rounds"] * result["round_size"]
@@ -330,5 +237,4 @@ def test_async_session_overlap_vs_sync():
 
 if __name__ == "__main__":
     test_measure_throughput_parallel_vs_serial()
-    test_rpc_builder_vs_thread_builder()
     test_async_session_overlap_vs_sync()

@@ -61,20 +61,18 @@ breeding with the full-replay operators and the ``Generator.choice``
 draws kept in ``tests/search/test_breeding_parity.py``.
 
 Measurement is a two-stage builder/runner pipeline
-(:class:`repro.hardware.measure.MeasurePipeline`): builders lower candidates
-in a thread pool (``TuningOptions.n_parallel``) with per-candidate timeouts,
-runners time them on the machine model with injectable fault models, and
-every outcome carries a :class:`repro.hardware.measure.MeasureErrorNo` error
-kind that round-trips through the tuning log.  The remote ("rpc") backend
-(:mod:`repro.hardware.rpc`) swaps in a process-pool builder (true
-parallelism for CPU-bound lowering) and a device-pool runner with per-device
-fault profiles (``TuningOptions(builder="rpc", runner="rpc",
-devices=...)``), and transient ``RUN_ERROR`` faults are retried up to
-``TuningOptions.n_retry`` times instead of discarding the trial.  The
-tracked baseline is ``benchmarks/test_measure_throughput.py`` (measured
-trials/sec, merged into the same JSON); the no-fault path is bit-identical
-to the serial reference measurer kept in
-``tests/hardware/test_measure_pipeline.py``.
+(:class:`repro.hardware.measure.MeasurePipeline`) with one builder and one
+runner: :class:`repro.hardware.measure.LocalBuilder` lowers candidates in
+the calling thread, or in a thread pool (``TuningOptions.n_parallel``),
+with per-candidate timeouts, and :class:`repro.hardware.measure.LocalRunner`
+times them on the machine model with injectable fault models.  Every
+outcome carries a :class:`repro.hardware.measure.MeasureErrorNo` error
+kind that round-trips through the tuning log, and transient ``RUN_ERROR``
+faults are retried up to ``TuningOptions.n_retry`` times instead of
+discarding the trial.  The tracked baseline is
+``benchmarks/test_measure_throughput.py`` (measured trials/sec, merged
+into the same JSON); the no-fault path is bit-identical to the serial
+reference measurer kept in ``tests/hardware/test_measure_pipeline.py``.
 
 Measurement can also be *asynchronous* — the overlap model the paper uses
 to hide device latency.  ``TuningOptions(async_measure=True)`` drives every
@@ -95,7 +93,9 @@ to the historical batch path; the async overlap is gated (>= 1.3x measured
 trials/sec when device latency dominates) by the same measurement
 benchmark.
 
-The device pool behind the "rpc" runner is *elastic and self-healing*
+The runner times every run on a pool of boards
+(``TuningOptions(devices=...)``; one board, ``"dev0"``, by default), each
+with its own fault profile, and the pool is *elastic and self-healing*
 (:class:`repro.hardware.fleet.DeviceFleet`): every result is attributed to
 the device that ran it (``MeasureResult.device`` / per-attempt
 ``MeasureResult.attempts``, persisted via ``TuningRecord.device``) and
@@ -219,15 +219,8 @@ from .hardware.measure import (
     ProgramBuilder,
     ProgramRunner,
     RandomFaults,
-    register_builder,
-    register_runner,
-    registered_builders,
-    registered_runners,
-    resolve_builder,
-    resolve_runner,
 )
-from .hardware.fleet import CircuitBreakerConfig, DeviceFleet, EstimatedProfile
-from .hardware.rpc import DeviceProfile, RpcBuilder, RpcRunner
+from .hardware.fleet import CircuitBreakerConfig, DeviceFleet, DeviceProfile, EstimatedProfile
 from .hardware.simulator import CostSimulator
 from .ir.state import State
 from .records import TuningRecord, apply_history_best, load_records, records_to_curve, save_records
@@ -307,14 +300,6 @@ __all__ = [
     "DeviceFleet",
     "EstimatedProfile",
     "CircuitBreakerConfig",
-    "RpcBuilder",
-    "RpcRunner",
-    "register_builder",
-    "registered_builders",
-    "resolve_builder",
-    "register_runner",
-    "registered_runners",
-    "resolve_runner",
     "TuningRecord",
     "save_records",
     "load_records",

@@ -237,11 +237,12 @@ class ProgressLogger(MeasureCallback):
     """Print a one-line progress summary after every round.
 
     Replaces the scattered ``verbose`` prints of the search policies and the
-    task scheduler.  At session end, every device-pool runner seen during
-    the session (an :class:`~repro.hardware.rpc.RpcRunner`, or anything else
-    exposing ``device_stats()``) gets a per-device summary — trials, faults
-    and busy-time share — so a flaky or starved board is visible straight
-    from the progress log instead of needing a debugger.  The cost model
+    task scheduler.  At session end, every runner seen during the session
+    that exposes ``device_stats()`` (every
+    :class:`~repro.hardware.measure.LocalRunner`) gets a per-device
+    summary — trials, faults and busy-time share — so a flaky or starved
+    board is visible straight from the progress log instead of needing a
+    debugger.  The cost model
     gets the same treatment: one line per hardware target with samples
     ingested, retrains run vs skipped, the model version, and (when the
     session's :class:`~repro.cost_model.service.CostModelService` is

@@ -10,11 +10,15 @@ Layout:
   :class:`ProgramBuilder` stages lower candidates (in parallel, with
   timeouts), :class:`ProgramRunner` stages time them on the simulator with
   injectable :class:`FaultModel` failures, and every outcome carries a
-  :class:`MeasureErrorNo` error kind.  :class:`MeasurePipeline` is the
-  facade consumers drive — batch-synchronously through ``measure()`` or as
-  a stream through :class:`MeasureSession` (``submit()`` /
-  ``as_completed()`` / :class:`MeasureFuture`), which is how the tuning
-  loops overlap candidate generation with device time.
+  :class:`MeasureErrorNo` error kind.  :class:`LocalBuilder` and
+  :class:`LocalRunner` are the one builder and the one runner; the runner
+  times every run on a :class:`DeviceFleet` of boards, each with its own
+  :class:`DeviceProfile` (noise, fault rates, queue latency, slowdown).
+  :class:`MeasurePipeline` is the facade consumers drive —
+  batch-synchronously through ``measure()`` or as a stream through
+  :class:`MeasureSession` (``submit()`` / ``as_completed()`` /
+  :class:`MeasureFuture`), which is how the tuning loops overlap candidate
+  generation with device time.
 * :mod:`~repro.hardware.fleet` — elastic, self-healing device-pool
   management: :class:`DeviceFleet` learns a per-device
   :class:`EstimatedProfile` from every result, quarantines / re-admits /
@@ -22,12 +26,6 @@ Layout:
   (:class:`CircuitBreakerConfig`), supports join/leave mid-session with
   clean drain, and dispatches round-robin, least-loaded or by sticky
   workload affinity.
-* :mod:`~repro.hardware.rpc` — the remote measurement backend:
-  :class:`RpcBuilder` compiles in a process pool (true parallelism for
-  CPU-bound lowering) and :class:`RpcRunner` dispatches runs through a
-  :class:`DeviceFleet` of named devices, each with its own
-  :class:`DeviceProfile` (noise, fault rates, queue latency, slowdown).
-  Registered as ``"rpc"`` in both registries.
 """
 
 from .measure import (
@@ -45,16 +43,11 @@ from .measure import (
     ProgramBuilder,
     ProgramRunner,
     RandomFaults,
-    register_builder,
-    register_runner,
-    registered_builders,
-    registered_runners,
-    resolve_builder,
-    resolve_runner,
 )
 from .fleet import (
     CircuitBreakerConfig,
     DeviceFleet,
+    DeviceProfile,
     DeviceState,
     EstimatedProfile,
 )
@@ -70,7 +63,6 @@ from .platform import (
     target_from_name,
     wide_vector_cpu,
 )
-from .rpc import DeviceProfile, RpcBuilder, RpcRunner
 from .simulator import CostSimulator, NestCost, ProgramCost
 
 __all__ = [
@@ -103,15 +95,7 @@ __all__ = [
     "DeviceState",
     "EstimatedProfile",
     "CircuitBreakerConfig",
-    "RpcBuilder",
-    "RpcRunner",
     "MeasurePipeline",
     "MeasureSession",
     "MeasureFuture",
-    "register_builder",
-    "registered_builders",
-    "resolve_builder",
-    "register_runner",
-    "registered_runners",
-    "resolve_runner",
 ]

@@ -1,10 +1,11 @@
 """Self-healing device-fleet management for the measurement pipeline.
 
 The paper's measurer runs on a real fleet: boards are flaky, slow down under
-thermal load, queue behind other users, and drop off mid-session.  The
-:class:`~repro.hardware.rpc.RpcRunner` models such a pool, but until this
-module it trusted each device's *declared* :class:`DeviceProfile` forever and
-assumed fixed membership.  :class:`DeviceFleet` closes that loop:
+thermal load, queue behind other users, and drop off mid-session.  Every run
+of :class:`~repro.hardware.measure.LocalRunner` goes through a
+:class:`DeviceFleet` (one board unless the runner's ``devices`` names more),
+which does not trust each device's *declared* :class:`DeviceProfile`
+forever, nor assume fixed membership:
 
 * **Online fault-profile estimation** — every run attempt is attributed to
   the device that executed it and folded into an :class:`EstimatedProfile`
@@ -154,12 +155,6 @@ def _normalize_devices(
     return tuple(profiles)
 
 
-def _device_seed(seed: int, name: str) -> int:
-    """A stable per-device fault seed (``hash()`` is salted per process)."""
-    digest = hashlib.sha256(f"{seed}/{name}".encode()).digest()
-    return int.from_bytes(digest[:4], "little")
-
-
 class DeviceState:
     """Lifecycle states of a fleet member (plain strings, for stats dicts)."""
 
@@ -303,7 +298,7 @@ class _ManagedDevice:
     """One fleet member: declared profile, live runner, evidence, ledgers."""
 
     profile: DeviceProfile
-    runner: object  # ProgramRunner-like: run_one(), _estimate_base(), .profile
+    runner: object  # the board: run_one(), _estimate_base(), .timeout, .profile
     estimate: EstimatedProfile
     state: str = DeviceState.HEALTHY
     load: float = 0.0
@@ -365,13 +360,13 @@ class DeviceFleet:
 
     The fleet owns membership, dispatch, per-device evidence and the circuit
     breaker; executing a run on a device stays the caller's job (the
-    :class:`~repro.hardware.rpc.RpcRunner`).  The protocol per run::
+    :class:`~repro.hardware.measure.LocalRunner`).  The protocol per run::
 
         ticket = fleet.acquire(inp)            # pick a device, count it in flight
-        result = ticket.device.runner.run_one(inp, build)
+        result, clean_base = ticket.device.runner.run_one(inp, build)
         occupancy = fleet.record(ticket, inp, build, result, clean_base)
 
-    ``runner_factory(profile)`` builds the per-device runner — injected so
+    ``runner_factory(profile)`` builds the per-device board — injected so
     the fleet stays agnostic of how runs are simulated or transported.
 
     Dispatch policies (over the currently *healthy* members):
@@ -625,7 +620,7 @@ class DeviceFleet:
         and advance the circuit breaker.  Returns the busy-seconds charged.
 
         ``clean_base`` is the slowdown-free estimated runtime of the program
-        (the reference device's view), used to observe the device's real
+        (the machine model's view), used to observe the device's real
         slowdown; ``None`` skips the slowdown update.
         """
         device = ticket.device

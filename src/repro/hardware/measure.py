@@ -7,14 +7,16 @@ measurement fails in many distinct ways — compilation errors, device
 timeouts, flaky boards.  This module reproduces that structure:
 
 * :class:`ProgramBuilder` / :class:`LocalBuilder` lower candidate states to
-  :class:`~repro.codegen.lowering.LoweredProgram` objects, optionally in a
-  thread pool (``n_parallel`` workers) with a per-candidate timeout.  Real
-  builds are dominated by compiler subprocess / I/O time, which threads
-  genuinely overlap; ``build_latency_sec`` emulates that compile cost on top
-  of the (microsecond-scale) analytical lowering.
+  :class:`~repro.codegen.lowering.LoweredProgram` objects in the calling
+  thread, or in a thread pool for batches when ``n_parallel > 1``, with a
+  per-candidate timeout.  Real builds are dominated by compiler subprocess
+  / I/O time, which threads genuinely overlap; ``build_latency_sec``
+  emulates that compile cost on top of the (microsecond-scale) analytical
+  lowering.
 * :class:`ProgramRunner` / :class:`LocalRunner` "execute" built programs on
-  the analytical machine model, adding the seeded run-to-run noise of a real
-  device, honoring a run timeout (a candidate whose simulated runtime
+  the analytical machine model, on a pool of named boards (one, ``"dev0"``,
+  unless ``devices`` names more), adding the seeded run-to-run noise of a
+  real device, honoring a run timeout (a candidate whose simulated runtime
   exceeds the budget times out instead of reporting a cost, like a real
   runner killing a slow kernel), and consulting an injectable
   :class:`FaultModel` for device-level failures.
@@ -67,30 +69,32 @@ cost model once, appears in the tuning log once (``retry_count``
 round-trips through :mod:`repro.records`), and consumes one unit of the
 trial budget.
 
-Per-device fault profiles — the remote backend
-----------------------------------------------
-:mod:`repro.hardware.rpc` builds the distributed measurer of the paper on
-top of the registries here: ``register_builder("rpc", ...)`` is a
-process-pool :class:`~repro.hardware.rpc.RpcBuilder` (true parallelism for
-CPU-bound lowering) and ``register_runner("rpc", ...)`` an
-:class:`~repro.hardware.rpc.RpcRunner` that dispatches each run to a pool
-of named devices, each with its own
-:class:`~repro.hardware.rpc.DeviceProfile` (noise, transient-fault and
-timeout rates, queue latency, relative slowdown) instead of averaging the
-fleet's behaviour away::
+Device pools — one runner for one board or many
+-----------------------------------------------
+The paper's runners time programs on a pool of devices that are flaky,
+queue-limited and not necessarily identical.  :class:`LocalRunner` sends
+every run through a :class:`~repro.hardware.fleet.DeviceFleet` of boards,
+each with its own :class:`~repro.hardware.fleet.DeviceProfile` (noise,
+transient-fault and timeout rates, queue latency, relative slowdown)
+instead of averaging the fleet's behaviour away.  The fleet dispatches each
+run (``"round-robin"``, ``"least-loaded"`` or ``"affinity"``), learns every
+board's fault profile from its results and, when asked, trips a circuit
+breaker on a misbehaving board.  A board asks the session's
+:class:`FaultModel` first and its own profile's faults second.  The default
+pool is one clean board, ``"dev0"``, whose costs equal a plain run on the
+machine model bit for bit::
 
     from repro import DeviceProfile, Tuner, TuningOptions
 
     options = TuningOptions(
-        builder="rpc", runner="rpc", n_parallel=8, n_retry=2,
+        n_parallel=8, n_retry=2,
         devices=[DeviceProfile("board0"),
                  DeviceProfile("board1", run_error_prob=0.05, slowdown=1.5)])
     result = Tuner(task, options=options).tune()
 
-Builders and runners are selectable through string-keyed registries
-(:func:`register_builder` / :func:`register_runner`), the same pattern the
-search policies use, so :class:`~repro.tuner.Tuner` can pick them from
-:class:`~repro.task.TuningOptions` knobs without hard-coding classes.
+:class:`~repro.task.TuningOptions` selects the stages by the name
+``"local"`` (``"rpc"`` is another name for the same stages) or takes ready
+:class:`ProgramBuilder` / :class:`ProgramRunner` instances.
 
 Asynchronous sessions — overlapping search with measurement
 -----------------------------------------------------------
@@ -111,8 +115,8 @@ candidate), streams outcomes in completion order through
             observe(fut.input, fut.result())
 
 In async mode a small worker pool drives the builder and runner stages
-concurrently (builds go through :meth:`ProgramBuilder.build_one_dispatch`,
-which the rpc builder routes into its process pool); in sync mode
+concurrently (each worker builds its candidate through
+:meth:`ProgramBuilder.build_one_dispatch`); in sync mode
 (``async_=False``) the session is a thin veneer over the classic batch
 path, and :meth:`MeasurePipeline.measure` itself is now exactly that — a
 submit-then-drain shim whose results are bit-identical to the historical
@@ -133,7 +137,18 @@ from collections import OrderedDict, deque
 from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -141,6 +156,9 @@ from ..codegen.lowering import LoweredProgram, lower_state
 from ..ir.state import State
 from .platform import HardwareParams
 from .simulator import CostSimulator
+
+if TYPE_CHECKING:  # pragma: no cover - types only (fleet.py imports this module)
+    from .fleet import CircuitBreakerConfig, DeviceLike, DeviceProfile
 
 __all__ = [
     "MeasureErrorNo",
@@ -159,12 +177,6 @@ __all__ = [
     "MeasurePipeline",
     "MeasureFuture",
     "MeasureSession",
-    "register_builder",
-    "registered_builders",
-    "resolve_builder",
-    "register_runner",
-    "registered_runners",
-    "resolve_runner",
 ]
 
 
@@ -222,12 +234,12 @@ class MeasureResult:
     after a transient fault (see the module's retry-policy section); it
     round-trips through the tuning log.
 
-    Device-pool runners additionally stamp ``device`` — the name of the
+    :class:`LocalRunner` additionally stamps ``device`` — the name of the
     device that executed the *standing* (final) attempt — and ``attempts``,
     a per-attempt ledger of dicts (``device``, ``error_no``,
     ``occupancy_sec``, ``canary``) accumulated across retries, so every
-    attempt's cost is attributable to the board that actually ran it.
-    Device-blind runners leave both at their defaults.
+    attempt's cost is attributable to the board that actually ran it.  A
+    failed build never reaches a device and leaves both at their defaults.
     """
 
     costs: List[float]
@@ -288,6 +300,12 @@ def _program_rng(inp: MeasureInput, seed: int, salt: str) -> np.random.Generator
     key = repr(inp.state.serialize_steps()).encode()
     digest = hashlib.sha256(key + f"{seed}/{salt}".encode()).digest()
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
+
+
+def _device_seed(seed: int, name: str) -> int:
+    """A stable per-device fault seed (``hash()`` is salted per process)."""
+    digest = hashlib.sha256(f"{seed}/{name}".encode()).digest()
+    return int.from_bytes(digest[:4], "little")
 
 
 class FaultModel:
@@ -430,76 +448,6 @@ class RandomFaults(FaultModel):
 
 
 # ---------------------------------------------------------------------------
-# Builder / runner registries (same pattern as the search-policy registry)
-# ---------------------------------------------------------------------------
-
-_BUILDER_REGISTRY: Dict[str, Callable[..., "ProgramBuilder"]] = {}
-_RUNNER_REGISTRY: Dict[str, Callable[..., "ProgramRunner"]] = {}
-
-
-def register_builder(name: str, factory=None):
-    """Register a builder factory under a string key (usable as a decorator).
-
-    When selected by name through :class:`~repro.task.TuningOptions`, the
-    factory is called as ``factory(n_parallel=..., timeout=...)`` (see
-    :meth:`MeasurePipeline.from_options`), so it must accept those keyword
-    arguments; factories with other signatures should be wrapped, or the
-    configured instance passed as ``TuningOptions(builder=instance)``.
-    """
-
-    def _register(factory):
-        _BUILDER_REGISTRY[name] = factory
-        return factory
-
-    return _register(factory) if factory is not None else _register
-
-
-def registered_builders() -> List[str]:
-    return sorted(_BUILDER_REGISTRY)
-
-
-def resolve_builder(name: str):
-    try:
-        return _BUILDER_REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown builder {name!r}; registered builders: "
-            f"{', '.join(registered_builders()) or '(none)'}"
-        ) from None
-
-
-def register_runner(name: str, factory=None):
-    """Register a runner factory under a string key (usable as a decorator).
-
-    When selected by name through :class:`~repro.task.TuningOptions`, the
-    factory is called as ``factory(hardware, seed=..., timeout=...)`` (see
-    :meth:`MeasurePipeline.from_options`), so it must accept those keyword
-    arguments; factories with other signatures should be wrapped, or the
-    configured instance passed as ``TuningOptions(runner=instance)``.
-    """
-
-    def _register(factory):
-        _RUNNER_REGISTRY[name] = factory
-        return factory
-
-    return _register(factory) if factory is not None else _register
-
-
-def registered_runners() -> List[str]:
-    return sorted(_RUNNER_REGISTRY)
-
-
-def resolve_runner(name: str):
-    try:
-        return _RUNNER_REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown runner {name!r}; registered runners: "
-            f"{', '.join(registered_runners()) or '(none)'}"
-        ) from None
-
-
-# ---------------------------------------------------------------------------
 # Builder stage
 # ---------------------------------------------------------------------------
 
@@ -515,17 +463,14 @@ class ProgramBuilder:
 
         Async :class:`MeasureSession` workers call this concurrently from
         several threads, so it must be thread-safe.  The default routes
-        through :meth:`build` (preserving each builder's timeout handling);
-        pool-backed builders override it to dispatch the single candidate
-        into their own worker pool (see
-        :meth:`repro.hardware.rpc.RpcBuilder.build_one_dispatch`).
+        through :meth:`build`, preserving each builder's timeout handling.
         """
         return self.build([inp])[0]
 
 
-@register_builder("local")
 class LocalBuilder(ProgramBuilder):
-    """Lower candidates on the host, optionally in a thread pool.
+    """Lower candidates on the host: in the calling thread, or in a thread
+    pool for batches when ``n_parallel > 1``.
 
     ``n_parallel`` workers compile concurrently; ``timeout`` (seconds)
     bounds each candidate's own build *cost* — its thread CPU time plus the
@@ -535,11 +480,7 @@ class LocalBuilder(ProgramBuilder):
     thread cannot be preempted mid-build).  ``build_latency_sec``
     emulates the compiler-invocation cost of a real build (which is
     subprocess/I/O-bound and therefore genuinely overlapped by threads) on
-    top of the analytical lowering.  ``build_cpu_sec`` emulates the
-    *CPU-bound* part of a build (in-process IR passes) by burning that much
-    thread CPU time — threads cannot overlap it (the GIL serializes it),
-    which is exactly the workload the process-pool
-    :class:`~repro.hardware.rpc.RpcBuilder` exists for.
+    top of the analytical lowering.
     """
 
     def __init__(
@@ -547,19 +488,17 @@ class LocalBuilder(ProgramBuilder):
         n_parallel: int = 1,
         timeout: Optional[float] = None,
         build_latency_sec: float = 0.0,
-        build_cpu_sec: float = 0.0,
         fault_model: Optional[FaultModel] = None,
     ):
         if n_parallel < 1:
             raise ValueError("n_parallel must be >= 1")
         if timeout is not None and timeout <= 0:
             raise ValueError("build timeout must be positive (or None)")
-        if build_latency_sec < 0 or build_cpu_sec < 0:
-            raise ValueError("emulated build costs must be >= 0")
+        if build_latency_sec < 0:
+            raise ValueError("the emulated build latency must be >= 0")
         self.n_parallel = n_parallel
         self.timeout = timeout
         self.build_latency_sec = build_latency_sec
-        self.build_cpu_sec = build_cpu_sec
         self.fault_model = fault_model or NoFaults()
 
     # ------------------------------------------------------------------
@@ -598,10 +537,6 @@ class LocalBuilder(ProgramBuilder):
         # time, as documented).
         if self.build_latency_sec > 0:
             time.sleep(self.build_latency_sec)
-        if self.build_cpu_sec > 0:
-            burn_until = time.thread_time() + self.build_cpu_sec
-            while time.thread_time() < burn_until:
-                pass
 
         def elapsed() -> float:
             return (time.thread_time() - cpu_start) + self.build_latency_sec
@@ -625,6 +560,10 @@ class LocalBuilder(ProgramBuilder):
             with ThreadPoolExecutor(max_workers=self.n_parallel) as pool:
                 results = list(pool.map(self.build_one, inputs))
         return [self._apply_timeout(result) for result in results]
+
+    def build_one_dispatch(self, inp: MeasureInput) -> BuildResult:
+        """Build one candidate in the calling session worker's thread."""
+        return self._apply_timeout(self.build_one(inp))
 
     def _apply_timeout(self, result: BuildResult) -> BuildResult:
         # The timeout is enforced post hoc on each candidate's own build cost
@@ -661,27 +600,126 @@ class ProgramRunner:
         raise NotImplementedError
 
 
-@register_runner("local")
+class _Board:
+    """One board of a :class:`LocalRunner`'s pool: the runner's machine
+    model under this board's :class:`~repro.hardware.fleet.DeviceProfile`.
+
+    The profile sets the board's noise, slowdown and queue latency, and
+    seeds the board's own faults.  The session's fault model is asked
+    first: the first fault reported wins, and the cost scales of both
+    models are multiplied together before they are applied.
+    """
+
+    def __init__(self, runner: "LocalRunner", profile: "DeviceProfile"):
+        self.profile = profile
+        self.simulator = runner.simulator
+        self.noise = runner.noise if profile.noise is None else profile.noise
+        self.repeats = runner.repeats
+        self.seed = runner.seed
+        self.timeout = runner.timeout
+        self.faults: Tuple[FaultModel, ...] = (runner.fault_model,)
+        if profile.has_faults:
+            self.faults += (
+                RandomFaults(
+                    run_error_prob=profile.run_error_prob,
+                    run_timeout_prob=profile.run_timeout_prob,
+                    extra_noise=profile.extra_noise,
+                    seed=_device_seed(runner.seed, profile.name),
+                ),
+            )
+
+    def _noise_factors(self, state: State) -> np.ndarray:
+        """Deterministic pseudo-random noise derived from the program itself."""
+        if self.noise <= 0:
+            return np.ones(self.repeats)
+        key = repr(state.serialize_steps()).encode()
+        digest = hashlib.sha256(key + str(self.seed).encode()).digest()
+        rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
+        return 1.0 + rng.normal(0.0, self.noise, size=self.repeats)
+
+    def _estimate_base(self, inp: MeasureInput, build: BuildResult) -> float:
+        """This board's runtime of a built program (seconds); the fleet
+        charges a faulted run with it."""
+        return self.simulator.estimate_lowered(build.program).total_seconds * self.profile.slowdown
+
+    def run_one(
+        self, inp: MeasureInput, build: BuildResult
+    ) -> Tuple[MeasureResult, Optional[float]]:
+        """Run one successfully built program on this board.  Returns the
+        result and the program's slowdown-free runtime (``None`` when the
+        run faulted before the program was timed)."""
+        start = time.perf_counter()
+
+        def failed(error_no: int, msg: str) -> MeasureResult:
+            return MeasureResult(
+                costs=[], error=msg, error_no=error_no, elapsed_sec=self._elapsed(build, start)
+            )
+
+        for model in self.faults:
+            fault = model.run_fault(inp)
+            if fault is not None:
+                return failed(*fault), None
+        try:
+            clean = self.simulator.estimate_lowered(build.program).total_seconds
+        except Exception as exc:  # device-side analysis failure
+            return failed(MeasureErrorNo.RUN_ERROR, f"{type(exc).__name__}: {exc}"), None
+        base = clean * self.profile.slowdown
+        if self.timeout is not None and base > self.timeout:
+            msg = f"simulated runtime {base:.3e}s exceeded the {self.timeout}s budget"
+            return failed(MeasureErrorNo.RUN_TIMEOUT, msg), clean
+        factors = np.clip(self._noise_factors(inp.state), 0.5, 2.0)
+        scale = None
+        for model in self.faults:
+            extra = model.cost_scale(inp, self.repeats)
+            if extra is not None:
+                scale = extra if scale is None else scale * extra
+        if scale is not None:
+            factors = factors * scale
+        costs = [float(base * f) for f in factors]
+        return MeasureResult(costs=costs, elapsed_sec=self._elapsed(build, start)), clean
+
+    def _elapsed(self, build: BuildResult, start: float) -> float:
+        return build.elapsed_sec + (time.perf_counter() - start) + self.profile.queue_latency_sec
+
+
 class LocalRunner(ProgramRunner):
-    """Time built programs on the analytical machine model.
+    """Time built programs on the analytical machine model, on a pool of
+    named, individually profiled boards.
 
     Adds the same seeded, program-derived run-to-run noise the old measurer
     used (so no-fault measurements are bit-identical to the serial path).
     ``timeout`` bounds the *simulated* runtime: a candidate whose estimated
     execution time exceeds it is reported as ``RUN_TIMEOUT``, the way a real
     runner kills a slow kernel instead of waiting it out.  A
-    :class:`FaultModel` injects device-level failures.
+    :class:`FaultModel` injects device-level failures on every board.
+
+    Every run goes through :attr:`fleet`, a
+    :class:`~repro.hardware.fleet.DeviceFleet` of the boards ``devices``
+    names (profiles, names, dicts or a count; ``None`` is the one board
+    ``"dev0"``).  The fleet dispatches each run (``dispatch="round-robin"``,
+    ``"least-loaded"`` or ``"affinity"``), learns each board's fault
+    profile, runs the optional circuit breaker and changes membership
+    mid-session (:meth:`add_device`, :meth:`remove_device`,
+    :meth:`inject_profile`; :meth:`device_stats` reports it all).  Each
+    result is stamped with the board that ran its final attempt
+    (``result.device``) and a per-attempt ledger (``result.attempts``).
+    Build failures never reach a board: they are reported straight through.
     """
 
     def __init__(
         self,
         hardware: HardwareParams,
+        devices: "Union[None, int, Sequence[DeviceLike]]" = None,
+        dispatch: str = "round-robin",
         noise: float = 0.03,
         repeats: int = 3,
         seed: int = 0,
         timeout: Optional[float] = None,
         fault_model: Optional[FaultModel] = None,
+        circuit_breaker: "Union[None, bool, dict, CircuitBreakerConfig]" = None,
     ):
+        from .fleet import DeviceFleet  # the fleet module imports this one
+
         if repeats < 1:
             raise ValueError("repeats must be >= 1")
         if timeout is not None and timeout <= 0:
@@ -693,70 +731,77 @@ class LocalRunner(ProgramRunner):
         self.seed = seed
         self.timeout = timeout
         self.fault_model = fault_model or NoFaults()
-
-    # ------------------------------------------------------------------
-    def _noise_factors(self, state: State, count: int) -> np.ndarray:
-        """Deterministic pseudo-random noise derived from the program itself."""
-        if self.noise <= 0:
-            return np.ones(count)
-        key = repr(state.serialize_steps()).encode()
-        digest = hashlib.sha256(key + str(self.seed).encode()).digest()
-        rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
-        return 1.0 + rng.normal(0.0, self.noise, size=count)
-
-    def _estimate_base(self, inp: MeasureInput, build: BuildResult) -> float:
-        """The device's base runtime for a built program (seconds).  Hook for
-        device-profile runners (a slow board scales this)."""
-        return self.simulator.estimate_lowered(build.program).total_seconds
-
-    def run_one(self, inp: MeasureInput, build: BuildResult) -> MeasureResult:
-        start = time.perf_counter()
-        if not build.ok:
-            return MeasureResult(
-                costs=[],
-                error=build.error_msg,
-                error_no=build.error_no,
-                elapsed_sec=build.elapsed_sec,
-            )
-        fault = self.fault_model.run_fault(inp)
-        if fault is not None:
-            error_no, msg = fault
-            return MeasureResult(
-                costs=[],
-                error=msg,
-                error_no=error_no,
-                elapsed_sec=build.elapsed_sec + (time.perf_counter() - start),
-            )
-        try:
-            base = self._estimate_base(inp, build)
-        except Exception as exc:  # device-side analysis failure
-            return MeasureResult(
-                costs=[],
-                error=f"{type(exc).__name__}: {exc}",
-                error_no=MeasureErrorNo.RUN_ERROR,
-                elapsed_sec=build.elapsed_sec + (time.perf_counter() - start),
-            )
-        if self.timeout is not None and base > self.timeout:
-            return MeasureResult(
-                costs=[],
-                error=f"simulated runtime {base:.3e}s exceeded the {self.timeout}s budget",
-                error_no=MeasureErrorNo.RUN_TIMEOUT,
-                elapsed_sec=build.elapsed_sec + (time.perf_counter() - start),
-            )
-        factors = np.clip(self._noise_factors(inp.state, self.repeats), 0.5, 2.0)
-        scale = self.fault_model.cost_scale(inp, self.repeats)
-        if scale is not None:
-            factors = factors * scale
-        costs = [float(base * f) for f in factors]
-        return MeasureResult(
-            costs=costs,
-            elapsed_sec=build.elapsed_sec + (time.perf_counter() - start),
+        self.fleet = DeviceFleet(
+            devices,
+            lambda profile: _Board(self, profile),
+            dispatch=dispatch,
+            circuit_breaker=circuit_breaker,
+            repeats=repeats,
         )
 
+    # -- the pool --------------------------------------------------------
+    @property
+    def dispatch(self) -> str:
+        return self.fleet.dispatch
+
+    @property
+    def devices(self) -> "Tuple[DeviceProfile, ...]":
+        return self.fleet.devices
+
+    def add_device(self, device: "DeviceLike") -> "DeviceProfile":
+        """Join a device to the pool mid-session (see
+        :meth:`~repro.hardware.fleet.DeviceFleet.add_device`)."""
+        return self.fleet.add_device(device)
+
+    def remove_device(
+        self, name: str, drain: bool = True, timeout: Optional[float] = None
+    ) -> Dict[str, float]:
+        """Remove a device, by default draining its in-flight runs (see
+        :meth:`~repro.hardware.fleet.DeviceFleet.remove_device`)."""
+        return self.fleet.remove_device(name, drain=drain, timeout=timeout)
+
+    def inject_profile(self, name: str, **overrides) -> "DeviceProfile":
+        """Degrade/repair a device's actual behaviour mid-session (see
+        :meth:`~repro.hardware.fleet.DeviceFleet.inject_profile`)."""
+        return self.fleet.inject_profile(name, **overrides)
+
+    def device_stats(self) -> Dict[str, Dict[str, float]]:
+        """Per-device counters (classic ``runs`` / ``errors`` / ``busy_sec``
+        plus breaker state and the live estimated profile — see
+        :meth:`~repro.hardware.fleet.DeviceFleet.device_stats`)."""
+        return self.fleet.device_stats()
+
+    # ------------------------------------------------------------------
     def run(
         self, inputs: Sequence[MeasureInput], build_results: Sequence[BuildResult]
     ) -> List[MeasureResult]:
-        return [self.run_one(inp, build) for inp, build in zip(inputs, build_results)]
+        results: List[MeasureResult] = []
+        for inp, build in zip(inputs, build_results):
+            if not build.ok:
+                results.append(
+                    MeasureResult(
+                        costs=[],
+                        error=build.error_msg,
+                        error_no=build.error_no,
+                        elapsed_sec=build.elapsed_sec,
+                    )
+                )
+                continue
+            ticket = self.fleet.acquire(inp)
+            device = ticket.device
+            result, clean = device.runner.run_one(inp, build)
+            occupancy = self.fleet.record(ticket, inp, build, result, clean)
+            result.device = device.name
+            result.attempts = [
+                {
+                    "device": device.name,
+                    "error_no": int(result.error_no),
+                    "occupancy_sec": occupancy,
+                    "canary": ticket.canary,
+                }
+            ]
+            results.append(result)
+        return results
 
 
 # ---------------------------------------------------------------------------
@@ -844,11 +889,11 @@ class MeasureSession:
       to the historical ``measure()`` behaviour.  ``MeasurePipeline.measure``
       is exactly this submit-then-drain shim.
     * ``async_=True`` — ``n_workers`` threads consume the queue
-      concurrently: builds overlap (through
-      :meth:`ProgramBuilder.build_one_dispatch`, which pool-backed builders
-      route into their own pools), the run stage and all pipeline accounting
-      execute under the pipeline's measurement lock (exactly once per
-      executed candidate), and completions stream out as they land.
+      concurrently: builds overlap (each worker builds through
+      :meth:`ProgramBuilder.build_one_dispatch`), the run stage and all
+      pipeline accounting execute under the pipeline's measurement lock
+      (exactly once per executed candidate), and completions stream out as
+      they land.
 
     ``measure_latency_sec`` emulates the *wall-clock* cost of occupying a
     real device for one run attempt (it is actually slept: serially in sync
@@ -1249,20 +1294,18 @@ class MeasurePipeline:
     def from_options(
         cls, hardware: HardwareParams, options: "TuningOptions", seed: Optional[int] = None
     ) -> "MeasurePipeline":
-        """Build a pipeline from :class:`~repro.task.TuningOptions` knobs,
-        resolving builder / runner names through the registries.
+        """Build a pipeline from :class:`~repro.task.TuningOptions` knobs.
 
-        The stage knobs only apply when the corresponding stage is selected
-        by *name*; combining a ready instance with knobs for that stage is
+        A stage selected by name (``"local"``, or its other name ``"rpc"``)
+        is a :class:`LocalBuilder` / :class:`LocalRunner` built from the
+        stage knobs; combining a ready instance with knobs for that stage is
         rejected rather than silently ignoring the knobs (configure the
         instance directly instead).
         """
         seed = options.seed if seed is None else seed
         builder = options.builder
         if isinstance(builder, str):
-            builder = resolve_builder(builder)(
-                n_parallel=options.n_parallel, timeout=options.build_timeout
-            )
+            builder = LocalBuilder(n_parallel=options.n_parallel, timeout=options.build_timeout)
         elif options.n_parallel != 1 or options.build_timeout is not None:
             raise ValueError(
                 "TuningOptions.builder is a ready instance, so n_parallel / "
@@ -1270,45 +1313,15 @@ class MeasurePipeline:
                 "builder instance directly or select a builder by name"
             )
         runner = options.runner
+        pool_knobs = {
+            knob: getattr(options, knob)
+            for knob in ("devices", "dispatch", "circuit_breaker")
+            if getattr(options, knob) is not None
+        }
         if isinstance(runner, str):
-            runner_kwargs = {"seed": seed, "timeout": options.run_timeout}
-            # Only device-aware runner factories (e.g. "rpc") take the pool
-            # knobs; picking a device-blind one with any of them set must
-            # error, not silently measure on an averaged machine.
-            pool_knobs = ("devices", "dispatch", "circuit_breaker")
-            for knob in pool_knobs:
-                value = getattr(options, knob)
-                if value is not None:
-                    runner_kwargs[knob] = value
-            try:
-                runner = resolve_runner(runner)(hardware, **runner_kwargs)
-            except TypeError as exc:
-                # Translate only the precise "factory is device-blind" case;
-                # any other TypeError (e.g. a malformed device entry) must
-                # surface as itself, not as a misleading runner complaint.
-                blind = next(
-                    (
-                        knob
-                        for knob in pool_knobs
-                        if f"unexpected keyword argument {knob!r}" in str(exc)
-                    ),
-                    None,
-                )
-                if blind is None:
-                    raise
-                raise ValueError(
-                    f"runner {options.runner!r} does not accept device-pool "
-                    f"options (TuningOptions.{blind}); select a device-aware "
-                    "runner such as 'rpc'"
-                ) from None
+            runner = LocalRunner(hardware, seed=seed, timeout=options.run_timeout, **pool_knobs)
         else:
-            if options.run_timeout is not None:
-                raise ValueError(
-                    "TuningOptions.runner is a ready instance, so run_timeout "
-                    "would be silently ignored; configure the runner instance "
-                    "directly or select a runner by name"
-                )
-            for knob in ("devices", "dispatch", "circuit_breaker"):
+            for knob in ("run_timeout", *pool_knobs):
                 if getattr(options, knob) is not None:
                     raise ValueError(
                         f"TuningOptions.runner is a ready instance, so {knob} "
@@ -1378,8 +1391,8 @@ class MeasurePipeline:
         )
 
     def _default_session_workers(self) -> int:
-        """Worker count for async sessions: enough to keep the builder pool
-        and every device of a device-pool runner busy, capped sanely."""
+        """Worker count for async sessions: enough to keep the builder's
+        threads and every board of the runner busy, capped sanely."""
         devices = getattr(self.runner, "devices", ()) or ()
         return min(16, max(2, getattr(self.builder, "n_parallel", 1), len(devices)))
 
@@ -1419,8 +1432,8 @@ class MeasurePipeline:
         """Measure one candidate on behalf of an async session worker.
 
         The build runs outside the pipeline lock (overlapping with other
-        workers; pool-backed builders dispatch into their own pools via
-        :meth:`ProgramBuilder.build_one_dispatch`); the run stage, retries
+        workers, through :meth:`ProgramBuilder.build_one_dispatch`); the run
+        stage, retries
         and accounting run under the lock so stateful fault models, device
         dispatch and counters are updated exactly once per candidate.
 

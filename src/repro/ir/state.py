@@ -65,9 +65,9 @@ class State:
 
     def __getstate__(self) -> dict:
         # The lowered program, the feature matrix, the kept booster rows (and
-        # the model they name) and the stage record are memos: pickles (e.g.
-        # the RpcBuilder's payloads) never carry them, the receiver lowers
-        # and featurizes on demand, and its children replay from the DAG.
+        # the model they name) and the stage record are memos: pickles never
+        # carry them, the receiver lowers and featurizes on demand, and its
+        # children replay from the DAG.
         memos = dict.fromkeys(("_lowered", "_features", "_stage_rows", "_trail"))
         return {**self.__dict__, **memos}
 

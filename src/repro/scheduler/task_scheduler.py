@@ -287,13 +287,12 @@ class TaskScheduler:
         return sum(m.error_count for m in {id(m): m for m in self.measurers}.values())
 
     def device_stats(self) -> Dict[str, Dict[str, float]]:
-        """Merged per-device counters across every device-pool runner this
-        scheduler drives (see
-        :meth:`~repro.hardware.fleet.DeviceFleet.device_stats`).  Pipelines
-        are deduplicated (tasks on the same hardware share one), and a
-        device name serving several pools reports under
+        """Merged per-device counters across every runner this scheduler
+        drives (see :meth:`~repro.hardware.fleet.DeviceFleet.device_stats`).
+        Pipelines are deduplicated (tasks on the same hardware share one),
+        and a device name serving several pools reports under
         ``"<runner-index>/<name>"`` so fleet health stays attributable.
-        Device-blind runners contribute nothing."""
+        Custom runners without ``device_stats()`` contribute nothing."""
         merged: Dict[str, Dict[str, float]] = {}
         pipelines = list({id(m): m for m in self.measurers}.values())
         multiple = (

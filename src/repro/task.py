@@ -113,9 +113,10 @@ class TuningOptions:
     """Options controlling one tuning run (mirrors the paper's setup in §7).
 
     The measurement knobs mirror the paper's builder/runner split: the
-    ``builder`` / ``runner`` names are resolved through the registries in
-    :mod:`repro.hardware.measure` (the same pattern as search policies), and
-    ``n_parallel`` / the timeouts configure the resulting
+    ``builder`` / ``runner`` name ``"local"`` (or ``"rpc"``, another name
+    for the same stage) selects :class:`~repro.hardware.measure.LocalBuilder`
+    / :class:`~repro.hardware.measure.LocalRunner`, and ``n_parallel``, the
+    timeouts and the device-pool knobs configure the resulting
     :class:`~repro.hardware.measure.MeasurePipeline`.  Ready
     :class:`~repro.hardware.measure.ProgramBuilder` /
     :class:`~repro.hardware.measure.ProgramRunner` instances are accepted in
@@ -132,9 +133,11 @@ class TuningOptions:
     verbose: int = 0
     #: random seed for the search
     seed: int = 0
-    #: builder stage: a registered name or a ProgramBuilder instance
+    #: builder stage: ``"local"`` (``"rpc"`` names the same builder) or a
+    #: ProgramBuilder instance
     builder: "Union[str, ProgramBuilder]" = "local"
-    #: runner stage: a registered name or a ProgramRunner instance
+    #: runner stage: ``"local"`` (``"rpc"`` names the same runner) or a
+    #: ProgramRunner instance
     runner: "Union[str, ProgramRunner]" = "local"
     #: builder worker threads (compilation parallelism)
     n_parallel: int = 1
@@ -152,21 +155,20 @@ class TuningOptions:
     #: device behaviour (thermal stalls, hung boards); the retry
     #: re-dispatches, so it can recover on a healthier or faster device
     retry_timeouts: bool = False
-    #: device pool for a device-aware runner such as ``"rpc"``: a sequence
-    #: of :class:`~repro.hardware.fleet.DeviceProfile` / names / dicts, or
-    #: an int (that many default devices); None = the runner's single
-    #: default device.  Rejected when the selected runner is device-blind.
+    #: device pool of the runner: a sequence of
+    #: :class:`~repro.hardware.fleet.DeviceProfile` / names / dicts, or an
+    #: int (that many default devices); None = the single default device
+    #: ``"dev0"``.  Rejected with a ready runner instance.
     devices: "Optional[Union[int, Sequence[DeviceLike]]]" = None
-    #: device-pool dispatch policy for a device-aware runner:
-    #: ``"round-robin"``, ``"least-loaded"`` (busy-seconds plus the
-    #: estimated fault-rate waste) or ``"affinity"`` (sticky
-    #: workload→device rendezvous hashing); None = the runner's default.
-    #: Rejected when the selected runner is device-blind.
+    #: device-pool dispatch policy of the runner: ``"round-robin"``,
+    #: ``"least-loaded"`` (busy-seconds plus the estimated fault-rate
+    #: waste) or ``"affinity"`` (sticky workload→device rendezvous
+    #: hashing); None = round-robin.  Rejected with a ready runner instance.
     dispatch: Optional[str] = None
-    #: circuit breaker for a device-aware runner: ``True`` enables the
+    #: circuit breaker of the runner's device pool: ``True`` enables the
     #: default :class:`~repro.hardware.fleet.CircuitBreakerConfig`, a dict
     #: or config instance overrides it, None leaves the breaker off.
-    #: Rejected when the selected runner is device-blind.
+    #: Rejected with a ready runner instance.
     circuit_breaker: "Optional[Union[bool, dict, CircuitBreakerConfig]]" = None
     #: overlap candidate generation with hardware measurement: drivers run
     #: each round through an asynchronous
@@ -218,6 +220,13 @@ class TuningOptions:
             raise ValueError("num_measures_per_round must be positive")
         if self.early_stopping is not None and self.early_stopping <= 0:
             raise ValueError("early_stopping must be positive (or None to disable)")
+        for stage in ("builder", "runner"):
+            name = getattr(self, stage)
+            if isinstance(name, str) and name not in ("local", "rpc"):
+                raise ValueError(
+                    f"unknown {stage} {name!r}; use 'local' ('rpc' names the "
+                    f"same {stage}) or pass a ready instance"
+                )
         if self.n_parallel < 1:
             raise ValueError("n_parallel must be >= 1")
         if self.build_timeout is not None and self.build_timeout <= 0:

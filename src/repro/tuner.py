@@ -250,14 +250,14 @@ class Tuner:
         Measurement backend override; defaults to a
         :class:`~repro.hardware.measure.MeasurePipeline` built from the
         options' builder/runner knobs, one per distinct hardware target.
-        The knobs cover the remote backend too: ``TuningOptions(
-        builder="rpc", runner="rpc", n_parallel=8, n_retry=2, devices=[...])``
-        drives the whole session through the process-pool builder and the
-        device-pool runner of :mod:`repro.hardware.rpc` with no other
-        changes.  Combining a ready measurer with non-default measurement
-        knobs in the options raises (the measurer would silently swallow
-        them); ``options.async_measure`` is the exception — it selects the
-        session mode and is honored either way.
+        The knobs cover the device pool too: ``TuningOptions(n_parallel=8,
+        n_retry=2, devices=[...])`` drives the whole session through a
+        thread-pool builder and a runner that dispatches runs across the
+        named boards, with no other changes.  Combining a ready measurer
+        with non-default measurement knobs in the options raises (the
+        measurer would silently swallow them); ``options.async_measure`` is
+        the exception — it selects the session mode and is honored either
+        way.
     store:
         A :class:`~repro.store.ScheduleStore`, consulted before any trial is
         spent.  A task hits on its ``(workload fingerprint, target)`` key; a

@@ -1,7 +1,6 @@
 """Small shared utilities."""
 
-from .procpool import LazyProcessPool
 from .timing import Timer
 from .random import seeded_rng
 
-__all__ = ["LazyProcessPool", "Timer", "seeded_rng"]
+__all__ = ["Timer", "seeded_rng"]

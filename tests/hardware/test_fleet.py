@@ -17,8 +17,8 @@ import json
 
 import pytest
 
-from repro import TuningOptions
-from repro.callbacks import ProgressLogger
+from repro import Tuner, TuningOptions
+from repro.callbacks import MeasureCallback, ProgressLogger, RecordToFile
 from repro.cost_model import LearnedCostModel
 from repro.hardware import (
     CircuitBreakerConfig,
@@ -26,10 +26,10 @@ from repro.hardware import (
     DeviceProfile,
     DeviceState,
     EstimatedProfile,
+    LocalRunner,
     MeasureErrorNo,
     MeasureInput,
     MeasurePipeline,
-    RpcRunner,
     intel_cpu,
 )
 from repro.records import TuningRecord, load_records, save_records
@@ -98,7 +98,7 @@ def test_estimated_profile_warm_starts_from_declared():
 
 def test_fleet_dispatch_validation():
     with pytest.raises(ValueError, match="dispatch"):
-        RpcRunner(intel_cpu(), dispatch="random")
+        LocalRunner(intel_cpu(), dispatch="random")
     with pytest.raises(ValueError, match="dispatch"):
         TuningOptions(dispatch="random")
 
@@ -112,7 +112,7 @@ def test_estimated_fault_rate_converges_on_undeclared_faults(task, rng):
     """The acceptance gate's convergence half: a board *declared* clean but
     actually faulting 50% of the time is estimated within 20% of the truth
     after 100 trials — the estimator learns what the operator never said."""
-    runner = RpcRunner(intel_cpu(), devices=["solo"], seed=0)
+    runner = LocalRunner(intel_cpu(), devices=["solo"], seed=0)
     runner.inject_profile("solo", run_error_prob=0.5)
     pipeline = MeasurePipeline(intel_cpu(), runner=runner)
     pipeline.measure(_many_inputs(task, rng, 100))
@@ -124,7 +124,7 @@ def test_estimated_fault_rate_converges_on_undeclared_faults(task, rng):
 
 
 def test_estimator_tracks_slowdown_and_queue_latency(task, rng):
-    runner = RpcRunner(
+    runner = LocalRunner(
         intel_cpu(),
         devices=[DeviceProfile("s", slowdown=3.0, queue_latency_sec=0.25)],
         seed=0,
@@ -144,7 +144,7 @@ def test_estimator_tracks_slowdown_and_queue_latency(task, rng):
 def test_breaker_quarantines_a_faulting_board(task, rng):
     """A board that starts failing trips the breaker after ``min_samples``
     and stops receiving regular work; the healthy neighbour absorbs it."""
-    runner = RpcRunner(
+    runner = LocalRunner(
         intel_cpu(),
         devices=["good", "bad"],
         seed=0,
@@ -166,7 +166,7 @@ def test_breaker_quarantines_a_faulting_board(task, rng):
 def test_breaker_readmits_after_successful_canaries(task, rng):
     """A quarantined board that recovers is re-admitted after ``n_probe``
     consecutive canary successes, with its fault evidence forgiven."""
-    runner = RpcRunner(
+    runner = LocalRunner(
         intel_cpu(),
         devices=["good", "flaky"],
         seed=0,
@@ -188,7 +188,7 @@ def test_breaker_readmits_after_successful_canaries(task, rng):
 def test_breaker_ejects_a_permanently_dead_board(task, rng):
     """Canaries that keep failing prove the board dead: it is ejected and
     the pool keeps measuring on the survivors (work is never lost)."""
-    runner = RpcRunner(
+    runner = LocalRunner(
         intel_cpu(),
         devices=["good", "dead"],
         seed=0,
@@ -210,7 +210,7 @@ def test_all_quarantined_pool_still_probes_forward(task, inputs):
     """Quarantining the only device must not deadlock dispatch: with no
     healthy member left, work is forced through as canary probes (and here
     the board recovers, so the session completes)."""
-    runner = RpcRunner(
+    runner = LocalRunner(
         intel_cpu(),
         devices=["only"],
         seed=0,
@@ -229,7 +229,7 @@ def test_all_quarantined_pool_still_probes_forward(task, inputs):
 
 
 def test_fully_dead_pool_raises_actionable_error(task, inputs):
-    runner = RpcRunner(
+    runner = LocalRunner(
         intel_cpu(),
         devices=["only"],
         seed=0,
@@ -244,7 +244,7 @@ def test_fully_dead_pool_raises_actionable_error(task, inputs):
 
 
 def test_breaker_off_by_default_never_transitions(task, rng):
-    runner = RpcRunner(intel_cpu(), devices=["a", "b"], seed=0)
+    runner = LocalRunner(intel_cpu(), devices=["a", "b"], seed=0)
     runner.inject_profile("b", run_error_prob=1.0)
     pipeline = MeasurePipeline(intel_cpu(), runner=runner, n_retry=4)
     pipeline.measure(_many_inputs(task, rng, 16))
@@ -260,11 +260,11 @@ def test_fault_storm_best_cost_matches_healthy_pool(task, rng):
     robustness costs retries, not result quality."""
     inputs = _many_inputs(task, rng, 48)
     healthy = MeasurePipeline(
-        intel_cpu(), runner=RpcRunner(intel_cpu(), devices=["a", "b"], seed=0)
+        intel_cpu(), runner=LocalRunner(intel_cpu(), devices=["a", "b"], seed=0)
     )
     healthy.measure(inputs)
 
-    stormy_runner = RpcRunner(
+    stormy_runner = LocalRunner(
         intel_cpu(),
         devices=["a", "b"],
         seed=0,
@@ -286,7 +286,7 @@ def test_fault_storm_best_cost_matches_healthy_pool(task, rng):
 
 
 def test_add_device_mid_session_takes_load(task, rng):
-    runner = RpcRunner(intel_cpu(), devices=["a"], seed=0)
+    runner = LocalRunner(intel_cpu(), devices=["a"], seed=0)
     pipeline = MeasurePipeline(intel_cpu(), runner=runner)
     pipeline.measure(_many_inputs(task, rng, 4))
     runner.add_device("b")
@@ -299,7 +299,7 @@ def test_add_device_mid_session_takes_load(task, rng):
 
 
 def test_remove_device_drains_and_rejects_new_work(task, rng):
-    runner = RpcRunner(intel_cpu(), devices=["a", "b"], seed=0)
+    runner = LocalRunner(intel_cpu(), devices=["a", "b"], seed=0)
     pipeline = MeasurePipeline(intel_cpu(), runner=runner)
     pipeline.measure(_many_inputs(task, rng, 8))
     snapshot = runner.remove_device("b")
@@ -321,7 +321,7 @@ def test_remove_device_mid_as_completed_loses_zero_results(task, rng):
     async consumer iterates ``as_completed`` loses no results and keeps
     cost-model training exactly-once."""
     inputs = _many_inputs(task, rng, 16)
-    runner = RpcRunner(intel_cpu(), devices=["a", "b"], seed=0)
+    runner = LocalRunner(intel_cpu(), devices=["a", "b"], seed=0)
     pipeline = MeasurePipeline(intel_cpu(), runner=runner)
     collected = []
     with pipeline.session(async_=True, n_workers=2) as session:
@@ -348,7 +348,7 @@ def test_remove_device_mid_as_completed_loses_zero_results(task, rng):
 
 
 def test_affinity_keeps_a_workload_on_one_device(task, inputs):
-    runner = RpcRunner(intel_cpu(), devices=["a", "b", "c"], dispatch="affinity", seed=0)
+    runner = LocalRunner(intel_cpu(), devices=["a", "b", "c"], dispatch="affinity", seed=0)
     pipeline = MeasurePipeline(intel_cpu(), runner=runner)
     pipeline.measure(inputs[:3])
     runs = {name: entry["runs"] for name, entry in runner.device_stats().items()}
@@ -356,7 +356,7 @@ def test_affinity_keeps_a_workload_on_one_device(task, inputs):
 
 
 def test_affinity_spills_under_load_but_keeps_the_majority(task, rng):
-    runner = RpcRunner(intel_cpu(), devices=["a", "b", "c"], dispatch="affinity", seed=0)
+    runner = LocalRunner(intel_cpu(), devices=["a", "b", "c"], dispatch="affinity", seed=0)
     pipeline = MeasurePipeline(intel_cpu(), runner=runner)
     pipeline.measure(_many_inputs(task, rng, 30))
     runs = sorted(
@@ -372,7 +372,7 @@ def test_affinity_homes_differ_across_workloads(rng):
     a multi-workload session onto one board."""
     task_a = SearchTask(make_matmul_relu_dag(), intel_cpu(), desc="mm")
     task_b = SearchTask(make_norm_dag(), intel_cpu(), desc="norm")
-    runner = RpcRunner(intel_cpu(), devices=["a", "b", "c"], dispatch="affinity", seed=0)
+    runner = LocalRunner(intel_cpu(), devices=["a", "b", "c"], dispatch="affinity", seed=0)
     pipeline = MeasurePipeline(intel_cpu(), runner=runner)
 
     def home_for(task):
@@ -397,7 +397,7 @@ def test_retry_timeouts_recovers_transient_timeouts(task, rng):
     inputs = _many_inputs(task, rng, 12)
 
     def make_pipeline(retry_timeouts):
-        runner = RpcRunner(
+        runner = LocalRunner(
             intel_cpu(),
             devices=[DeviceProfile("t", run_timeout_prob=0.6), DeviceProfile("ok")],
             seed=0,
@@ -417,7 +417,7 @@ def test_retry_timeouts_recovers_transient_timeouts(task, rng):
     # Recovered costs equal the no-fault costs: a transient timeout perturbs
     # availability, not the timing of the eventually-successful run.
     clean = MeasurePipeline(
-        intel_cpu(), runner=RpcRunner(intel_cpu(), devices=["t", "ok"], seed=0)
+        intel_cpu(), runner=LocalRunner(intel_cpu(), devices=["t", "ok"], seed=0)
     ).measure(inputs)
     assert [r.costs for r in recovered] == [r.costs for r in clean]
 
@@ -433,19 +433,11 @@ def test_retry_timeouts_threads_through_options(task):
     assert pipeline.runner.fleet.breaker.min_samples == 3
 
 
-def test_pool_knobs_rejected_for_device_blind_runner():
-    for knob in ({"dispatch": "affinity"}, {"circuit_breaker": True}):
-        with pytest.raises(ValueError, match="device-aware"):
-            MeasurePipeline.from_options(
-                intel_cpu(), TuningOptions(runner="local", **knob)
-            )
-
-
 def test_deterministic_timeouts_still_fail_fast(task, inputs):
     """A program genuinely slower than the budget times out on every
     attempt; ``retry_timeouts`` burns its retries but the final verdict is
     unchanged — and the run stays deterministic."""
-    runner = RpcRunner(intel_cpu(), devices=["a", "b"], seed=0, timeout=1e-12)
+    runner = LocalRunner(intel_cpu(), devices=["a", "b"], seed=0, timeout=1e-12)
     pipeline = MeasurePipeline(
         intel_cpu(), runner=runner, n_retry=2, retry_timeouts=True
     )
@@ -455,7 +447,7 @@ def test_deterministic_timeouts_still_fail_fast(task, inputs):
 
 
 def test_record_round_trips_device_and_timeout_retries(task, inputs, tmp_path):
-    runner = RpcRunner(
+    runner = LocalRunner(
         intel_cpu(),
         devices=[DeviceProfile("t", run_timeout_prob=0.6), DeviceProfile("ok")],
         seed=0,
@@ -474,6 +466,50 @@ def test_record_round_trips_device_and_timeout_retries(task, inputs, tmp_path):
     legacy = dict(records[0].to_dict())
     legacy.pop("device")
     assert TuningRecord.from_dict(legacy).device is None
+
+
+# ---------------------------------------------------------------------------
+# The one-board pool of a default pipeline
+# ---------------------------------------------------------------------------
+
+
+def test_default_pipeline_runs_on_one_board(task, inputs):
+    pipeline = MeasurePipeline(intel_cpu())
+    results = pipeline.measure(inputs)
+    for res in results:
+        assert res.device == "dev0"
+        assert len(res.attempts) == 1
+        assert res.attempts[0]["device"] == "dev0"
+        assert res.attempts[0]["error_no"] == int(MeasureErrorNo.NO_ERROR)
+        assert not res.attempts[0]["canary"]
+    assert pipeline.runner.device_stats()["dev0"]["runs"] == len(inputs)
+
+
+def test_failed_builds_get_no_device(task):
+    state = task.compute_dag.init_state()
+    state.split("C", 0, [None])  # an incomplete program fails to build
+    pipeline = MeasurePipeline(intel_cpu())
+    result = pipeline.measure_one(MeasureInput(task, state))
+    assert result.error_kind == MeasureErrorNo.INSTANTIATION_ERROR
+    assert result.device is None and result.attempts == []
+    assert pipeline.runner.device_stats()["dev0"]["runs"] == 0
+
+
+def test_record_to_file_round_trips_the_board(task, tmp_path):
+    class Devices(MeasureCallback):
+        def __init__(self):
+            self.seen = []
+
+        def on_result(self, event):
+            self.seen.append(event.result.device)
+
+    log = tmp_path / "dev0.json"
+    devices = Devices()
+    options = TuningOptions(num_measure_trials=8, num_measures_per_round=8, seed=0)
+    Tuner(task, policy="random", options=options, callbacks=[RecordToFile(log), devices]).tune()
+    records = load_records(log)
+    assert [r.device for r in records] == devices.seen
+    assert devices.seen == ["dev0"] * 8
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +540,7 @@ def _assert_stats_match_attempt_ledger(runner, results):
 def test_busy_seconds_follow_the_executing_device_sync(task, rng):
     """Regression (satellite 2): a retry that lands on a different device
     charges the device that ran it, never the one that faulted first."""
-    runner = RpcRunner(
+    runner = LocalRunner(
         intel_cpu(),
         devices=[DeviceProfile("flaky", run_error_prob=1.0), DeviceProfile("ok")],
         seed=0,
@@ -520,7 +556,7 @@ def test_busy_seconds_follow_the_executing_device_sync(task, rng):
 
 def test_busy_seconds_follow_the_executing_device_async(task, rng):
     """The same attribution contract under an async session's workers."""
-    runner = RpcRunner(
+    runner = LocalRunner(
         intel_cpu(),
         devices=[DeviceProfile("flaky", run_error_prob=0.7), DeviceProfile("ok")],
         seed=1,
@@ -538,7 +574,7 @@ def test_timed_out_run_is_charged_the_budget_not_the_program(task, inputs):
     timeout budget — charging its full estimated runtime (x repeats) was
     overstating the board's busy time and skewing least-loaded dispatch."""
     budget = 1e-9
-    runner = RpcRunner(intel_cpu(), devices=["a"], seed=0, timeout=budget)
+    runner = LocalRunner(intel_cpu(), devices=["a"], seed=0, timeout=budget)
     pipeline = MeasurePipeline(intel_cpu(), runner=runner)
     results = pipeline.measure(inputs[:3])
     assert all(r.error_kind == MeasureErrorNo.RUN_TIMEOUT for r in results)
@@ -553,7 +589,7 @@ def test_timed_out_run_is_charged_the_budget_not_the_program(task, inputs):
 
 
 def test_progress_logger_surfaces_breaker_state_and_estimates(task, rng):
-    runner = RpcRunner(
+    runner = LocalRunner(
         intel_cpu(),
         devices=["good", "bad"],
         seed=0,
@@ -582,19 +618,20 @@ def test_scheduler_aggregates_device_stats():
         policy_factory=lambda task, model, seed: random_search_policy(task, seed=seed),
     )
     measurer = MeasurePipeline(
-        intel_cpu(), runner=RpcRunner(intel_cpu(), devices=["a", "b"], seed=0)
+        intel_cpu(), runner=LocalRunner(intel_cpu(), devices=["a", "b"], seed=0)
     )
     scheduler.tune(num_measure_trials=8, num_measures_per_round=4, measurer=measurer)
     stats = scheduler.device_stats()
     assert set(stats) == {"a", "b"}
     assert sum(entry["runs"] for entry in stats.values()) == 8
-    # Device-blind pipelines contribute nothing (and don't crash the merge).
+    # A default pipeline contributes its one board; several pools report
+    # their devices under the pipeline's index.
     scheduler.measurers.append(MeasurePipeline(intel_cpu()))
-    assert set(scheduler.device_stats()) == {"a", "b"}
+    assert set(scheduler.device_stats()) == {"0/a", "0/b", "1/dev0"}
 
 
 def test_fleet_direct_protocol_roundtrip(task, inputs):
-    """The DeviceFleet acquire/record protocol stands alone (no RpcRunner):
+    """The DeviceFleet acquire/record protocol stands alone (no LocalRunner):
     what custom runners would build on."""
 
     class _FakeRunner:

@@ -20,10 +20,6 @@ from repro.hardware import (
     MeasureResult,
     RandomFaults,
     intel_cpu,
-    registered_builders,
-    registered_runners,
-    resolve_builder,
-    resolve_runner,
 )
 from repro.search import generate_sketches, sample_initial_population
 from repro.task import SearchTask, TuningOptions
@@ -334,21 +330,22 @@ def test_error_counts_by_kind(task, states):
 
 
 # ---------------------------------------------------------------------------
-# Registries and options plumbing
+# Options plumbing
 # ---------------------------------------------------------------------------
 
 
-def test_builder_runner_registries():
-    assert "local" in registered_builders()
-    assert "local" in registered_runners()
-    assert "rpc" in registered_builders()
-    assert "rpc" in registered_runners()
-    assert resolve_builder("local") is LocalBuilder
-    assert resolve_runner("local") is LocalRunner
-    with pytest.raises(KeyError, match="registered builders"):
-        resolve_builder("remote-farm")
-    with pytest.raises(KeyError, match="registered runners"):
-        resolve_runner("remote-farm")
+def test_options_reject_unknown_stage_names():
+    """A stage name other than "local" or "rpc" fails when the options are
+    built, not later when a session builds its pipeline; both names select
+    the one builder and the one runner."""
+    for stage in ("builder", "runner"):
+        with pytest.raises(ValueError, match=f"unknown {stage} 'remote-farm'"):
+            TuningOptions(**{stage: "remote-farm"})
+    for name in ("local", "rpc"):
+        options = TuningOptions(builder=name, runner=name)
+        pipeline = MeasurePipeline.from_options(intel_cpu(), options)
+        assert type(pipeline.builder) is LocalBuilder
+        assert type(pipeline.runner) is LocalRunner
 
 
 def test_pipeline_from_options(task):

@@ -201,25 +201,6 @@ def test_async_measure_knob_threads_from_options(task):
     session.close()
 
 
-def test_rpc_builder_dispatches_single_builds_through_pool(task, inputs):
-    """Async session workers route single builds into the rpc process pool
-    (build_one_dispatch) and results match the local builder bit for bit."""
-    from repro.hardware import RpcBuilder
-
-    local = MeasurePipeline(intel_cpu(), seed=0)
-    local_results = local.measure(inputs)
-
-    builder = RpcBuilder(n_parallel=2)
-    rpc = MeasurePipeline(intel_cpu(), builder=builder, seed=0)
-    try:
-        with rpc.session(async_=True, n_workers=2) as session:
-            results = [f.result() for f in session.submit(inputs)]
-        assert builder._pool is not None  # the pool actually served the builds
-    finally:
-        builder.close()
-    assert _result_signature(results) == _result_signature(local_results)
-
-
 # ---------------------------------------------------------------------------
 # Pipelined tuning drivers
 # ---------------------------------------------------------------------------

@@ -1,16 +1,15 @@
-"""Tests for the remote ("rpc") measurement backend and the retry policy.
+"""Tests for the runner's device pool and the retry policy.
 
-Covers the acceptance surface of the backend: single-device bit parity with
-the local runner, process-pool build parity with the thread builder, device
-dispatch and per-device fault profiles, retry-on-transient-fault semantics
-end to end (a retry session recovers programs a no-retry session loses,
-retries never train the cost model twice), and the options plumbing
-(``TuningOptions(builder="rpc", runner="rpc", n_retry=..., devices=...)``
-driving full ``Tuner`` sessions with no consumer code changes).
+Covers single-device bit parity with the machine model, device dispatch and
+per-device fault profiles, retry-on-transient-fault semantics end to end (a
+retry session recovers programs a no-retry session loses, retries never
+train the cost model twice), and the options plumbing
+(``TuningOptions(builder="rpc", runner="rpc", n_retry=..., devices=...)``,
+``"rpc"`` being another name for the local stages, driving full ``Tuner``
+sessions with no consumer code changes).
 """
 
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -18,17 +17,15 @@ import pytest
 from repro import Tuner, TuningOptions
 from repro.cost_model import LearnedCostModel
 from repro.hardware import (
+    CircuitBreakerConfig,
     DeviceProfile,
     LocalBuilder,
+    LocalRunner,
     MeasureErrorNo,
     MeasureInput,
     MeasurePipeline,
     RandomFaults,
-    RpcBuilder,
-    RpcRunner,
     intel_cpu,
-    resolve_builder,
-    resolve_runner,
 )
 from repro.search import generate_sketches, sample_initial_population
 from repro.task import SearchTask
@@ -75,27 +72,22 @@ def test_device_profile_validation():
 
 
 def test_device_list_normalization():
-    runner = RpcRunner(intel_cpu(), devices=3)
+    runner = LocalRunner(intel_cpu(), devices=3)
     assert [d.name for d in runner.devices] == ["dev0", "dev1", "dev2"]
-    runner = RpcRunner(
+    runner = LocalRunner(
         intel_cpu(),
         devices=["a", {"name": "b", "run_error_prob": 0.5}, DeviceProfile("c")],
     )
     assert [d.name for d in runner.devices] == ["a", "b", "c"]
     assert runner.devices[1].run_error_prob == 0.5
     with pytest.raises(ValueError, match="duplicate"):
-        RpcRunner(intel_cpu(), devices=["a", "a"])
+        LocalRunner(intel_cpu(), devices=["a", "a"])
     with pytest.raises(ValueError, match="at least one"):
-        RpcRunner(intel_cpu(), devices=[])
+        LocalRunner(intel_cpu(), devices=[])
     with pytest.raises(TypeError, match="DeviceProfile"):
-        RpcRunner(intel_cpu(), devices=[42])
+        LocalRunner(intel_cpu(), devices=[42])
     with pytest.raises(ValueError, match="dispatch"):
-        RpcRunner(intel_cpu(), dispatch="random")
-
-
-def test_rpc_registered():
-    assert resolve_builder("rpc") is RpcBuilder
-    assert resolve_runner("rpc") is RpcRunner
+        LocalRunner(intel_cpu(), dispatch="random")
 
 
 # ---------------------------------------------------------------------------
@@ -107,27 +99,13 @@ def test_single_device_rpc_runner_is_bit_identical_to_local(task, inputs):
     """A default single-device profile must reproduce the local runner bit
     for bit: same hash-seeded noise, same simulator, same error strings."""
     local = MeasurePipeline(intel_cpu(), seed=7)
-    rpc = MeasurePipeline(intel_cpu(), runner=RpcRunner(intel_cpu(), seed=7))
+    rpc = MeasurePipeline(intel_cpu(), runner=LocalRunner(intel_cpu(), seed=7))
     batch = inputs + [MeasureInput(task, _incomplete_state(task))]
     for a, b in zip(local.measure(batch), rpc.measure(batch)):
         assert a.costs == b.costs
         assert a.error == b.error
         assert a.error_no == b.error_no
     assert local.best_cost == rpc.best_cost
-
-
-def test_rpc_builder_is_bit_identical_to_thread_builder(task, inputs):
-    """Process-pool builds lower in worker processes but must produce the
-    same programs (and therefore costs) as the local builder."""
-    local = MeasurePipeline(intel_cpu(), seed=7)
-    rpc = MeasurePipeline(intel_cpu(), builder=RpcBuilder(n_parallel=4), seed=7)
-    try:
-        batch = inputs + [MeasureInput(task, _incomplete_state(task))]
-        for a, b in zip(local.measure(batch), rpc.measure(batch)):
-            assert a.costs == b.costs
-            assert a.error == b.error
-    finally:
-        rpc.builder.close()
 
 
 def test_options_driven_rpc_session_matches_local(task):
@@ -151,7 +129,7 @@ def test_options_driven_rpc_session_matches_local(task):
 
 
 def test_round_robin_spreads_runs_across_devices(inputs):
-    runner = RpcRunner(intel_cpu(), devices=["a", "b"], seed=0)
+    runner = LocalRunner(intel_cpu(), devices=["a", "b"], seed=0)
     pipeline = MeasurePipeline(intel_cpu(), runner=runner)
     pipeline.measure(inputs)
     stats = runner.device_stats()
@@ -159,7 +137,7 @@ def test_round_robin_spreads_runs_across_devices(inputs):
 
 
 def test_failed_builds_never_reach_a_device(task, inputs):
-    runner = RpcRunner(intel_cpu(), devices=["a", "b"], seed=0)
+    runner = LocalRunner(intel_cpu(), devices=["a", "b"], seed=0)
     pipeline = MeasurePipeline(intel_cpu(), runner=runner)
     pipeline.measure([MeasureInput(task, _incomplete_state(task))])
     stats = runner.device_stats()
@@ -170,7 +148,7 @@ def test_least_loaded_still_charges_faulted_runs(inputs):
     """A permanently failing board must not look 'free' to least-loaded
     dispatch: faulted runs are charged their estimated occupation, so the
     healthy device keeps receiving work and retries can recover there."""
-    runner = RpcRunner(
+    runner = LocalRunner(
         intel_cpu(),
         devices=[DeviceProfile("bad", run_error_prob=1.0), DeviceProfile("ok")],
         dispatch="least-loaded",
@@ -187,7 +165,7 @@ def test_least_loaded_still_charges_faulted_runs(inputs):
 def test_least_loaded_prefers_the_fast_device(inputs):
     """With one device 10x slower, least-loaded dispatch should route most
     runs to the fast device (its simulated busy time stays lower)."""
-    runner = RpcRunner(
+    runner = LocalRunner(
         intel_cpu(),
         devices=[DeviceProfile("fast"), DeviceProfile("slow", slowdown=10.0)],
         dispatch="least-loaded",
@@ -201,10 +179,10 @@ def test_least_loaded_prefers_the_fast_device(inputs):
 
 def test_slowdown_scales_costs(task):
     state = task.compute_dag.init_state()
-    fast = MeasurePipeline(intel_cpu(), runner=RpcRunner(intel_cpu(), seed=0))
+    fast = MeasurePipeline(intel_cpu(), runner=LocalRunner(intel_cpu(), seed=0))
     slow = MeasurePipeline(
         intel_cpu(),
-        runner=RpcRunner(intel_cpu(), devices=[DeviceProfile("s", slowdown=2.0)], seed=0),
+        runner=LocalRunner(intel_cpu(), devices=[DeviceProfile("s", slowdown=2.0)], seed=0),
     )
     fast_res = fast.measure_one(MeasureInput(task, state))
     slow_res = slow.measure_one(MeasureInput(task, state))
@@ -213,7 +191,7 @@ def test_slowdown_scales_costs(task):
 
 def test_queue_latency_is_charged(task):
     state = task.compute_dag.init_state()
-    runner = RpcRunner(
+    runner = LocalRunner(
         intel_cpu(), devices=[DeviceProfile("q", queue_latency_sec=1.5)], seed=0
     )
     pipeline = MeasurePipeline(intel_cpu(), runner=runner)
@@ -226,7 +204,7 @@ def test_queue_latency_is_charged(task):
 def test_per_device_fault_profiles_are_independent(inputs):
     """A faulty board fails; its healthy neighbour keeps measuring — the
     fleet's behaviour is modeled per device, not averaged away."""
-    runner = RpcRunner(
+    runner = LocalRunner(
         intel_cpu(),
         devices=[DeviceProfile("ok"), DeviceProfile("bad", run_error_prob=1.0)],
         seed=0,
@@ -242,7 +220,7 @@ def test_per_device_fault_profiles_are_independent(inputs):
 
 def test_device_faults_are_deterministic(task, states):
     def run():
-        runner = RpcRunner(
+        runner = LocalRunner(
             intel_cpu(),
             devices=[DeviceProfile("a", run_error_prob=0.5), DeviceProfile("b")],
             seed=11,
@@ -319,7 +297,7 @@ def test_retry_lands_on_another_device(inputs):
     re-dispatched and can recover on its healthy neighbour — even when one
     device *always* fails transiently, enough retries drain every trial
     through the good board."""
-    runner = RpcRunner(
+    runner = LocalRunner(
         intel_cpu(),
         devices=[DeviceProfile("flaky", run_error_prob=1.0), DeviceProfile("ok")],
         seed=0,
@@ -352,60 +330,6 @@ def test_retry_session_through_tuner(task):
 
 
 # ---------------------------------------------------------------------------
-# RpcBuilder process-pool mechanics
-# ---------------------------------------------------------------------------
-
-
-def test_rpc_builder_injects_faults_in_workers(task, inputs):
-    """The fault model travels to the worker processes (the builder is
-    pickled), so injected build failures classify identically."""
-    builder = RpcBuilder(n_parallel=2, fault_model=RandomFaults(build_error_prob=1.0, seed=0))
-    pipeline = MeasurePipeline(intel_cpu(), builder=builder)
-    try:
-        results = pipeline.measure(inputs)
-        assert all(r.error_kind == MeasureErrorNo.BUILD_ERROR for r in results)
-    finally:
-        builder.close()
-
-
-def test_rpc_builder_serial_path_needs_no_pool(task, inputs):
-    builder = RpcBuilder(n_parallel=1)
-    results = builder.build(inputs[:2])
-    assert all(r.ok for r in results)
-    assert not builder._pool.active
-
-
-def test_rpc_builder_pickles_without_pool_handle(inputs):
-    builder = RpcBuilder(n_parallel=2)
-    try:
-        builder.build(inputs[:3])  # forces pool creation
-        assert builder._pool.active
-        clone = pickle.loads(pickle.dumps(builder))
-        assert not clone._pool.active
-        assert clone.n_parallel == 2
-    finally:
-        builder.close()
-
-
-def test_rpc_builder_close_is_idempotent():
-    builder = RpcBuilder(n_parallel=2)
-    builder.close()
-    builder.close()
-    assert builder.build([]) == []
-
-
-def test_rpc_builder_timeout_semantics(task, inputs):
-    """The per-candidate bound inherited from LocalBuilder: emulated compile
-    latency above the timeout flags every candidate, measured in-worker."""
-    builder = RpcBuilder(n_parallel=2, timeout=0.01, build_latency_sec=0.05)
-    try:
-        results = builder.build(inputs[:3])
-        assert all(r.error_no == MeasureErrorNo.BUILD_TIMEOUT for r in results)
-    finally:
-        builder.close()
-
-
-# ---------------------------------------------------------------------------
 # Options plumbing: the devices knob and network sessions
 # ---------------------------------------------------------------------------
 
@@ -416,22 +340,27 @@ def test_from_options_builds_rpc_stack():
         devices=[DeviceProfile("a"), DeviceProfile("b", slowdown=2.0)], seed=9,
     )
     pipeline = MeasurePipeline.from_options(intel_cpu(), options)
-    assert isinstance(pipeline.builder, RpcBuilder)
+    assert isinstance(pipeline.builder, LocalBuilder)
     assert pipeline.builder.n_parallel == 4
-    assert isinstance(pipeline.runner, RpcRunner)
+    assert isinstance(pipeline.runner, LocalRunner)
     assert [d.name for d in pipeline.runner.devices] == ["a", "b"]
     assert pipeline.n_retry == 2
     assert pipeline.seed == 9
 
 
-def test_devices_rejected_for_device_blind_runner():
-    with pytest.raises(ValueError, match="device-aware"):
-        MeasurePipeline.from_options(intel_cpu(), TuningOptions(runner="local", devices=2))
+def test_local_runner_options_build_a_two_board_pool():
+    options = TuningOptions(
+        runner="local", devices=2, dispatch="least-loaded", circuit_breaker=True
+    )
+    runner = MeasurePipeline.from_options(intel_cpu(), options).runner
+    assert isinstance(runner, LocalRunner)
+    assert [d.name for d in runner.devices] == ["dev0", "dev1"]
+    assert runner.dispatch == "least-loaded"
+    assert runner.fleet.breaker == CircuitBreakerConfig()
 
 
 def test_malformed_device_entry_surfaces_the_real_error():
-    """A bad device entry must raise as itself, not as a misleading
-    'runner is device-blind' complaint about the runner the user picked."""
+    """A bad device entry raises as itself, naming what is wrong with it."""
     with pytest.raises(TypeError, match="DeviceProfile"):
         MeasurePipeline.from_options(
             intel_cpu(), TuningOptions(runner="rpc", devices=[42])
@@ -443,7 +372,7 @@ def test_malformed_device_entry_surfaces_the_real_error():
 
 
 def test_devices_rejected_with_ready_runner_instance():
-    options = TuningOptions(runner=RpcRunner(intel_cpu()), devices=2)
+    options = TuningOptions(runner=LocalRunner(intel_cpu()), devices=2)
     with pytest.raises(ValueError, match="devices"):
         MeasurePipeline.from_options(intel_cpu(), options)
 
@@ -467,5 +396,5 @@ def test_network_session_on_rpc_backend():
     assert result.num_trials == 12
     assert result.network_latencies["dcgan"] > 0
     for measurer in result.scheduler.measurers:
-        assert isinstance(measurer.runner, RpcRunner)
+        assert isinstance(measurer.runner, LocalRunner)
         assert measurer.n_retry == 1

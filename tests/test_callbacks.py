@@ -280,12 +280,12 @@ def test_early_stopper_target_cost_validation():
 
 
 def test_progress_logger_prints_device_stats_at_session_end(task):
-    """Satellite: the per-device runs/errors/busy breakdown of an rpc runner
-    is printed when the session ends."""
-    from repro.hardware import MeasurePipeline, RpcRunner
+    """Satellite: the per-device runs/errors/busy breakdown of a device
+    pool is printed when the session ends."""
+    from repro.hardware import MeasurePipeline, LocalRunner
 
     stream = io.StringIO()
-    runner = RpcRunner(task.hardware_params, devices=["board0", "board1"], seed=0)
+    runner = LocalRunner(task.hardware_params, devices=["board0", "board1"], seed=0)
     measurer = MeasurePipeline(task.hardware_params, runner=runner, seed=0)
     policy = SketchPolicy(task, seed=0)
     Tuner(task, policy=policy,
@@ -298,11 +298,11 @@ def test_progress_logger_prints_device_stats_at_session_end(task):
 
 
 def test_progress_logger_device_stats_from_scheduler_measurers(intel_hardware):
-    from repro.hardware import MeasurePipeline, RpcRunner
+    from repro.hardware import MeasurePipeline, LocalRunner
 
     stream = io.StringIO()
     tasks = [SearchTask(make_matmul_relu_dag(64, 64, 64), intel_hardware, desc="a")]
-    runner = RpcRunner(intel_hardware, devices=2, seed=0)
+    runner = LocalRunner(intel_hardware, devices=2, seed=0)
     measurer = MeasurePipeline(intel_hardware, runner=runner, seed=0)
     scheduler = TaskScheduler(tasks, seed=0)
     scheduler.tune(8, num_measures_per_round=8, measurer=measurer,
@@ -313,10 +313,10 @@ def test_progress_logger_device_stats_from_scheduler_measurers(intel_hardware):
 
 
 def test_progress_logger_device_stats_can_be_disabled(task):
-    from repro.hardware import MeasurePipeline, RpcRunner
+    from repro.hardware import MeasurePipeline, LocalRunner
 
     stream = io.StringIO()
-    runner = RpcRunner(task.hardware_params, devices=2, seed=0)
+    runner = LocalRunner(task.hardware_params, devices=2, seed=0)
     measurer = MeasurePipeline(task.hardware_params, runner=runner, seed=0)
     policy = SketchPolicy(task, seed=0)
     Tuner(task, policy=policy,

@@ -261,11 +261,14 @@ def test_progress_logger_writes_to_stream(tmp_path, task):
     stream = io.StringIO()
     Tuner(task, options=SMALL, callbacks=[ProgressLogger(stream=stream)]).tune()
     lines = stream.getvalue().strip().splitlines()
-    # One line per round, plus the end-of-session cost-model summary.
-    assert len(lines) == 3
+    # One line per round, then the end-of-session cost-model summary and
+    # the runner's board summary (a header and one line for "dev0").
+    assert len(lines) == 5
     assert all("SketchPolicy" in line and "best=" in line for line in lines[:2])
     assert "[CostModelService]" in lines[2]
     assert "retrains=" in lines[2] and "version=" in lines[2]
+    assert lines[3] == "[LocalRunner] device stats:"
+    assert lines[4].startswith("  dev0: runs=")
 
 
 def test_early_stopper_ends_session_before_budget(task):

@@ -15,10 +15,11 @@ model and re-paid the whole learning curve.  This example walks the
    ``ProgressLogger`` end-of-session line) report samples ingested,
    retrains run vs skipped, and the model version per target.
 
-Retraining is *windowed* by default — each refit trains on a bounded
-sample window so the cost per update stays flat as measurements
-accumulate; ``TuningOptions(cost_model_retrain="full")`` restores the
-historical full-history refit bit for bit.
+Retraining is *windowed* — each refit trains on a bounded sample window
+(``TuningOptions(cost_model_window=...)``) so the cost per update stays
+flat as measurements accumulate.  The default window equals the
+training-set cap, so by default every refit reads the whole retained
+history.
 
 Run with:  python examples/persistent_cost_model.py
 """
@@ -59,10 +60,10 @@ def main():
         print(f"{target}: {stats['samples']} retained samples, "
               f"model version v{stats['version']}")
 
-    # escape hatches, for completeness:
-    #   TuningOptions(cost_model_retrain="full")      - full-history refits
+    # other knobs, for completeness:
     #   TuningOptions(cost_model_retrain_interval=4)  - refit every 4th batch
-    #   TuningOptions(cost_model_window=512)          - windowed-refit size
+    #   TuningOptions(cost_model_window=512)          - refit on 512 samples
+    #       (None, the default, refits on the whole retained history)
     #   Tuner(task, cost_model_service=service)       - share one live
     #       service (and its per-target models) across sessions in-process
 

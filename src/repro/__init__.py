@@ -69,7 +69,8 @@ times them on the machine model with injectable fault models.  Every
 outcome carries a :class:`repro.hardware.measure.MeasureErrorNo` error
 kind that round-trips through the tuning log, and transient ``RUN_ERROR``
 faults are retried up to ``TuningOptions.n_retry`` times instead of
-discarding the trial.  The tracked baseline is
+discarding the trial.  ``MeasurePipeline.measure`` is the batch path:
+build all, then run, retry and account.  The tracked baseline is
 ``benchmarks/test_measure_throughput.py`` (measured trials/sec, merged
 into the same JSON); the no-fault path is bit-identical to the serial
 reference measurer kept in ``tests/hardware/test_measure_pipeline.py``.
@@ -88,10 +89,12 @@ one-round-stale cost model.  Callbacks observe results as they land through
 the streaming ``on_result`` hook (``RecordToFile`` appends records the
 moment they complete; ``EarlyStopper(target_cost=...)`` can stop a session
 mid-round, cancelling the queued remainder).  The synchronous default is
-the same driver with no lookahead over synchronous sessions, bit-identical
-to the historical batch path; the async overlap is gated (>= 1.3x measured
-trials/sec when device latency dominates) by the same measurement
-benchmark.
+the same driver with no lookahead, whose sessions measure each round
+through ``MeasurePipeline.measure``.  Both modes run, retry and account
+through one step; only the build differs (the whole batch at once, or
+one candidate per worker).  ``async_measure`` is the one switch for the
+mode.  The async overlap is gated (>= 1.3x measured trials/sec when
+device latency dominates) by the same measurement benchmark.
 
 The runner times every run on a pool of boards
 (``TuningOptions(devices=...)``; one board, ``"dev0"``, by default), each
@@ -118,15 +121,14 @@ The learned cost model is a first-class subsystem
 whatever its workload, one ``TaskScheduler`` drives it — trains and
 predicts through one service owning one
 :class:`repro.cost_model.LearnedCostModel` per hardware target (§5.2's
-single shared model, without mixing machines).  Retraining is *windowed*
-by default: instead of refitting the booster on the full accumulated
-history every round, each retrain fits on a bounded sample window (the
-most recent records plus an evenly-strided sweep of the older history,
-labels still normalized over everything), so the cost per update stays
-flat as measurements accumulate — ``TuningOptions(cost_model_retrain=
-"full")`` is the escape hatch that reproduces the historical
-full-history fit bit for bit, and with the default caps the window
-covers the whole retained set so the default is bit-identical anyway.
+single shared model, without mixing machines).  Retraining is *windowed*:
+instead of refitting the booster on the full accumulated history every
+round, each retrain fits on a bounded sample window
+(``TuningOptions(cost_model_window=...)``: the most recent records plus
+an evenly-strided sweep of the older history, labels still normalized
+over everything), so the cost per update stays flat as measurements
+accumulate.  The default window (1024) equals the training-set cap, so by
+default every retrain fits the whole retained history.
 ``TuningOptions(cost_model_path=...)`` persists booster + training set
 across sessions (bit-identical predictions after reload; truncated or
 corrupt files raise ``CostModelLoadError`` instead of silently

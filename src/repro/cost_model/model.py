@@ -26,7 +26,7 @@ from .gbdt import GBDTRegressor
 
 __all__ = ["CostModel", "RandomCostModel", "LearnedCostModel"]
 
-#: default bounded retraining window (samples) of ``retrain="window"`` mode
+#: default bounded retraining window (samples)
 DEFAULT_RETRAIN_WINDOW = 1024
 
 
@@ -69,16 +69,15 @@ class LearnedCostModel(CostModel):
     * ``retrain_interval`` — retrain once per this many ingested batches
       (``update()`` calls that added at least one valid record); skipped
       batches only extend the training set.
-    * ``retrain`` — what each retrain trains on.  ``"window"`` (default)
-      fits the booster on a bounded sample window (``retrain_window``
-      samples: the most recent three quarters plus an evenly-strided
-      sweep of the older history, labels still normalized over the full
+    * ``retrain_window`` — what each retrain trains on: a bounded sample
+      window (the most recent three quarters plus an evenly-strided sweep
+      of the older history, labels still normalized over the full
       history), keeping the cost per update flat as records accumulate.
-      ``"full"`` is the escape hatch that always fits on every retained
-      sample — bit-identical to the historical behaviour.  With the
-      default caps (``retrain_window >= max_training_samples``) the window
-      covers the whole retained set, so ``"window"`` is itself
-      bit-identical to ``"full"`` until the history outgrows the window.
+      A history that fits in the window is fitted whole.  The default
+      window (1024, capped at ``max_training_samples``) covers the whole
+      retained training set, so by default every retrain fits on every
+      retained sample; a window at least ``max_training_samples`` long
+      always does.
 
     Batched prediction leaves each scored state its per-statement booster
     rows (``State._stage_rows``), tagged with this model and its booster
@@ -94,14 +93,9 @@ class LearnedCostModel(CostModel):
         learning_rate: float = 0.2,
         max_training_samples: int = 1024,
         seed: int = 0,
-        retrain: str = "window",
         retrain_interval: int = 1,
         retrain_window: Optional[int] = None,
     ):
-        if retrain not in ("window", "full"):
-            raise ValueError(
-                f"unknown retrain mode {retrain!r}; use 'window' or 'full'"
-            )
         if retrain_interval < 1:
             raise ValueError("retrain_interval must be >= 1")
         if retrain_window is not None and retrain_window < 2:
@@ -113,7 +107,6 @@ class LearnedCostModel(CostModel):
             seed=seed,
         )
         self.max_training_samples = max_training_samples
-        self.retrain = retrain
         self.retrain_interval = retrain_interval
         self.retrain_window = (
             retrain_window
@@ -198,16 +191,15 @@ class LearnedCostModel(CostModel):
     def _window_indices(self, n: int) -> Optional[np.ndarray]:
         """Which samples the next retrain fits on: ``None`` = all of them.
 
-        ``"window"`` mode with more history than ``retrain_window`` keeps the
-        most recent three quarters of the window verbatim (the samples the
-        current search round cares about) and fills the rest with an
-        evenly-strided sweep of the older history, so long-lived sessions
-        keep cross-task coverage without paying full-history fits.
-        Deterministic (no RNG draw: the untrained-prediction stream must not
-        depend on the retrain mode), and ascending so row order matches the
-        full path's."""
+        More history than ``retrain_window`` keeps the most recent three
+        quarters of the window verbatim (the samples the current search
+        round cares about) and fills the rest with an evenly-strided sweep
+        of the older history, so long-lived sessions keep cross-task
+        coverage without paying full-history fits.  Deterministic (no RNG
+        draw: the untrained-prediction stream must not depend on the
+        window), and ascending so row order matches the full path's."""
         window = self.retrain_window
-        if self.retrain == "full" or n <= window:
+        if n <= window:
             return None
         recent = window - window // 4
         older = np.unique(np.linspace(0, n - recent - 1, num=window - recent).astype(np.int64))
@@ -216,9 +208,9 @@ class LearnedCostModel(CostModel):
     def _train(self) -> None:
         if not self._features:
             return
-        # Labels normalize over the FULL retained history even in windowed
-        # mode: dropping the workload's best from the window must not
-        # inflate the survivors to look optimal.
+        # Labels normalize over the FULL retained history even when the
+        # window drops samples: dropping the workload's best from the
+        # window must not inflate the survivors to look optimal.
         labels = self._normalized_labels()
         indices = self._window_indices(len(self._features))
         if indices is None:

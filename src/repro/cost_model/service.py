@@ -66,12 +66,6 @@ def _target_name(target) -> str:
     )
 
 
-def _detached_view(model: CostModel) -> CostModel:
-    """A :class:`ServiceCostModel` crossing a process boundary detaches into
-    its underlying model (the service stays in the coordinator process)."""
-    return model
-
-
 class ServiceCostModel(CostModel):
     """A per-target view of a :class:`CostModelService`.
 
@@ -114,9 +108,6 @@ class ServiceCostModel(CostModel):
     def version(self) -> int:
         return self.model.version
 
-    def __reduce__(self):
-        return (_detached_view, (self.model,))
-
     def __repr__(self) -> str:
         return f"ServiceCostModel(target={self.target_name!r}, v{self.version})"
 
@@ -141,7 +132,6 @@ class CostModelService:
         self,
         path=None,
         *,
-        retrain: str = "window",
         retrain_interval: int = 1,
         retrain_window: Optional[int] = None,
         max_training_samples: int = 1024,
@@ -149,12 +139,9 @@ class CostModelService:
         seed: int = 0,
         model_factory: Optional[Callable[[], CostModel]] = None,
     ):
-        if retrain not in ("window", "full"):
-            raise ValueError(f"unknown retrain mode {retrain!r}; use 'window' or 'full'")
         if retrain_interval < 1:
             raise ValueError("retrain_interval must be >= 1")
         self.path: Optional[Path] = Path(path) if path is not None else None
-        self.retrain = retrain
         self.retrain_interval = retrain_interval
         self.retrain_window = retrain_window
         self.max_training_samples = max_training_samples
@@ -177,7 +164,6 @@ class CostModelService:
         the file exists)."""
         return cls(
             path=options.cost_model_path,
-            retrain=options.cost_model_retrain,
             retrain_interval=options.cost_model_retrain_interval,
             retrain_window=options.cost_model_window,
             seed=options.seed if seed is None else seed,
@@ -192,7 +178,6 @@ class CostModelService:
         return LearnedCostModel(
             n_rounds=self.n_rounds,
             max_training_samples=self.max_training_samples,
-            retrain=self.retrain,
             retrain_interval=self.retrain_interval,
             retrain_window=self.retrain_window,
             seed=self.seed,

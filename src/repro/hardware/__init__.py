@@ -14,11 +14,13 @@ Layout:
   :class:`LocalRunner` are the one builder and the one runner; the runner
   times every run on a :class:`DeviceFleet` of boards, each with its own
   :class:`DeviceProfile` (noise, fault rates, queue latency, slowdown).
-  :class:`MeasurePipeline` is the facade consumers drive —
-  batch-synchronously through ``measure()`` or as a stream through
+  :class:`MeasurePipeline` is the facade consumers drive through
+  ``measure()`` (build a batch, then run, retry and account) or through a
   :class:`MeasureSession` (``submit()`` / ``as_completed()`` /
-  :class:`MeasureFuture`), which is how the tuning loops overlap candidate
-  generation with device time.
+  :class:`MeasureFuture`).  A synchronous session measures each batch
+  through ``measure()``; an async session's workers build one candidate
+  each and share the same run step, which is how the round driver
+  overlaps candidate generation with device time.
 * :mod:`~repro.hardware.fleet` — elastic, self-healing device-pool
   management: :class:`DeviceFleet` learns a per-device
   :class:`EstimatedProfile` from every result, quarantines / re-admits /

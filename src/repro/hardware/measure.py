@@ -114,17 +114,17 @@ candidate), streams outcomes in completion order through
         for fut in session.as_completed(futures):
             observe(fut.input, fut.result())
 
-In async mode a small worker pool drives the builder and runner stages
-concurrently (each worker builds its candidate through
-:meth:`ProgramBuilder.build_one_dispatch`); in sync mode
-(``async_=False``) the session is a thin veneer over the classic batch
-path, and :meth:`MeasurePipeline.measure` itself is now exactly that — a
-submit-then-drain shim whose results are bit-identical to the historical
-batch-synchronous behaviour.  Every executed candidate is accounted exactly
-once (under a pipeline-level lock), cancelled futures never run and are
-never counted, and per-program determinism (hash-seeded noise, per-program
-fault draws) makes single-device async results identical to sync results
-regardless of interleaving.
+A synchronous session (``async_=False``, the default) measures each
+submitted batch through :meth:`MeasurePipeline.measure` before ``submit``
+returns, so its futures are already done.  In async mode a small worker
+pool takes candidates one at a time, each worker building its own through
+:meth:`ProgramBuilder.build_one_dispatch`.  Only the build differs: both
+modes then run, retry and account through the same step under the
+pipeline's measurement lock, so every executed candidate is accounted
+exactly once.  Cancelled futures never run and are never counted, and
+per-program determinism (hash-seeded noise, per-program fault draws) makes
+single-device async results identical to sync results regardless of
+interleaving.
 """
 
 from __future__ import annotations
@@ -720,6 +720,8 @@ class LocalRunner(ProgramRunner):
     ):
         from .fleet import DeviceFleet  # the fleet module imports this one
 
+        if noise < 0:
+            raise ValueError("noise must be >= 0")
         if repeats < 1:
             raise ValueError("repeats must be >= 1")
         if timeout is not None and timeout <= 0:
@@ -873,7 +875,7 @@ class MeasureFuture:
 class MeasureSession:
     """An open measurement stream over one :class:`MeasurePipeline`.
 
-    ``submit(inputs)`` enqueues candidates and returns one
+    ``submit(inputs)`` starts measuring candidates and returns one
     :class:`MeasureFuture` each; ``as_completed()`` yields futures in
     completion order as devices finish; ``drain()`` blocks until everything
     in flight has landed and returns the not-yet-collected results in
@@ -883,11 +885,9 @@ class MeasureSession:
 
     Two modes share the API:
 
-    * ``async_=False`` — the synchronous veneer: submitted work is measured
-      lazily (on ``drain()`` / ``as_completed()`` / ``result()``) as one
-      batch through the classic pipeline path, so results are bit-identical
-      to the historical ``measure()`` behaviour.  ``MeasurePipeline.measure``
-      is exactly this submit-then-drain shim.
+    * ``async_=False`` — ``submit`` measures the batch through
+      :meth:`MeasurePipeline.measure` and returns futures that are already
+      done.
     * ``async_=True`` — ``n_workers`` threads consume the queue
       concurrently: builds overlap (each worker builds through
       :meth:`ProgramBuilder.build_one_dispatch`), the run stage and all
@@ -899,10 +899,10 @@ class MeasureSession:
     real device for one run attempt (it is actually slept: serially in sync
     mode, overlapped across workers in async mode).  It is the wall-clock
     analogue of :attr:`MeasurePipeline.measure_latency_sec`, which only
-    advances the simulated-clock accounting; the default 0.0 keeps the sync
-    shim time-identical to the classic batch path.  This knob is what the
-    async-overlap benchmark (``benchmarks/test_measure_throughput.py``)
-    turns to make device latency dominate.
+    advances the simulated-clock accounting; the default 0.0 sleeps
+    nothing.  This knob is what the async-overlap benchmark
+    (``benchmarks/test_measure_throughput.py``) turns to make device
+    latency dominate.
 
     It also accepts a *callable* ``(MeasureResult) -> seconds``, given the
     whole merged result of a trial (all attempts).  That lets a harness
@@ -950,8 +950,10 @@ class MeasureSession:
 
     # -- submission ------------------------------------------------------
     def submit(self, inputs: Sequence[MeasureInput]) -> List[MeasureFuture]:
-        """Enqueue a batch of candidates; returns one future per input, in
-        submission order.  Async sessions start measuring immediately."""
+        """Measure a batch of candidates; returns one future per input, in
+        submission order.  A sync session measures the batch through
+        :meth:`MeasurePipeline.measure` before returning, so every future is
+        already done; an async session's workers start on it at once."""
         inputs = list(inputs)
         with self._lock:
             if self._closed:
@@ -960,11 +962,27 @@ class MeasureSession:
             # tuning run) holds O(in-flight) futures, not O(total trials).
             self._futures = [f for f in self._futures if not f._collected]
             futures = [MeasureFuture(inp, self) for inp in inputs]
+            if self.async_mode:
+                self._futures.extend(futures)
+                self._queue.extend(futures)
+                if futures:
+                    self._ensure_workers()
+                    self._queue_cond.notify_all()
+                return futures
+        results = self.pipeline.measure(inputs)
+        # The emulated device is serial in sync mode: every run attempt
+        # occupies it back to back.
+        delay = sum(self._latency_for(res) for res in results)
+        if delay > 0:
+            time.sleep(delay)
+        with self._lock:
+            # Registered only once measured: a batch whose measurement
+            # raised leaves no pending future for drain() to return.
             self._futures.extend(futures)
-            self._queue.extend(futures)
-            if self.async_mode and futures:
-                self._ensure_workers()
-                self._queue_cond.notify_all()
+            for fut, res in zip(futures, results):
+                fut._result = res
+                fut._state = MeasureFuture._DONE
+                fut._seq = next(self._seq)
         return futures
 
     # -- consumption -----------------------------------------------------
@@ -981,8 +999,6 @@ class MeasureSession:
         callers always see every handle back.  ``timeout`` bounds each wait
         for the *next* completion; exceeding it raises :class:`TimeoutError`.
         """
-        if not self.async_mode:
-            self._process_pending()
         with self._lock:
             if futures is None:
                 remaining = [f for f in self._futures if not f._collected]
@@ -1028,8 +1044,6 @@ class MeasureSession:
         A worker-side crash re-raises here — and marks only *that* future
         collected, so the successfully measured remainder is still
         retrievable by draining again."""
-        if not self.async_mode:
-            self._process_pending()
         with self._done_cond:
             while self._queue or self._inflight:
                 self._done_cond.wait()
@@ -1089,8 +1103,6 @@ class MeasureSession:
             return True
 
     def _wait_future(self, fut: MeasureFuture, timeout: Optional[float]) -> None:
-        if not self.async_mode:
-            self._process_pending()
         # Monotonic deadline: the condition wakes on EVERY completion and
         # cancellation, and those of other futures must not restart the clock.
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -1108,30 +1120,6 @@ class MeasureSession:
         if callable(self.measure_latency_sec):
             return max(0.0, float(self.measure_latency_sec(result)))
         return self.measure_latency_sec * (1 + result.retry_count)
-
-    def _process_pending(self) -> None:
-        """Sync mode: measure everything queued as ONE batch through the
-        classic pipeline path (bit-identical to the historical behaviour:
-        the whole batch builds through the builder's own thread pool, runs
-        in submission order, retries, then accounts)."""
-        with self._lock:
-            batch = list(self._queue)
-            self._queue.clear()
-        if not batch:
-            return
-        results = self.pipeline._measure_batch([f.input for f in batch])
-        if callable(self.measure_latency_sec) or self.measure_latency_sec > 0:
-            # The emulated device is serial in sync mode: every run attempt
-            # occupies it back to back.
-            delay = sum(self._latency_for(res) for res in results)
-            if delay > 0:
-                time.sleep(delay)
-        with self._lock:
-            for fut, res in zip(batch, results):
-                fut._result = res
-                fut._state = MeasureFuture._DONE
-                fut._seq = next(self._seq)
-            self._done_cond.notify_all()
 
     def _ensure_workers(self) -> None:
         # called with the lock held
@@ -1207,10 +1195,11 @@ class MeasurePipeline:
         fault_model: Optional[FaultModel] = None,
         n_retry: int = 0,
         retry_timeouts: bool = False,
-        async_measure: bool = False,
     ):
         if n_retry < 0:
             raise ValueError("n_retry must be >= 0")
+        if measure_latency_sec < 0:
+            raise ValueError("measure_latency_sec must be >= 0")
         # Stage knobs configure the auto-built stages only; pairing a ready
         # instance with knobs for that stage is rejected rather than silently
         # ignored (the same rule :meth:`from_options` applies).
@@ -1259,11 +1248,6 @@ class MeasurePipeline:
         #: stalls, hung boards) — the retry re-dispatches, so it can land on
         #: a faster or healthier device and genuinely recover
         self.retry_timeouts = retry_timeouts
-        #: default mode for sessions opened via :meth:`session` — True means
-        #: the round driver (TaskScheduler.tune, under every Tuner session)
-        #: overlaps candidate generation with measurement through an async
-        #: session
-        self.async_measure = async_measure
         #: serializes the run stage and all counter/best-state accounting
         #: across session workers and direct measure() calls
         self._measure_lock = threading.Lock()
@@ -1280,10 +1264,6 @@ class MeasurePipeline:
         #: simulated wall-clock time spent measuring (charged per trial,
         #: including failed builds: errors waste machine time too)
         self.elapsed_sec = 0.0
-        #: actual wall-clock the pipeline spent building + running (per-batch
-        #: elapsed on the sync path; cumulative per-candidate stage busy time
-        #: on the async path, where overlapped stages sum across workers)
-        self.wall_sec = 0.0
         #: best cost (seconds) seen per workload key
         self.best_cost: Dict[str, float] = {}
         #: best state seen per workload key
@@ -1344,7 +1324,6 @@ class MeasurePipeline:
             runner=runner,
             n_retry=options.n_retry,
             retry_timeouts=options.retry_timeouts,
-            async_measure=options.async_measure,
         )
 
     # -- runner accessors (machine, noise model, seed) --------------------
@@ -1371,18 +1350,12 @@ class MeasurePipeline:
     # -- sessions --------------------------------------------------------
     def session(
         self,
-        async_: Optional[bool] = None,
+        async_: bool = False,
         n_workers: Optional[int] = None,
         measure_latency_sec: Union[float, Callable[[MeasureResult], float]] = 0.0,
     ) -> MeasureSession:
-        """Open a :class:`MeasureSession` over this pipeline.
-
-        ``async_=None`` follows the pipeline's :attr:`async_measure` default
-        (threaded from ``TuningOptions.async_measure``); see
-        :class:`MeasureSession` for the other knobs.
-        """
-        if async_ is None:
-            async_ = self.async_measure
+        """Open a :class:`MeasureSession` over this pipeline (see
+        :class:`MeasureSession` for the knobs)."""
         return MeasureSession(
             self,
             async_=async_,
@@ -1398,63 +1371,34 @@ class MeasurePipeline:
 
     # ------------------------------------------------------------------
     def measure(self, inputs: Sequence[MeasureInput]) -> List[MeasureResult]:
-        """Measure a batch of programs: build all (possibly in parallel),
-        run all, retry transient run faults up to ``n_retry`` times, update
-        counters and per-workload bests.
-
-        This is now a thin submit-then-drain shim over a synchronous
-        :class:`MeasureSession`; the results (costs, errors, retries,
-        counters, best states) are bit-identical to the historical
-        batch-synchronous path, which the parity tests enforce.
-        """
+        """Measure a batch of programs: build all (in the builder's thread
+        pool when ``n_parallel > 1``), then run all, retry transient run
+        faults up to ``n_retry`` times, and update counters and
+        per-workload bests.  A synchronous :class:`MeasureSession` measures
+        each submitted batch through this."""
         if not inputs:
             return []
-        with self.session(async_=False) as session:
-            session.submit(inputs)
-            return session.drain()
+        return self._run_and_account(inputs, self.builder.build(inputs))
 
-    def _measure_batch(self, inputs: Sequence[MeasureInput]) -> List[MeasureResult]:
-        """The classic batch path (one builder pass, one run pass, retries,
-        accounting) — the unit of work of a synchronous session."""
-        if not inputs:
-            return []
-        start = time.perf_counter()
-        build_results = self.builder.build(inputs)
+    def _measure_streamed(self, inp: MeasureInput) -> MeasureResult:
+        """Measure one candidate on behalf of an async session worker: the
+        build runs outside the pipeline lock (overlapping other workers'
+        builds, through :meth:`ProgramBuilder.build_one_dispatch`)."""
+        return self._run_and_account([inp], [self.builder.build_one_dispatch(inp)])[0]
+
+    def _run_and_account(
+        self, inputs: Sequence[MeasureInput], builds: Sequence[BuildResult]
+    ) -> List[MeasureResult]:
+        """Run built candidates, retry transient faults in batch order and
+        account every trial.  All of it holds the measurement lock, so
+        stateful fault models, device dispatch and counters change exactly
+        once per candidate whichever mode measured it."""
         with self._measure_lock:
-            results = self.runner.run(inputs, build_results)
-            self._retry_transient(inputs, build_results, results)
-            self.wall_sec += time.perf_counter() - start
+            results = self.runner.run(inputs, builds)
+            self._retry_transient(inputs, builds, results)
             for inp, res in zip(inputs, results):
                 self._account(inp, res)
         return results
-
-    def _measure_streamed(self, inp: MeasureInput) -> MeasureResult:
-        """Measure one candidate on behalf of an async session worker.
-
-        The build runs outside the pipeline lock (overlapping with other
-        workers, through :meth:`ProgramBuilder.build_one_dispatch`); the run
-        stage, retries
-        and accounting run under the lock so stateful fault models, device
-        dispatch and counters are updated exactly once per candidate.
-
-        ``wall_sec`` is charged the candidate's own build + run busy time,
-        *excluding* the wait for the pipeline lock — workers queueing on the
-        lock must not multiply-charge each other's run time.  Busy time of
-        concurrent builds still sums across workers, so on the async path
-        ``wall_sec`` reads as cumulative stage time rather than elapsed
-        session time.
-        """
-        build_start = time.perf_counter()
-        build = self.builder.build_one_dispatch(inp)
-        build_elapsed = time.perf_counter() - build_start
-        with self._measure_lock:
-            run_start = time.perf_counter()
-            results = self.runner.run([inp], [build])
-            self._retry_transient([inp], [build], results)
-            result = results[0]
-            self.wall_sec += build_elapsed + (time.perf_counter() - run_start)
-            self._account(inp, result)
-        return result
 
     def _retry_transient(
         self,

@@ -118,9 +118,6 @@ class TaskScheduler:
         if cost_model_service is None:
             cost_model_service = CostModelService(seed=seed)
         self.cost_model_service = cost_model_service
-        #: back-compat handle: the shared model view of the first task's
-        #: target (for homogeneous task lists, THE shared cost model)
-        self.cost_model: CostModel = cost_model_service.view(self.tasks[0])
         if policy_factory is None:
             policy_factory = lambda task, model, s: SketchPolicy(task, cost_model=model, seed=s)
         self.policies: List[SearchPolicy] = [
@@ -342,14 +339,14 @@ class TaskScheduler:
         Every round goes through a :class:`~repro.hardware.measure.MeasureSession`
         (one per distinct pipeline; tasks sharing hardware share it).  The
         driver keeps ``lookahead`` rounds bred and submitted beyond the round
-        it is collecting: 1 when ``async_measure`` is set (here or on any
-        pipeline), so the next task is selected — against allocation state
-        that counts the in-flight round, one round staler than otherwise —
-        and its round bred while the current one occupies the devices; 0
-        otherwise, where a synchronous session measures each round as one
-        batch, exactly like :meth:`MeasurePipeline.measure`.  All accounting
-        (trials, allocations, histories, records) happens at collection
-        time, in round order.
+        it is collecting: 1 when ``async_measure`` is set, so the next task
+        is selected — against allocation state that counts the in-flight
+        round, one round staler than otherwise — and its round bred while
+        the current one occupies the devices; 0 otherwise, where a
+        synchronous session measures each round as one batch through
+        :meth:`MeasurePipeline.measure`.  All accounting (trials,
+        allocations, histories, records) happens at collection time, in
+        round order.
 
         ``callbacks`` observe every measured round (see
         :mod:`repro.callbacks`).  A callback that raises
@@ -365,8 +362,7 @@ class TaskScheduler:
         active = list(callbacks)
         if self.verbose and not any(isinstance(cb, ProgressLogger) for cb in active):
             active.append(ProgressLogger())
-        async_ = async_measure or any(getattr(m, "async_measure", False) for m in self.measurers)
-        lookahead = 1 if async_ else 0
+        lookahead = 1 if async_measure else 0
         sessions: Dict[int, MeasureSession] = {}
         pending_alloc = [0] * len(self.tasks)
         submitted = 0  # trials in flight: proposed but not yet accounted
@@ -377,7 +373,7 @@ class TaskScheduler:
             pipeline = self.measurers[index]
             session = sessions.get(id(pipeline))
             if session is None:
-                session = pipeline.session(async_=async_)
+                session = pipeline.session(async_=async_measure)
                 sessions[id(pipeline)] = session
             return session
 

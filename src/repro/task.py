@@ -170,12 +170,14 @@ class TuningOptions:
     #: or config instance overrides it, None leaves the breaker off.
     #: Rejected with a ready runner instance.
     circuit_breaker: "Optional[Union[bool, dict, CircuitBreakerConfig]]" = None
-    #: overlap candidate generation with hardware measurement: drivers run
-    #: each round through an asynchronous
-    #: :class:`~repro.hardware.measure.MeasureSession` and breed round *k+1*
-    #: while round *k* occupies the devices (one-round-stale cost model).
-    #: The default False preserves the batch-synchronous behaviour (and its
-    #: tuning logs) bit for bit.
+    #: overlap candidate generation with hardware measurement: the round
+    #: driver (:meth:`~repro.scheduler.task_scheduler.TaskScheduler.tune`)
+    #: runs each round through an asynchronous
+    #: :class:`~repro.hardware.measure.MeasureSession` and breeds round
+    #: *k+1* while round *k* occupies the devices (one-round-stale cost
+    #: model).  This is the one switch for the mode, honoured also with a
+    #: ready measurer.  False measures each round as one batch through
+    #: :meth:`~repro.hardware.measure.MeasurePipeline.measure`.
     async_measure: bool = False
     #: ignore the hits of the session's schedule store
     #: (``Tuner(workload, store=...)``) and tune every task and variant
@@ -188,17 +190,14 @@ class TuningOptions:
     #: the cost-model analogue of the schedule store.  None keeps the
     #: service in-memory for the session.
     cost_model_path: Optional[str] = None
-    #: cost-model retraining mode: ``"window"`` (default) fits each retrain
-    #: on a bounded sample window (``cost_model_window``), keeping update
-    #: cost flat as records accumulate; ``"full"`` always fits on the whole
-    #: retained history — bit-identical to pre-service releases.
-    cost_model_retrain: str = "window"
     #: retrain the cost model once per this many ingested measurement
     #: batches (1 = retrain every round, the historical behaviour)
     cost_model_retrain_interval: int = 1
-    #: sample-window size of ``cost_model_retrain="window"``; None uses the
-    #: model default (1024, which covers the whole default training-set cap
-    #: — windowed mode then matches "full" bit for bit)
+    #: samples each cost-model retrain fits on: the most recent ones plus
+    #: an evenly-strided sweep of the older history, keeping update cost
+    #: flat as records accumulate.  None uses the model default (1024),
+    #: which covers the whole default training-set cap, so every retrain
+    #: then fits on the whole retained history.
     cost_model_window: Optional[int] = None
     #: early-pruning margin of every variant group (a
     #: :class:`~repro.variants.LogicalOp` in the workload, see
@@ -243,11 +242,6 @@ class TuningOptions:
             raise ValueError(
                 f"unknown dispatch {self.dispatch!r}; use 'round-robin', "
                 "'least-loaded' or 'affinity' (or None for the runner default)"
-            )
-        if self.cost_model_retrain not in ("window", "full"):
-            raise ValueError(
-                f"unknown cost_model_retrain {self.cost_model_retrain!r}; "
-                "use 'window' or 'full'"
             )
         if self.cost_model_retrain_interval < 1:
             raise ValueError("cost_model_retrain_interval must be >= 1")

@@ -256,8 +256,8 @@ class Tuner:
         named boards, with no other changes.  Combining a ready measurer
         with non-default measurement knobs in the options raises (the
         measurer would silently swallow them); ``options.async_measure`` is
-        the exception — it selects the session mode and is honored either
-        way.
+        the exception — it is the one switch for the session mode, so it is
+        honored either way.
     store:
         A :class:`~repro.store.ScheduleStore`, consulted before any trial is
         spent.  A task hits on its ``(workload fingerprint, target)`` key; a
@@ -277,8 +277,9 @@ class Tuner:
         knobs: ``TuningOptions(cost_model_path=...)`` warm-starts every
         per-target model from an existing save file (bit-identical
         predictions after reload) and persists back at session end;
-        ``cost_model_retrain`` / ``cost_model_retrain_interval`` /
-        ``cost_model_window`` control windowed retraining.  Combining a
+        ``cost_model_retrain_interval`` sets how often a model refits and
+        ``cost_model_window`` how many samples each refit reads (the
+        default window covers the whole retained history).  Combining a
         requested service with a ready policy instance, an explicit
         ``policy_kwargs['cost_model']`` or a factory that takes no
         ``cost_model`` raises before the session measures anything (the

@@ -149,16 +149,16 @@ def test_zero_valid_batch_skips_the_refit_entirely(task):
 
 def test_retrain_full_matches_default_window(task):
     """With the default caps the window covers the whole retained history,
-    so ``retrain="window"`` (the new default) predicts bit-identically to
-    the ``retrain="full"`` escape hatch (the historical behaviour)."""
+    so the default model predicts bit-identically to one whose window is
+    longer than any history (full-history refits)."""
     inputs, results = _sample_and_measure(task, 32)
     test_states = [inp.state for inp in _sample_and_measure(task, 8, seed=7)[0]]
     scores = {}
-    for mode in ("full", "window"):
-        model = LearnedCostModel(n_rounds=5, retrain=mode, seed=0)
+    for name, window in (("full", 10**6), ("default", None)):
+        model = LearnedCostModel(n_rounds=5, retrain_window=window, seed=0)
         model.update(inputs, results)
-        scores[mode] = model.predict(task, test_states)
-    np.testing.assert_array_equal(scores["window"], scores["full"])
+        scores[name] = model.predict(task, test_states)
+    np.testing.assert_array_equal(scores["default"], scores["full"])
 
 
 def test_window_indices_keep_recent_samples_and_stride_older_history():
@@ -171,7 +171,6 @@ def test_window_indices_keep_recent_samples_and_stride_older_history():
     # ...and the remainder strides the older history, in ascending order.
     assert (np.diff(indices) > 0).all()
     assert indices[0] == 0
-    assert LearnedCostModel(retrain="full")._window_indices(10**6) is None
 
 
 def test_retrain_interval_defers_refits(task):
@@ -188,7 +187,6 @@ def test_retrain_interval_defers_refits(task):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"retrain": "sometimes"},
         {"retrain_interval": 0},
         {"retrain_window": 1},
     ],

@@ -70,15 +70,6 @@ def test_view_is_bit_identical_to_the_underlying_model(task):
     )
 
 
-def test_view_detaches_into_its_model_across_pickling(task):
-    service = _trained_service(task)
-    clone = pickle.loads(pickle.dumps(service.view(task)))
-    states = _states(task)
-    np.testing.assert_array_equal(
-        clone.predict(task, states), service.predict(task, states)
-    )
-
-
 def test_scheduler_policies_share_the_service_model(task):
     other = SearchTask(make_matmul_relu_dag(128, 128, 128), intel_cpu(), desc="matmul128")
     service = CostModelService()
@@ -233,8 +224,6 @@ def test_tuner_rejects_ready_policy_alongside_a_requested_service(tmp_path):
 
 
 def test_tuning_options_validate_cost_model_knobs():
-    with pytest.raises(ValueError):
-        TuningOptions(cost_model_retrain="sometimes")
     with pytest.raises(ValueError):
         TuningOptions(cost_model_retrain_interval=0)
     with pytest.raises(ValueError):

@@ -476,6 +476,21 @@ def test_pipeline_validates_n_retry():
         MeasurePipeline(intel_cpu(), n_retry=-1)
 
 
+@pytest.mark.parametrize(
+    "make, knob",
+    [
+        (lambda: MeasurePipeline(intel_cpu(), measure_latency_sec=-1.0), "measure_latency_sec"),
+        (lambda: LocalRunner(intel_cpu(), noise=-0.1), "noise"),
+    ],
+    ids=["pipeline-measure-latency", "runner-noise"],
+)
+def test_negative_measurement_knobs_raise(make, knob):
+    """A negative simulated latency would run the clock backwards, and a
+    negative noise level would be read as no noise: both are rejected."""
+    with pytest.raises(ValueError, match=knob):
+        make()
+
+
 def test_retry_counts_build_time_once(task):
     """The build executed once; a retried trial's elapsed_sec must embed the
     build cost once, not once per attempt."""

@@ -1,11 +1,11 @@
 """Tests for the asynchronous measurement sessions (`MeasureSession`).
 
 Covers the session API itself (submit / as_completed / drain / close /
-cancellation), the sync-shim parity guarantee (``measure()`` and sync
-sessions are bit-identical to the classic batch path), async/sync result
-parity under fault injection, the pipelined tuning drivers (policy and task
-scheduler), and the StopTuning mid-round cleanup regression: no leaked
-futures, no double-counted error counters.
+cancellation), sync sessions measuring each batch through ``measure()``
+before ``submit`` returns, async/sync result parity under fault
+injection, the pipelined tuning drivers (policy and task scheduler), and
+the StopTuning mid-round cleanup regression: no leaked futures, no
+double-counted error counters.
 """
 
 import threading
@@ -62,13 +62,14 @@ def _result_signature(results):
 
 def test_measure_is_a_submit_then_drain_shim(task, inputs):
     """measure() and an explicit sync session produce identical results and
-    counters — the shim really is submit-then-drain."""
+    counters, and a sync submit returns futures that are already done."""
     classic = MeasurePipeline(intel_cpu(), seed=0)
     classic_results = classic.measure(inputs)
 
     sessioned = MeasurePipeline(intel_cpu(), seed=0)
     with sessioned.session(async_=False) as session:
         futures = session.submit(inputs)
+        assert all(f.done() for f in futures)
         results = session.drain()
     assert _result_signature(results) == _result_signature(classic_results)
     assert all(f.done() for f in futures)
@@ -81,10 +82,26 @@ def test_sync_session_lazy_result_triggers_processing(task, inputs):
     pipeline = MeasurePipeline(intel_cpu(), seed=0)
     with pipeline.session(async_=False) as session:
         futures = session.submit(inputs[:2])
-        # no drain: result() itself must process the pending batch
+        # no drain: submit already measured the batch
         res = futures[0].result()
         assert res.valid
         assert futures[1].done()
+
+
+def test_sync_submit_that_raises_leaves_nothing_pending(task, inputs):
+    """A sync batch whose build raises surfaces the error from submit() and
+    leaves the session empty, not holding futures that never finish."""
+
+    class CrashingBuilder(LocalBuilder):
+        def build(self, inputs):
+            raise RuntimeError("compiler crashed")
+
+    pipeline = MeasurePipeline(intel_cpu(), builder=CrashingBuilder(), seed=0)
+    with pipeline.session(async_=False) as session:
+        with pytest.raises(RuntimeError, match="compiler crashed"):
+            session.submit(inputs[:2])
+        assert session.drain() == []
+        assert list(session.as_completed()) == []
 
 
 def test_async_session_matches_sync_results(task, inputs):
@@ -189,16 +206,32 @@ def test_session_validates_knobs(task):
 
 
 def test_async_measure_knob_threads_from_options(task):
-    options = TuningOptions(async_measure=True)
-    pipeline = MeasurePipeline.from_options(intel_cpu(), options)
-    assert pipeline.async_measure
-    # session() follows the pipeline default; explicit async_ overrides it
-    session = pipeline.session()
-    assert session.async_mode
-    session.close()
-    session = pipeline.session(async_=False)
-    assert not session.async_mode
-    session.close()
+    """TuningOptions.async_measure alone picks the session mode, also over a
+    ready measurer: with it the driver proposes round 2 before it ingests
+    round 1; without it each round is ingested before the next is bred."""
+
+    def driver_events(async_measure):
+        events = []
+
+        class LoggedPolicy(SketchPolicy):
+            def propose_candidates(self, num_measures):
+                events.append("propose")
+                return super().propose_candidates(num_measures)
+
+            def ingest_results(self, inputs, results):
+                events.append("ingest")
+                return super().ingest_results(inputs, results)
+
+        options = TuningOptions(
+            num_measure_trials=16, num_measures_per_round=8,
+            async_measure=async_measure,
+        )
+        Tuner(task, policy=LoggedPolicy(task, seed=0), options=options,
+              measurer=MeasurePipeline(intel_cpu(), seed=0)).tune()
+        return events
+
+    assert driver_events(True)[:3] == ["propose", "propose", "ingest"]
+    assert driver_events(False)[:3] == ["propose", "ingest", "propose"]
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +251,11 @@ def test_async_and_sync_tuner_sessions_reach_the_same_best_state(task):
             fault_model=RandomFaults(run_error_prob=0.3, seed=5),
             n_retry=1,
             seed=0,
+        )
+        options = TuningOptions(
+            num_measure_trials=24, num_measures_per_round=8, seed=0,
             async_measure=async_measure,
         )
-        options = TuningOptions(num_measure_trials=24, num_measures_per_round=8, seed=0)
         result = Tuner(
             task, policy="random", options=options, measurer=measurer,
             policy_kwargs={"retained_best": 0},
@@ -243,9 +278,10 @@ def test_async_and_sync_tuner_sessions_reach_the_same_best_state(task):
 
 def test_pipelined_single_task_session_consumes_full_budget(task):
     policy = SketchPolicy(task, seed=0)
-    measurer = MeasurePipeline(intel_cpu(), seed=0, async_measure=True)
+    measurer = MeasurePipeline(intel_cpu(), seed=0)
     Tuner(task, policy=policy, measurer=measurer,
-          options=TuningOptions(num_measure_trials=24, num_measures_per_round=8)).tune()
+          options=TuningOptions(num_measure_trials=24, num_measures_per_round=8,
+                                async_measure=True)).tune()
     assert policy.num_trials == 24
     assert policy.num_trials == measurer.measure_count
     assert len(policy.history) == 3
@@ -295,11 +331,11 @@ def test_stop_tuning_mid_round_drains_and_cancels_cleanly(task, tmp_path):
         builder=LocalBuilder(build_latency_sec=0.02),
         fault_model=RandomFaults(run_error_prob=0.5, seed=7),
         seed=0,
-        async_measure=True,
     )
     stopper = _StopAfter(2)
     Tuner(task, policy=policy, measurer=measurer,
-          options=TuningOptions(num_measure_trials=64, num_measures_per_round=8),
+          options=TuningOptions(num_measure_trials=64, num_measures_per_round=8,
+                                async_measure=True),
           callbacks=[stopper, RecordToFile(log)]).tune()
     # the lookahead round was recalled: well under the full budget ran
     assert policy.num_trials < 64
@@ -355,15 +391,17 @@ def test_pipelined_tune_resumes_a_reused_policy(task):
     sync loop: re-tuning with an equal budget adds nothing, a larger budget
     adds only the difference."""
     policy = SketchPolicy(task, seed=0)
-    measurer = MeasurePipeline(intel_cpu(), seed=0, async_measure=True)
-    options = TuningOptions(num_measure_trials=16, num_measures_per_round=8)
+    measurer = MeasurePipeline(intel_cpu(), seed=0)
+    options = TuningOptions(num_measure_trials=16, num_measures_per_round=8,
+                            async_measure=True)
     Tuner(task, policy=policy, options=options, measurer=measurer).tune()
     assert policy.num_trials == 16
     # same budget: already consumed
     Tuner(task, policy=policy, options=options, measurer=measurer).tune()
     assert policy.num_trials == 16
     Tuner(task, policy=policy, measurer=measurer,
-          options=TuningOptions(num_measure_trials=24, num_measures_per_round=8)).tune()
+          options=TuningOptions(num_measure_trials=24, num_measures_per_round=8,
+                                async_measure=True)).tune()
     assert policy.num_trials == 24
 
 

@@ -271,6 +271,13 @@ def test_progress_logger_writes_to_stream(tmp_path, task):
     assert lines[4].startswith("  dev0: runs=")
 
 
+def test_verbose_option_logs_progress(task, capsys):
+    """TuningOptions(verbose=1) adds a ProgressLogger to the session."""
+    options = TuningOptions(num_measure_trials=16, num_measures_per_round=8, verbose=1)
+    Tuner(task, options=options).tune()
+    assert "[CostModelService]" in capsys.readouterr().out
+
+
 def test_early_stopper_ends_session_before_budget(task):
     options = TuningOptions(num_measure_trials=96, num_measures_per_round=8, early_stopping=1)
     result = Tuner(task, options=options).tune()

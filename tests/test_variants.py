@@ -305,18 +305,21 @@ def test_variant_arbiter_is_a_one_op_tuner_session():
 
 def test_direct_variant_arbiter_honours_the_cost_model_options(tmp_path):
     """A direct VariantArbiter call runs the session's own cost-model
-    service: the options' path is saved and its retrain mode trains."""
+    service: the options' path is saved, and its retrain window and
+    interval reach every variant model."""
     path = tmp_path / "model.pkl"
     options = TuningOptions(
         num_measure_trials=16, num_measures_per_round=8,
-        cost_model_path=str(path), cost_model_retrain="full",
+        cost_model_path=str(path), cost_model_window=64,
+        cost_model_retrain_interval=2,
     )
     op = LogicalOp("conv2d", PARAMS, hardware=intel_cpu())
     VariantArbiter(op, options=options).tune()
     assert path.exists()
     models = CostModelService(path=path)._models
     assert models  # one variant-scoped model per variant that measured
-    assert all(model.retrain == "full" for model in models.values())
+    assert all(model.retrain_window == 64 for model in models.values())
+    assert all(model.retrain_interval == 2 for model in models.values())
 
 
 def test_logical_op_rebuilds_group_from_one_expanded_task(group):

@@ -12,7 +12,7 @@
 
 PYTEST = PYTHONPATH=src python -m pytest
 
-.PHONY: test test-fast bench throughput measure-throughput store-bench fleet-bench model-bench variant-bench profile install help
+.PHONY: test test-fast bench examples throughput measure-throughput store-bench fleet-bench model-bench variant-bench profile install help
 
 install:
 	pip install -e .
@@ -28,6 +28,16 @@ test-fast:
 # Only the paper-figure benchmarks (all marked slow).
 bench:
 	$(PYTEST) -q benchmarks
+
+# Run all six examples end to end; the conv2d and network examples get a
+# 32-trial budget.
+examples:
+	PYTHONPATH=src python examples/quickstart.py
+	PYTHONPATH=src python examples/tune_conv2d.py 32
+	PYTHONPATH=src python examples/tune_network.py mobilenet-v2 32
+	PYTHONPATH=src python examples/custom_sketch_rule.py
+	PYTHONPATH=src python examples/persistent_cost_model.py
+	PYTHONPATH=src python examples/tune_with_store.py
 
 # Search-throughput perf baseline: batched vs seed per-row scoring (fast).
 throughput:
@@ -71,6 +81,7 @@ help:
 	@echo "make test        - tier-1 gate: full suite, stop at first failure"
 	@echo "make test-fast   - quick loop, skips tests marked slow"
 	@echo "make bench       - paper-figure benchmarks (slow)"
+	@echo "make examples    - run all six examples end to end (short budgets)"
 	@echo "make throughput  - search states/sec baseline -> BENCH_search_throughput.json"
 	@echo "make measure-throughput - measured trials/sec: parallel vs serial, async overlap vs sync"
 	@echo "make store-bench - schedule store: indexed lookup vs log rescan, warm-start vs cold search"

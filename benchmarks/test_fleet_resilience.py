@@ -119,11 +119,11 @@ def run_fault_storm():
     healthy_results, _ = _timed_session_measure(healthy_pipeline, inputs)
 
     off_pipeline, off_runner = _storm_pool(circuit_breaker=None)
-    off_runner.inject_profile("dev1", run_error_prob=STORM_FAULT_RATE)
+    off_runner.fleet.inject_profile("dev1", run_error_prob=STORM_FAULT_RATE)
     off_results, off_elapsed = _timed_session_measure(off_pipeline, _make_inputs(STORM_TRIALS))
 
     on_pipeline, on_runner = _storm_pool(circuit_breaker=STORM_BREAKER)
-    on_runner.inject_profile("dev1", run_error_prob=STORM_FAULT_RATE)
+    on_runner.fleet.inject_profile("dev1", run_error_prob=STORM_FAULT_RATE)
     on_results, on_elapsed = _timed_session_measure(on_pipeline, _make_inputs(STORM_TRIALS))
 
     bad_stats = on_runner.device_stats()["dev1"]
@@ -153,7 +153,7 @@ def run_fault_storm():
 def run_convergence():
     """Estimated fault rate vs injected truth after CONVERGENCE_TRIALS."""
     runner = LocalRunner(intel_cpu(), devices=["solo"], seed=0)
-    runner.inject_profile("solo", run_error_prob=STORM_FAULT_RATE)
+    runner.fleet.inject_profile("solo", run_error_prob=STORM_FAULT_RATE)
     pipeline = MeasurePipeline(intel_cpu(), runner=runner)
     pipeline.measure(_make_inputs(CONVERGENCE_TRIALS))
     stats = runner.device_stats()["solo"]

@@ -107,7 +107,7 @@ replaces declared profiles in least-loaded dispatch; a circuit breaker
 (``TuningOptions(circuit_breaker=...)``) quarantines boards whose
 estimated fault rate spikes, re-admits them after canary probes, and
 ejects dead ones; devices join and leave mid-session
-(``runner.add_device`` / ``remove_device(drain=True)``) without losing or
+(``runner.fleet.add_device`` / ``remove_device(drain=True)``) without losing or
 double-counting results; ``dispatch="affinity"`` pins workloads to home
 devices by rendezvous hashing; and ``TuningOptions(retry_timeouts=True)``
 extends transparent retry to per-device ``RUN_TIMEOUT`` faults.  The fleet
@@ -218,8 +218,6 @@ from .hardware.measure import (
     MeasureResult,
     MeasureSession,
     NoFaults,
-    ProgramBuilder,
-    ProgramRunner,
     RandomFaults,
 )
 from .hardware.fleet import CircuitBreakerConfig, DeviceFleet, DeviceProfile, EstimatedProfile
@@ -291,9 +289,7 @@ __all__ = [
     "MeasureErrorNo",
     "MeasureInput",
     "MeasureResult",
-    "ProgramBuilder",
     "LocalBuilder",
-    "ProgramRunner",
     "LocalRunner",
     "FaultModel",
     "NoFaults",

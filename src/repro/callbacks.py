@@ -76,7 +76,7 @@ class MeasureEvent:
     #: best cost (seconds) of the policy after this round
     best_cost: float
     #: the measurement pipeline that produced the results, when available
-    #: (carries per-kind error counters, elapsed accounting, best states)
+    #: (carries per-kind error counters and best states)
     measurer: Optional["MeasurePipeline"] = None
 
 
@@ -286,13 +286,8 @@ class ProgressLogger(MeasureCallback):
         for measurer in getattr(subject, "measurers", None) or ():
             self._track_measurer(measurer)
         for measurer in self._measurers.values():
-            runner = getattr(measurer, "runner", None)
-            stats_fn = getattr(runner, "device_stats", None)
-            if stats_fn is None:
-                continue
-            stats = stats_fn()
-            if not stats:
-                continue
+            runner = measurer.runner
+            stats = runner.device_stats()
             total_busy = sum(entry.get("busy_sec", 0.0) for entry in stats.values())
             self._print(f"[{type(runner).__name__}] device stats:")
             for name in sorted(stats):

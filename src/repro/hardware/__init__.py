@@ -7,12 +7,11 @@ Layout:
 * :mod:`~repro.hardware.simulator` — the analytical machine model standing
   in for real hardware (:class:`CostSimulator`).
 * :mod:`~repro.hardware.measure` — the two-stage measurement pipeline:
-  :class:`ProgramBuilder` stages lower candidates (in parallel, with
-  timeouts), :class:`ProgramRunner` stages time them on the simulator with
-  injectable :class:`FaultModel` failures, and every outcome carries a
-  :class:`MeasureErrorNo` error kind.  :class:`LocalBuilder` and
-  :class:`LocalRunner` are the one builder and the one runner; the runner
-  times every run on a :class:`DeviceFleet` of boards, each with its own
+  :class:`LocalBuilder`, the one builder, lowers candidates (in parallel,
+  with timeouts), :class:`LocalRunner`, the one runner, times them on the
+  simulator with injectable :class:`FaultModel` failures, and every outcome
+  carries a :class:`MeasureErrorNo` error kind.  The runner times every run
+  on a :class:`DeviceFleet` of boards (``runner.fleet``), each with its own
   :class:`DeviceProfile` (noise, fault rates, queue latency, slowdown).
   :class:`MeasurePipeline` is the facade consumers drive through
   ``measure()`` (build a batch, then run, retry and account) or through a
@@ -42,8 +41,6 @@ from .measure import (
     MeasureResult,
     MeasureSession,
     NoFaults,
-    ProgramBuilder,
-    ProgramRunner,
     RandomFaults,
 )
 from .fleet import (
@@ -88,9 +85,7 @@ __all__ = [
     "FaultModel",
     "NoFaults",
     "RandomFaults",
-    "ProgramBuilder",
     "LocalBuilder",
-    "ProgramRunner",
     "LocalRunner",
     "DeviceProfile",
     "DeviceFleet",

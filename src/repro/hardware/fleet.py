@@ -165,16 +165,22 @@ class DeviceState:
     REMOVED = "removed"
 
 
+#: pseudo-observations anchoring an estimate's warm start at the declared profile
+_PRIOR_WEIGHT = 4
+#: floor of an estimate's EWMA step size
+_ALPHA_MIN = 0.05
+
+
 @dataclass
 class EstimatedProfile:
     """What the measurement evidence says a device is like.
 
     Each statistic is an adaptive exponentially-weighted moving average: the
-    step size is ``max(alpha_min, 1 / (samples + 1 + prior_weight))``, so the
-    estimate behaves like a running mean over the first ``~1/alpha_min``
+    step size is ``max(_ALPHA_MIN, 1 / (samples + 1 + _PRIOR_WEIGHT))``, so the
+    estimate behaves like a running mean over the first ``~1/_ALPHA_MIN``
     observations (fast, unbiased convergence from cold) and like a classic
     EWMA afterwards (stays responsive to drift — a board that degrades after
-    an hour is re-estimated, not averaged away).  ``prior_weight`` pseudo-
+    an hour is re-estimated, not averaged away).  ``_PRIOR_WEIGHT`` pseudo-
     observations anchor the warm start at the *declared* profile, so a pool
     whose operator declared a 5% fault rate is dispatched accordingly before
     the first result lands, while the declaration washes out under real
@@ -187,20 +193,14 @@ class EstimatedProfile:
     queue_latency_sec: float = 0.0
     busy_per_run_sec: float = 0.0
     samples: int = 0
-    prior_weight: int = 4
-    alpha_min: float = 0.05
 
     @classmethod
-    def from_declared(
-        cls, profile: DeviceProfile, prior_weight: int = 4, alpha_min: float = 0.05
-    ) -> "EstimatedProfile":
+    def from_declared(cls, profile: DeviceProfile) -> "EstimatedProfile":
         return cls(
             fault_rate=profile.run_error_prob,
             timeout_rate=profile.run_timeout_prob,
             slowdown=profile.slowdown,
             queue_latency_sec=profile.queue_latency_sec,
-            prior_weight=prior_weight,
-            alpha_min=alpha_min,
         )
 
     @property
@@ -210,7 +210,7 @@ class EstimatedProfile:
         return self.fault_rate + self.timeout_rate
 
     def _alpha(self) -> float:
-        return max(self.alpha_min, 1.0 / (self.samples + 1 + self.prior_weight))
+        return max(_ALPHA_MIN, 1.0 / (self.samples + 1 + _PRIOR_WEIGHT))
 
     def observe(
         self,
@@ -298,7 +298,7 @@ class _ManagedDevice:
     """One fleet member: declared profile, live runner, evidence, ledgers."""
 
     profile: DeviceProfile
-    runner: object  # the board: run_one(), _estimate_base(), .timeout, .profile
+    runner: object  # the board: run_one(), .timeout, .profile
     estimate: EstimatedProfile
     state: str = DeviceState.HEALTHY
     load: float = 0.0
@@ -325,7 +325,7 @@ class _ManagedDevice:
     def actual_profile(self) -> DeviceProfile:
         """The profile the live runner embodies (diverges from ``profile``
         after :meth:`DeviceFleet.inject_profile` degrades the board)."""
-        return getattr(self.runner, "profile", self.profile)
+        return self.runner.profile
 
 
 @dataclass(frozen=True)
@@ -417,6 +417,9 @@ class DeviceFleet:
             runner=self._runner_factory(profile),
             estimate=EstimatedProfile.from_declared(profile),
         )
+        # A re-added name joins at the end: the removed or ejected entry it
+        # replaces must not keep its first-join slot.
+        self._devices.pop(profile.name, None)
         self._devices[profile.name] = device
         return device
 
@@ -498,16 +501,6 @@ class DeviceFleet:
                 for d in self._devices.values()
                 if d.state != DeviceState.REMOVED
             )
-
-    def healthy_devices(self) -> Tuple[str, ...]:
-        with self._lock:
-            return tuple(
-                d.name for d in self._devices.values() if d.state == DeviceState.HEALTHY
-            )
-
-    def get(self, name: str) -> Optional[_ManagedDevice]:
-        with self._lock:
-            return self._devices.get(name)
 
     # -- dispatch --------------------------------------------------------
     def acquire(self, inp: MeasureInput) -> DispatchTicket:
@@ -621,7 +614,8 @@ class DeviceFleet:
 
         ``clean_base`` is the slowdown-free estimated runtime of the program
         (the machine model's view), used to observe the device's real
-        slowdown; ``None`` skips the slowdown update.
+        slowdown and to charge a failed run; ``None`` skips the slowdown
+        update.
         """
         device = ticket.device
         kind = result.error_kind
@@ -631,7 +625,7 @@ class DeviceFleet:
             device.inflight -= 1
             if device.inflight == 0:
                 self._drained.notify_all()
-            occupancy = self._occupancy(device, inp, build, result)
+            occupancy = self._occupancy(device, result, clean_base)
             device.load += occupancy
             stats = device.stats
             stats["runs"] += 1
@@ -664,11 +658,7 @@ class DeviceFleet:
             return occupancy
 
     def _occupancy(
-        self,
-        device: _ManagedDevice,
-        inp: MeasureInput,
-        build: BuildResult,
-        result: MeasureResult,
+        self, device: _ManagedDevice, result: MeasureResult, clean_base: Optional[float]
     ) -> float:
         """Simulated seconds the run occupied its device.  A faulted run
         still held the board for about the program's runtime — charging it
@@ -678,17 +668,16 @@ class DeviceFleet:
         the watchdog killed it at the budget, so charging the program's full
         estimated runtime would overstate how long the board was actually
         held (and skew both dispatch and the busy-share log)."""
-        queue = device.actual_profile.queue_latency_sec
+        profile = device.actual_profile
+        queue = profile.queue_latency_sec
         if result.valid:
             return queue + sum(result.costs)
-        runner_timeout = getattr(device.runner, "timeout", None)
+        runner_timeout = device.runner.timeout
         if result.error_kind == MeasureErrorNo.RUN_TIMEOUT and runner_timeout is not None:
             return queue + runner_timeout
-        try:
-            base = device.runner._estimate_base(inp, build)
-        except Exception:
+        if clean_base is None:
             return queue
-        return queue + base * self.repeats
+        return queue + clean_base * profile.slowdown * self.repeats
 
     # -- circuit breaker -------------------------------------------------
     def _advance_breaker(self, device: _ManagedDevice, ok: bool) -> None:

@@ -6,15 +6,15 @@ the target device with a timeout and fault isolation, because real
 measurement fails in many distinct ways — compilation errors, device
 timeouts, flaky boards.  This module reproduces that structure:
 
-* :class:`ProgramBuilder` / :class:`LocalBuilder` lower candidate states to
+* :class:`LocalBuilder` lowers candidate states to
   :class:`~repro.codegen.lowering.LoweredProgram` objects in the calling
   thread, or in a thread pool for batches when ``n_parallel > 1``, with a
   per-candidate timeout.  Real builds are dominated by compiler subprocess
   / I/O time, which threads genuinely overlap; ``build_latency_sec``
   emulates that compile cost on top of the (microsecond-scale) analytical
   lowering.
-* :class:`ProgramRunner` / :class:`LocalRunner` "execute" built programs on
-  the analytical machine model, on a pool of named boards (one, ``"dev0"``,
+* :class:`LocalRunner` "executes" built programs on the analytical
+  machine model, on a pool of named boards (one, ``"dev0"``,
   unless ``devices`` names more), adding the seeded run-to-run noise of a
   real device, honoring a run timeout (a candidate whose simulated runtime
   exceeds the budget times out instead of reporting a cost, like a real
@@ -22,7 +22,7 @@ timeouts, flaky boards.  This module reproduces that structure:
   :class:`FaultModel` for device-level failures.
 * :class:`MeasurePipeline` is the facade every consumer drives: it feeds
   inputs through builder then runner, keeps the per-workload best program,
-  and aggregates trial / error / simulated wall-clock counters.
+  and aggregates trial / retry / error counters.
 
 Failure modes — the :class:`MeasureErrorNo` taxonomy
 ----------------------------------------------------
@@ -48,9 +48,9 @@ kind                        meaning
 ==========================  ====================================================
 
 Invalid results never enter the cost model's training set and never update
-best-state tracking, but they *do* consume measurement trials and simulated
-wall-clock — error-heavy searches are charged for the time they waste, as
-on a real machine.
+best-state tracking, but they *do* consume measurement trials, and a failed
+run is charged to the busy time of the board that ran it — error-heavy
+searches pay for the device time they waste, as on a real machine.
 
 Retry policy — transient faults are retried, not discarded
 ----------------------------------------------------------
@@ -62,9 +62,9 @@ result whose ``error_no`` is ``RUN_ERROR`` is re-run up to ``n_retry``
 times through the runner stage (the build is reused — only the run stage
 failed).  The attempts merge into one :class:`MeasureResult` whose
 ``retry_count`` records how many re-runs happened; wall-clock of every
-attempt accumulates into ``elapsed_sec`` and each attempt is charged
-simulated measurement latency, so recovered trials still pay for the device
-time they burned.  A retried program is still *one* trial: it trains the
+attempt accumulates into ``elapsed_sec`` and each attempt is charged to the
+busy time of its board, so recovered trials still pay for the device time
+they burned.  A retried program is still *one* trial: it trains the
 cost model once, appears in the tuning log once (``retry_count``
 round-trips through :mod:`repro.records`), and consumes one unit of the
 trial budget.
@@ -92,9 +92,11 @@ machine model bit for bit::
                  DeviceProfile("board1", run_error_prob=0.05, slowdown=1.5)])
     result = Tuner(task, options=options).tune()
 
-:class:`~repro.task.TuningOptions` selects the stages by the name
-``"local"`` (``"rpc"`` is another name for the same stages) or takes ready
-:class:`ProgramBuilder` / :class:`ProgramRunner` instances.
+:class:`~repro.task.TuningOptions` only names the stages: ``"local"``
+(``"rpc"`` is another name for the same stages).  Ready stages go in as a
+ready measurer::
+
+    Tuner(task, measurer=MeasurePipeline(hw, builder=..., runner=...))
 
 Asynchronous sessions — overlapping search with measurement
 -----------------------------------------------------------
@@ -118,7 +120,7 @@ A synchronous session (``async_=False``, the default) measures each
 submitted batch through :meth:`MeasurePipeline.measure` before ``submit``
 returns, so its futures are already done.  In async mode a small worker
 pool takes candidates one at a time, each worker building its own through
-:meth:`ProgramBuilder.build_one_dispatch`.  Only the build differs: both
+:meth:`LocalBuilder.build_one_dispatch`.  Only the build differs: both
 modes then run, retry and account through the same step under the
 pipeline's measurement lock, so every executed candidate is accounted
 exactly once.  Cancelled futures never run and are never counted, and
@@ -170,9 +172,7 @@ __all__ = [
     "FaultModel",
     "NoFaults",
     "RandomFaults",
-    "ProgramBuilder",
     "LocalBuilder",
-    "ProgramRunner",
     "LocalRunner",
     "MeasurePipeline",
     "MeasureFuture",
@@ -452,23 +452,7 @@ class RandomFaults(FaultModel):
 # ---------------------------------------------------------------------------
 
 
-class ProgramBuilder:
-    """Base class of the build stage: states in, lowered programs out."""
-
-    def build(self, inputs: Sequence[MeasureInput]) -> List[BuildResult]:
-        raise NotImplementedError
-
-    def build_one_dispatch(self, inp: MeasureInput) -> BuildResult:
-        """Build a single candidate on behalf of a session worker.
-
-        Async :class:`MeasureSession` workers call this concurrently from
-        several threads, so it must be thread-safe.  The default routes
-        through :meth:`build`, preserving each builder's timeout handling.
-        """
-        return self.build([inp])[0]
-
-
-class LocalBuilder(ProgramBuilder):
+class LocalBuilder:
     """Lower candidates on the host: in the calling thread, or in a thread
     pool for batches when ``n_parallel > 1``.
 
@@ -591,15 +575,6 @@ class LocalBuilder(ProgramBuilder):
 # ---------------------------------------------------------------------------
 
 
-class ProgramRunner:
-    """Base class of the run stage: built programs in, measured costs out."""
-
-    def run(
-        self, inputs: Sequence[MeasureInput], build_results: Sequence[BuildResult]
-    ) -> List[MeasureResult]:
-        raise NotImplementedError
-
-
 class _Board:
     """One board of a :class:`LocalRunner`'s pool: the runner's machine
     model under this board's :class:`~repro.hardware.fleet.DeviceProfile`.
@@ -637,17 +612,13 @@ class _Board:
         rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
         return 1.0 + rng.normal(0.0, self.noise, size=self.repeats)
 
-    def _estimate_base(self, inp: MeasureInput, build: BuildResult) -> float:
-        """This board's runtime of a built program (seconds); the fleet
-        charges a faulted run with it."""
-        return self.simulator.estimate_lowered(build.program).total_seconds * self.profile.slowdown
-
     def run_one(
         self, inp: MeasureInput, build: BuildResult
     ) -> Tuple[MeasureResult, Optional[float]]:
         """Run one successfully built program on this board.  Returns the
-        result and the program's slowdown-free runtime (``None`` when the
-        run faulted before the program was timed)."""
+        result and the program's slowdown-free runtime, also when a fault
+        fired before the program was timed (the fleet charges the board
+        with it); ``None`` when the machine model could not estimate it."""
         start = time.perf_counter()
 
         def failed(error_no: int, msg: str) -> MeasureResult:
@@ -655,14 +626,20 @@ class _Board:
                 costs=[], error=msg, error_no=error_no, elapsed_sec=self._elapsed(build, start)
             )
 
+        faulted: Optional[MeasureResult] = None
         for model in self.faults:
             fault = model.run_fault(inp)
             if fault is not None:
-                return failed(*fault), None
+                faulted = failed(*fault)
+                break
         try:
             clean = self.simulator.estimate_lowered(build.program).total_seconds
         except Exception as exc:  # device-side analysis failure
-            return failed(MeasureErrorNo.RUN_ERROR, f"{type(exc).__name__}: {exc}"), None
+            if faulted is None:
+                faulted = failed(MeasureErrorNo.RUN_ERROR, f"{type(exc).__name__}: {exc}")
+            return faulted, None
+        if faulted is not None:
+            return faulted, clean
         base = clean * self.profile.slowdown
         if self.timeout is not None and base > self.timeout:
             msg = f"simulated runtime {base:.3e}s exceeded the {self.timeout}s budget"
@@ -682,7 +659,7 @@ class _Board:
         return build.elapsed_sec + (time.perf_counter() - start) + self.profile.queue_latency_sec
 
 
-class LocalRunner(ProgramRunner):
+class LocalRunner:
     """Time built programs on the analytical machine model, on a pool of
     named, individually profiled boards.
 
@@ -699,8 +676,8 @@ class LocalRunner(ProgramRunner):
     ``"dev0"``).  The fleet dispatches each run (``dispatch="round-robin"``,
     ``"least-loaded"`` or ``"affinity"``), learns each board's fault
     profile, runs the optional circuit breaker and changes membership
-    mid-session (:meth:`add_device`, :meth:`remove_device`,
-    :meth:`inject_profile`; :meth:`device_stats` reports it all).  Each
+    mid-session (``fleet.add_device``, ``fleet.remove_device``,
+    ``fleet.inject_profile``; :meth:`device_stats` reports it all).  Each
     result is stamped with the board that ran its final attempt
     (``result.device``) and a per-attempt ledger (``result.attempts``).
     Build failures never reach a board: they are reported straight through.
@@ -742,31 +719,6 @@ class LocalRunner(ProgramRunner):
         )
 
     # -- the pool --------------------------------------------------------
-    @property
-    def dispatch(self) -> str:
-        return self.fleet.dispatch
-
-    @property
-    def devices(self) -> "Tuple[DeviceProfile, ...]":
-        return self.fleet.devices
-
-    def add_device(self, device: "DeviceLike") -> "DeviceProfile":
-        """Join a device to the pool mid-session (see
-        :meth:`~repro.hardware.fleet.DeviceFleet.add_device`)."""
-        return self.fleet.add_device(device)
-
-    def remove_device(
-        self, name: str, drain: bool = True, timeout: Optional[float] = None
-    ) -> Dict[str, float]:
-        """Remove a device, by default draining its in-flight runs (see
-        :meth:`~repro.hardware.fleet.DeviceFleet.remove_device`)."""
-        return self.fleet.remove_device(name, drain=drain, timeout=timeout)
-
-    def inject_profile(self, name: str, **overrides) -> "DeviceProfile":
-        """Degrade/repair a device's actual behaviour mid-session (see
-        :meth:`~repro.hardware.fleet.DeviceFleet.inject_profile`)."""
-        return self.fleet.inject_profile(name, **overrides)
-
     def device_stats(self) -> Dict[str, Dict[str, float]]:
         """Per-device counters (classic ``runs`` / ``errors`` / ``busy_sec``
         plus breaker state and the live estimated profile — see
@@ -850,10 +802,6 @@ class MeasureFuture:
         with self._session._lock:
             return self._state == MeasureFuture._CANCELLED
 
-    def running(self) -> bool:
-        with self._session._lock:
-            return self._state == MeasureFuture._RUNNING
-
     def cancel(self) -> bool:
         """Cancel the measurement if it has not started; returns whether the
         future is cancelled afterwards (idempotent)."""
@@ -890,16 +838,14 @@ class MeasureSession:
       done.
     * ``async_=True`` — ``n_workers`` threads consume the queue
       concurrently: builds overlap (each worker builds through
-      :meth:`ProgramBuilder.build_one_dispatch`), the run stage and all
+      :meth:`LocalBuilder.build_one_dispatch`), the run stage and all
       pipeline accounting execute under the pipeline's measurement lock
       (exactly once per executed candidate), and completions stream out as
       they land.
 
     ``measure_latency_sec`` emulates the *wall-clock* cost of occupying a
     real device for one run attempt (it is actually slept: serially in sync
-    mode, overlapped across workers in async mode).  It is the wall-clock
-    analogue of :attr:`MeasurePipeline.measure_latency_sec`, which only
-    advances the simulated-clock accounting; the default 0.0 sleeps
+    mode, overlapped across workers in async mode); the default 0.0 sleeps
     nothing.  This knob is what the async-overlap benchmark
     (``benchmarks/test_measure_throughput.py``) turns to make device
     latency dominate.
@@ -1175,7 +1121,8 @@ class MeasurePipeline:
     This is the object every consumer (search policies, the task scheduler,
     :class:`~repro.tuner.Tuner`, callbacks, records) drives.  Construct it
     either from a hardware description (``MeasurePipeline(intel_cpu())``)
-    with knobs, or from explicit ``builder=`` / ``runner=`` stages, or from
+    with knobs, or from explicit ``builder=`` / ``runner=`` stages (how
+    ready stages reach a session: ``Tuner(measurer=...)``), or from
     :class:`~repro.task.TuningOptions` via :meth:`from_options`.
     """
 
@@ -1183,26 +1130,23 @@ class MeasurePipeline:
         self,
         hardware: Optional[HardwareParams] = None,
         *,
-        builder: Optional[ProgramBuilder] = None,
-        runner: Optional[ProgramRunner] = None,
+        builder: Optional[LocalBuilder] = None,
+        runner: Optional[LocalRunner] = None,
         n_parallel: int = 1,
         build_timeout: Optional[float] = None,
         run_timeout: Optional[float] = None,
         noise: float = 0.03,
         repeats: int = 3,
         seed: int = 0,
-        measure_latency_sec: float = 0.0,
         fault_model: Optional[FaultModel] = None,
         n_retry: int = 0,
         retry_timeouts: bool = False,
     ):
         if n_retry < 0:
             raise ValueError("n_retry must be >= 0")
-        if measure_latency_sec < 0:
-            raise ValueError("measure_latency_sec must be >= 0")
         # Stage knobs configure the auto-built stages only; pairing a ready
         # instance with knobs for that stage is rejected rather than silently
-        # ignored (the same rule :meth:`from_options` applies).
+        # ignored.
         if builder is not None and (n_parallel != 1 or build_timeout is not None):
             raise ValueError(
                 "builder is a ready instance, so n_parallel / build_timeout "
@@ -1216,10 +1160,10 @@ class MeasurePipeline:
                 "run_timeout would be silently ignored; configure the runner "
                 "directly"
             )
-        if fault_model is not None and builder is not None and runner is not None:
+        if fault_model is not None and (builder is not None or runner is not None):
             raise ValueError(
-                "fault_model would be silently ignored: both stages are ready "
-                "instances; pass the fault model to the stage constructors"
+                "a ready stage would silently ignore fault_model; pass the "
+                "fault model to the stage constructors"
             )
         if runner is None:
             if hardware is None:
@@ -1251,8 +1195,6 @@ class MeasurePipeline:
         #: serializes the run stage and all counter/best-state accounting
         #: across session workers and direct measure() calls
         self._measure_lock = threading.Lock()
-        #: optional simulated wall-clock cost per measurement (for search-time accounting)
-        self.measure_latency_sec = measure_latency_sec
         #: total number of measurement trials performed
         self.measure_count = 0
         #: total run-stage retry attempts across all trials
@@ -1261,9 +1203,6 @@ class MeasurePipeline:
         self.error_count = 0
         #: per-kind error counters (only non-NO_ERROR kinds appear)
         self.error_counts: Dict[MeasureErrorNo, int] = {}
-        #: simulated wall-clock time spent measuring (charged per trial,
-        #: including failed builds: errors waste machine time too)
-        self.elapsed_sec = 0.0
         #: best cost (seconds) seen per workload key
         self.best_cost: Dict[str, float] = {}
         #: best state seen per workload key
@@ -1271,81 +1210,28 @@ class MeasurePipeline:
 
     # -- construction ----------------------------------------------------
     @classmethod
-    def from_options(
-        cls, hardware: HardwareParams, options: "TuningOptions", seed: Optional[int] = None
-    ) -> "MeasurePipeline":
-        """Build a pipeline from :class:`~repro.task.TuningOptions` knobs.
-
-        A stage selected by name (``"local"``, or its other name ``"rpc"``)
-        is a :class:`LocalBuilder` / :class:`LocalRunner` built from the
-        stage knobs; combining a ready instance with knobs for that stage is
-        rejected rather than silently ignoring the knobs (configure the
-        instance directly instead).
-        """
-        seed = options.seed if seed is None else seed
-        builder = options.builder
-        if isinstance(builder, str):
-            builder = LocalBuilder(n_parallel=options.n_parallel, timeout=options.build_timeout)
-        elif options.n_parallel != 1 or options.build_timeout is not None:
-            raise ValueError(
-                "TuningOptions.builder is a ready instance, so n_parallel / "
-                "build_timeout would be silently ignored; configure the "
-                "builder instance directly or select a builder by name"
-            )
-        runner = options.runner
-        pool_knobs = {
-            knob: getattr(options, knob)
-            for knob in ("devices", "dispatch", "circuit_breaker")
-            if getattr(options, knob) is not None
-        }
-        if isinstance(runner, str):
-            runner = LocalRunner(hardware, seed=seed, timeout=options.run_timeout, **pool_knobs)
-        else:
-            for knob in ("run_timeout", *pool_knobs):
-                if getattr(options, knob) is not None:
-                    raise ValueError(
-                        f"TuningOptions.runner is a ready instance, so {knob} "
-                        "would be silently ignored; configure the runner "
-                        "instance directly or select a runner by name"
-                    )
-            # A ready runner is pinned to one machine model; building "for"
-            # different hardware with it would silently measure on the wrong
-            # machine (the tasks[0] bug this pipeline exists to prevent).
-            runner_hw = getattr(runner, "hardware", None)
-            if runner_hw is not None and runner_hw != hardware:
-                raise ValueError(
-                    f"TuningOptions.runner is pinned to {runner_hw.name!r} but the "
-                    f"session needs a pipeline for {hardware.name!r}; drop the "
-                    "runner instance or supply a matching measurer explicitly"
-                )
+    def from_options(cls, hardware: HardwareParams, options: "TuningOptions") -> "MeasurePipeline":
+        """Build a pipeline from :class:`~repro.task.TuningOptions` knobs:
+        the :class:`LocalBuilder` and :class:`LocalRunner` that the stage
+        names select, configured by the stage and device-pool knobs."""
         return cls(
             hardware,
-            builder=builder,
-            runner=runner,
+            builder=LocalBuilder(n_parallel=options.n_parallel, timeout=options.build_timeout),
+            runner=LocalRunner(
+                hardware,
+                seed=options.seed,
+                timeout=options.run_timeout,
+                devices=options.devices,
+                dispatch=options.dispatch or "round-robin",
+                circuit_breaker=options.circuit_breaker,
+            ),
             n_retry=options.n_retry,
             retry_timeouts=options.retry_timeouts,
         )
 
-    # -- runner accessors (machine, noise model, seed) --------------------
     @property
     def hardware(self) -> HardwareParams:
         return self.runner.hardware
-
-    @property
-    def simulator(self) -> CostSimulator:
-        return self.runner.simulator
-
-    @property
-    def noise(self) -> float:
-        return self.runner.noise
-
-    @property
-    def repeats(self) -> int:
-        return self.runner.repeats
-
-    @property
-    def seed(self) -> int:
-        return self.runner.seed
 
     # -- sessions --------------------------------------------------------
     def session(
@@ -1366,8 +1252,7 @@ class MeasurePipeline:
     def _default_session_workers(self) -> int:
         """Worker count for async sessions: enough to keep the builder's
         threads and every board of the runner busy, capped sanely."""
-        devices = getattr(self.runner, "devices", ()) or ()
-        return min(16, max(2, getattr(self.builder, "n_parallel", 1), len(devices)))
+        return min(16, max(2, self.builder.n_parallel, len(self.runner.fleet.devices)))
 
     # ------------------------------------------------------------------
     def measure(self, inputs: Sequence[MeasureInput]) -> List[MeasureResult]:
@@ -1383,7 +1268,7 @@ class MeasurePipeline:
     def _measure_streamed(self, inp: MeasureInput) -> MeasureResult:
         """Measure one candidate on behalf of an async session worker: the
         build runs outside the pipeline lock (overlapping other workers'
-        builds, through :meth:`ProgramBuilder.build_one_dispatch`)."""
+        builds, through :meth:`LocalBuilder.build_one_dispatch`)."""
         return self._run_and_account([inp], [self.builder.build_one_dispatch(inp)])[0]
 
     def _run_and_account(
@@ -1449,12 +1334,6 @@ class MeasurePipeline:
     def _account(self, inp: MeasureInput, res: MeasureResult) -> None:
         self.measure_count += 1
         self.retry_count += res.retry_count
-        # Every trial is charged simulated wall-clock, *including* failures:
-        # a failed build still occupied the machine (the old serial measurer
-        # skipped charging errors, undercounting error-heavy searches).
-        # Every retry attempt is a full extra occupation of the device, so a
-        # recovered trial is charged (1 + retry_count) times.
-        self.elapsed_sec += self.measure_latency_sec * (1 + res.retry_count)
         if not res.valid:
             self.error_count += 1
             kind = res.error_kind
@@ -1465,10 +1344,3 @@ class MeasurePipeline:
         if best < self.best_cost.get(key, float("inf")):
             self.best_cost[key] = best
             self.best_state[key] = inp.state
-
-    # ------------------------------------------------------------------
-    def best_for(self, workload_key: str) -> Optional[State]:
-        return self.best_state.get(workload_key)
-
-    def best_cost_for(self, workload_key: str) -> float:
-        return self.best_cost.get(workload_key, float("inf"))

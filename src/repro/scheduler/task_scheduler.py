@@ -241,11 +241,7 @@ class TaskScheduler:
         builder/runner knobs), or a default pipeline otherwise.
         """
         if measurer is not None:
-            # getattr: a custom runner may not expose .hardware — such a
-            # measurer cannot be validated and is accepted as-is.
-            measurer_hw = getattr(measurer, "hardware", None)
-            if measurer_hw is None:
-                return [measurer] * len(self.tasks)
+            measurer_hw = measurer.hardware
             mismatched = [
                 (i, task)
                 for i, task in enumerate(self.tasks)
@@ -288,23 +284,12 @@ class TaskScheduler:
         drives (see :meth:`~repro.hardware.fleet.DeviceFleet.device_stats`).
         Pipelines are deduplicated (tasks on the same hardware share one),
         and a device name serving several pools reports under
-        ``"<runner-index>/<name>"`` so fleet health stays attributable.
-        Custom runners without ``device_stats()`` contribute nothing."""
+        ``"<runner-index>/<name>"`` so fleet health stays attributable."""
         merged: Dict[str, Dict[str, float]] = {}
         pipelines = list({id(m): m for m in self.measurers}.values())
-        multiple = (
-            sum(
-                1
-                for m in pipelines
-                if callable(getattr(m.runner, "device_stats", None))
-            )
-            > 1
-        )
+        multiple = len(pipelines) > 1
         for index, pipeline in enumerate(pipelines):
-            stats_fn = getattr(pipeline.runner, "device_stats", None)
-            if not callable(stats_fn):
-                continue
-            for name, entry in stats_fn().items():
+            for name, entry in pipeline.runner.device_stats().items():
                 key = f"{index}/{name}" if multiple else name
                 merged[key] = entry
         return merged

@@ -16,7 +16,6 @@ from .te.dag import ComputeDAG
 
 if TYPE_CHECKING:  # pragma: no cover - types only (avoid an import cycle)
     from .hardware.fleet import CircuitBreakerConfig, DeviceLike
-    from .hardware.measure import ProgramBuilder, ProgramRunner
 
 __all__ = ["SearchTask", "TuningOptions", "split_workload_key"]
 
@@ -117,10 +116,9 @@ class TuningOptions:
     for the same stage) selects :class:`~repro.hardware.measure.LocalBuilder`
     / :class:`~repro.hardware.measure.LocalRunner`, and ``n_parallel``, the
     timeouts and the device-pool knobs configure the resulting
-    :class:`~repro.hardware.measure.MeasurePipeline`.  Ready
-    :class:`~repro.hardware.measure.ProgramBuilder` /
-    :class:`~repro.hardware.measure.ProgramRunner` instances are accepted in
-    place of names.
+    :class:`~repro.hardware.measure.MeasurePipeline`.  The options only name
+    stages: ready stages go in as
+    ``Tuner(measurer=MeasurePipeline(hw, builder=..., runner=...))``.
     """
 
     #: total number of measurement trials
@@ -133,12 +131,10 @@ class TuningOptions:
     verbose: int = 0
     #: random seed for the search
     seed: int = 0
-    #: builder stage: ``"local"`` (``"rpc"`` names the same builder) or a
-    #: ProgramBuilder instance
-    builder: "Union[str, ProgramBuilder]" = "local"
-    #: runner stage: ``"local"`` (``"rpc"`` names the same runner) or a
-    #: ProgramRunner instance
-    runner: "Union[str, ProgramRunner]" = "local"
+    #: builder stage: ``"local"`` (``"rpc"`` names the same builder)
+    builder: str = "local"
+    #: runner stage: ``"local"`` (``"rpc"`` names the same runner)
+    runner: str = "local"
     #: builder worker threads (compilation parallelism)
     n_parallel: int = 1
     #: per-candidate build timeout (seconds of the candidate's own build
@@ -158,17 +154,16 @@ class TuningOptions:
     #: device pool of the runner: a sequence of
     #: :class:`~repro.hardware.fleet.DeviceProfile` / names / dicts, or an
     #: int (that many default devices); None = the single default device
-    #: ``"dev0"``.  Rejected with a ready runner instance.
+    #: ``"dev0"``
     devices: "Optional[Union[int, Sequence[DeviceLike]]]" = None
     #: device-pool dispatch policy of the runner: ``"round-robin"``,
     #: ``"least-loaded"`` (busy-seconds plus the estimated fault-rate
     #: waste) or ``"affinity"`` (sticky workload→device rendezvous
-    #: hashing); None = round-robin.  Rejected with a ready runner instance.
+    #: hashing); None = round-robin
     dispatch: Optional[str] = None
     #: circuit breaker of the runner's device pool: ``True`` enables the
     #: default :class:`~repro.hardware.fleet.CircuitBreakerConfig`, a dict
-    #: or config instance overrides it, None leaves the breaker off.
-    #: Rejected with a ready runner instance.
+    #: or config instance overrides it, None leaves the breaker off
     circuit_breaker: "Optional[Union[bool, dict, CircuitBreakerConfig]]" = None
     #: overlap candidate generation with hardware measurement: the round
     #: driver (:meth:`~repro.scheduler.task_scheduler.TaskScheduler.tune`)
@@ -221,10 +216,16 @@ class TuningOptions:
             raise ValueError("early_stopping must be positive (or None to disable)")
         for stage in ("builder", "runner"):
             name = getattr(self, stage)
-            if isinstance(name, str) and name not in ("local", "rpc"):
+            if not isinstance(name, str):
+                raise ValueError(
+                    f"TuningOptions.{stage} takes a stage name, not a ready "
+                    f"{type(name).__name__}; pass ready stages as "
+                    "Tuner(measurer=MeasurePipeline(hw, builder=..., runner=...))"
+                )
+            if name not in ("local", "rpc"):
                 raise ValueError(
                     f"unknown {stage} {name!r}; use 'local' ('rpc' names the "
-                    f"same {stage}) or pass a ready instance"
+                    f"same {stage})"
                 )
         if self.n_parallel < 1:
             raise ValueError("n_parallel must be >= 1")

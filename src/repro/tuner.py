@@ -253,7 +253,10 @@ class Tuner:
         The knobs cover the device pool too: ``TuningOptions(n_parallel=8,
         n_retry=2, devices=[...])`` drives the whole session through a
         thread-pool builder and a runner that dispatches runs across the
-        named boards, with no other changes.  Combining a ready measurer
+        named boards, with no other changes.  The options only name the
+        stages; ready ones (a custom builder or runner, a pinned device
+        pool) go in here as ``MeasurePipeline(hw, builder=..., runner=...)``,
+        whose hardware every task must share.  Combining a ready measurer
         with non-default measurement knobs in the options raises (the
         measurer would silently swallow them); ``options.async_measure`` is
         the exception — it is the one switch for the session mode, so it is

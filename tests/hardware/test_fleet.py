@@ -113,14 +113,14 @@ def test_estimated_fault_rate_converges_on_undeclared_faults(task, rng):
     actually faulting 50% of the time is estimated within 20% of the truth
     after 100 trials — the estimator learns what the operator never said."""
     runner = LocalRunner(intel_cpu(), devices=["solo"], seed=0)
-    runner.inject_profile("solo", run_error_prob=0.5)
+    runner.fleet.inject_profile("solo", run_error_prob=0.5)
     pipeline = MeasurePipeline(intel_cpu(), runner=runner)
     pipeline.measure(_many_inputs(task, rng, 100))
     stats = runner.device_stats()["solo"]
     assert stats["samples"] == 100
     assert stats["est_fault_rate"] == pytest.approx(0.5, rel=0.2)
     # The declared profile is untouched — only the estimate moved.
-    assert runner.devices[0].run_error_prob == 0.0
+    assert runner.fleet.devices[0].run_error_prob == 0.0
 
 
 def test_estimator_tracks_slowdown_and_queue_latency(task, rng):
@@ -150,7 +150,7 @@ def test_breaker_quarantines_a_faulting_board(task, rng):
         seed=0,
         circuit_breaker=CircuitBreakerConfig(min_samples=4, probe_interval=50),
     )
-    runner.inject_profile("bad", run_error_prob=1.0)
+    runner.fleet.inject_profile("bad", run_error_prob=1.0)
     pipeline = MeasurePipeline(intel_cpu(), runner=runner, n_retry=4)
     results = pipeline.measure(_many_inputs(task, rng, 24))
     stats = runner.device_stats()
@@ -172,12 +172,12 @@ def test_breaker_readmits_after_successful_canaries(task, rng):
         seed=0,
         circuit_breaker=CircuitBreakerConfig(min_samples=4, n_probe=2, probe_interval=3),
     )
-    runner.inject_profile("flaky", run_error_prob=1.0)
+    runner.fleet.inject_profile("flaky", run_error_prob=1.0)
     pipeline = MeasurePipeline(intel_cpu(), runner=runner, n_retry=4)
     pipeline.measure(_many_inputs(task, rng, 16))
     assert runner.device_stats()["flaky"]["state"] == DeviceState.QUARANTINED
     # The storm passes: the board behaves again, canaries succeed.
-    runner.inject_profile("flaky", run_error_prob=0.0)
+    runner.fleet.inject_profile("flaky", run_error_prob=0.0)
     pipeline.measure(_many_inputs(task, rng, 24))
     stats = runner.device_stats()["flaky"]
     assert stats["state"] == DeviceState.HEALTHY
@@ -196,7 +196,7 @@ def test_breaker_ejects_a_permanently_dead_board(task, rng):
             min_samples=4, probe_interval=2, max_probe_failures=3
         ),
     )
-    runner.inject_profile("dead", run_error_prob=1.0)
+    runner.fleet.inject_profile("dead", run_error_prob=1.0)
     pipeline = MeasurePipeline(intel_cpu(), runner=runner, n_retry=4)
     results = pipeline.measure(_many_inputs(task, rng, 40))
     stats = runner.device_stats()
@@ -218,11 +218,11 @@ def test_all_quarantined_pool_still_probes_forward(task, inputs):
             min_samples=2, n_probe=2, probe_interval=2, max_probe_failures=20
         ),
     )
-    runner.inject_profile("only", run_error_prob=1.0)
+    runner.fleet.inject_profile("only", run_error_prob=1.0)
     pipeline = MeasurePipeline(intel_cpu(), runner=runner, n_retry=1)
     pipeline.measure(inputs[:4])
     assert runner.device_stats()["only"]["state"] == DeviceState.QUARANTINED
-    runner.inject_profile("only", run_error_prob=0.0)
+    runner.fleet.inject_profile("only", run_error_prob=0.0)
     results = pipeline.measure(inputs[4:])
     assert all(r.valid for r in results)
     assert runner.device_stats()["only"]["state"] == DeviceState.HEALTHY
@@ -237,7 +237,7 @@ def test_fully_dead_pool_raises_actionable_error(task, inputs):
             min_samples=2, probe_interval=1, max_probe_failures=2
         ),
     )
-    runner.inject_profile("only", run_error_prob=1.0)
+    runner.fleet.inject_profile("only", run_error_prob=1.0)
     pipeline = MeasurePipeline(intel_cpu(), runner=runner)
     with pytest.raises(RuntimeError, match="no dispatchable devices"):
         pipeline.measure(inputs)
@@ -245,7 +245,7 @@ def test_fully_dead_pool_raises_actionable_error(task, inputs):
 
 def test_breaker_off_by_default_never_transitions(task, rng):
     runner = LocalRunner(intel_cpu(), devices=["a", "b"], seed=0)
-    runner.inject_profile("b", run_error_prob=1.0)
+    runner.fleet.inject_profile("b", run_error_prob=1.0)
     pipeline = MeasurePipeline(intel_cpu(), runner=runner, n_retry=4)
     pipeline.measure(_many_inputs(task, rng, 16))
     stats = runner.device_stats()
@@ -272,7 +272,7 @@ def test_fault_storm_best_cost_matches_healthy_pool(task, rng):
     )
     stormy = MeasurePipeline(intel_cpu(), runner=stormy_runner, n_retry=4)
     stormy.measure(inputs[:8])  # the pool starts healthy
-    stormy_runner.inject_profile("b", run_error_prob=0.9)  # board degrades
+    stormy_runner.fleet.inject_profile("b", run_error_prob=0.9)  # board degrades
     results = stormy.measure(inputs[8:])
     assert stormy_runner.device_stats()["b"]["state"] != DeviceState.HEALTHY
     assert all(r.valid for r in results)
@@ -289,31 +289,43 @@ def test_add_device_mid_session_takes_load(task, rng):
     runner = LocalRunner(intel_cpu(), devices=["a"], seed=0)
     pipeline = MeasurePipeline(intel_cpu(), runner=runner)
     pipeline.measure(_many_inputs(task, rng, 4))
-    runner.add_device("b")
+    runner.fleet.add_device("b")
     pipeline.measure(_many_inputs(task, rng, 8))
     stats = runner.device_stats()
     assert stats["b"]["runs"] == 4  # round-robin includes the newcomer
-    assert [d.name for d in runner.devices] == ["a", "b"]
+    assert [d.name for d in runner.fleet.devices] == ["a", "b"]
     with pytest.raises(ValueError, match="duplicate"):
-        runner.add_device("a")
+        runner.fleet.add_device("a")
 
 
 def test_remove_device_drains_and_rejects_new_work(task, rng):
     runner = LocalRunner(intel_cpu(), devices=["a", "b"], seed=0)
     pipeline = MeasurePipeline(intel_cpu(), runner=runner)
     pipeline.measure(_many_inputs(task, rng, 8))
-    snapshot = runner.remove_device("b")
+    snapshot = runner.fleet.remove_device("b")
     assert snapshot["runs"] == 4
     pipeline.measure(_many_inputs(task, rng, 6))
     stats = runner.device_stats()
     assert stats["b"]["runs"] == 4  # frozen at removal
     assert stats["a"]["runs"] == 4 + 6
-    assert [d.name for d in runner.devices] == ["a"]
+    assert [d.name for d in runner.fleet.devices] == ["a"]
     with pytest.raises(KeyError, match="b"):
-        runner.remove_device("b")
+        runner.fleet.remove_device("b")
     # A replaced board may rejoin under its old name, with a fresh ledger.
-    runner.add_device("b")
+    runner.fleet.add_device("b")
     assert runner.device_stats()["b"]["runs"] == 0
+
+
+def test_readded_device_joins_at_the_end(task, inputs):
+    """A board that leaves and rejoins takes the last slot in join order,
+    not the slot its removed entry held."""
+    runner = LocalRunner(intel_cpu(), devices=["a", "b", "c"], seed=0)
+    runner.fleet.remove_device("a")
+    runner.fleet.add_device("a")
+    assert [d.name for d in runner.fleet.devices] == ["b", "c", "a"]
+    assert list(runner.device_stats()) == ["b", "c", "a"]
+    results = MeasurePipeline(intel_cpu(), runner=runner).measure(inputs[:3])
+    assert [r.device for r in results] == ["b", "c", "a"]  # round-robin order
 
 
 def test_remove_device_mid_as_completed_loses_zero_results(task, rng):
@@ -329,7 +341,7 @@ def test_remove_device_mid_as_completed_loses_zero_results(task, rng):
         for count, fut in enumerate(session.as_completed(futures)):
             collected.append(fut.result())
             if count == 3:
-                runner.remove_device("b", drain=True, timeout=30.0)
+                runner.fleet.remove_device("b", drain=True, timeout=30.0)
     assert len(collected) == len(inputs)
     assert all(r.valid for r in collected)
     assert pipeline.measure_count == len(inputs)
@@ -595,7 +607,7 @@ def test_progress_logger_surfaces_breaker_state_and_estimates(task, rng):
         seed=0,
         circuit_breaker=CircuitBreakerConfig(min_samples=4, probe_interval=50),
     )
-    runner.inject_profile("bad", run_error_prob=1.0)
+    runner.fleet.inject_profile("bad", run_error_prob=1.0)
     pipeline = MeasurePipeline(intel_cpu(), runner=runner, n_retry=4)
     pipeline.measure(_many_inputs(task, rng, 16))
     stream = io.StringIO()
@@ -638,9 +650,6 @@ def test_fleet_direct_protocol_roundtrip(task, inputs):
         def __init__(self, profile):
             self.profile = profile
             self.timeout = None
-
-        def _estimate_base(self, inp, build):
-            return 1.0
 
     fleet = DeviceFleet(["x", "y"], _FakeRunner, dispatch="round-robin")
     ticket = fleet.acquire(inputs[0])

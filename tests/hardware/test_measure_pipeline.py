@@ -301,21 +301,6 @@ def test_parallel_builder_preserves_input_order(task, states):
 # ---------------------------------------------------------------------------
 
 
-def test_failed_builds_charge_simulated_wall_clock(task):
-    """Regression: the old measurer never charged measure_latency_sec for a
-    failed build, undercounting error-heavy searches."""
-    pipeline = MeasurePipeline(intel_cpu(), measure_latency_sec=2.0)
-    pipeline.measure(
-        [
-            MeasureInput(task, task.compute_dag.init_state()),
-            MeasureInput(task, _incomplete_state(task)),
-        ]
-    )
-    assert pipeline.measure_count == 2
-    assert pipeline.error_count == 1
-    assert pipeline.elapsed_sec == pytest.approx(4.0)
-
-
 def test_error_counts_by_kind(task, states):
     faults = RandomFaults(build_error_prob=0.4, run_timeout_prob=0.3, seed=2)
     pipeline = MeasurePipeline(intel_cpu(), fault_model=faults)
@@ -337,10 +322,14 @@ def test_error_counts_by_kind(task, states):
 def test_options_reject_unknown_stage_names():
     """A stage name other than "local" or "rpc" fails when the options are
     built, not later when a session builds its pipeline; both names select
-    the one builder and the one runner."""
+    the one builder and the one runner.  A ready stage is not a name: it
+    goes in through Tuner(measurer=...)."""
     for stage in ("builder", "runner"):
         with pytest.raises(ValueError, match=f"unknown {stage} 'remote-farm'"):
             TuningOptions(**{stage: "remote-farm"})
+    for stage, ready in (("builder", LocalBuilder()), ("runner", LocalRunner(intel_cpu()))):
+        with pytest.raises(ValueError, match=r"Tuner\(measurer=MeasurePipeline"):
+            TuningOptions(**{stage: ready})
     for name in ("local", "rpc"):
         options = TuningOptions(builder=name, runner=name)
         pipeline = MeasurePipeline.from_options(intel_cpu(), options)
@@ -356,27 +345,8 @@ def test_pipeline_from_options(task):
     assert pipeline.builder.timeout == 10.0
     assert isinstance(pipeline.runner, LocalRunner)
     assert pipeline.runner.timeout == 5.0
-    assert pipeline.seed == 9
+    assert pipeline.runner.seed == 9
     assert pipeline.measure_one(MeasureInput(task, task.compute_dag.init_state())).valid
-
-
-def test_from_options_rejects_instance_plus_stage_knobs():
-    """Stage knobs apply only to name-selected stages; pairing a ready
-    instance with knobs for that stage must error, not silently ignore."""
-    with pytest.raises(ValueError, match="n_parallel"):
-        MeasurePipeline.from_options(
-            intel_cpu(), TuningOptions(builder=LocalBuilder(), n_parallel=8)
-        )
-    with pytest.raises(ValueError, match="run_timeout"):
-        MeasurePipeline.from_options(
-            intel_cpu(), TuningOptions(runner=LocalRunner(intel_cpu()), run_timeout=1.0)
-        )
-    # Instances without conflicting knobs are fine.
-    pipeline = MeasurePipeline.from_options(
-        intel_cpu(),
-        TuningOptions(builder=LocalBuilder(n_parallel=2), runner=LocalRunner(intel_cpu())),
-    )
-    assert pipeline.builder.n_parallel == 2
 
 
 def test_options_validate_pipeline_knobs():
@@ -407,11 +377,11 @@ def test_pipeline_rejects_instance_plus_stage_knobs():
             runner=LocalRunner(intel_cpu()),
             fault_model=RandomFaults(build_error_prob=1.0),
         )
-    # fault_model still reaches the one auto-built stage.
-    pipeline = MeasurePipeline(
-        intel_cpu(), builder=LocalBuilder(), fault_model=RandomFaults(run_error_prob=1.0)
-    )
-    assert isinstance(pipeline.runner.fault_model, RandomFaults)
+    # One ready stage is enough: the ready builder would drop build faults.
+    with pytest.raises(ValueError, match="fault_model"):
+        MeasurePipeline(
+            intel_cpu(), builder=LocalBuilder(), fault_model=RandomFaults(build_error_prob=1.0)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -453,22 +423,20 @@ def test_fault_model_validates_tracking_bound():
 
 
 def test_retry_attempts_charge_simulated_wall_clock(task):
-    """Each retry attempt is a full extra device occupation: a trial with
-    retry_count=k is charged (1+k) * measure_latency_sec."""
+    """A recovered trial counts every retry attempt in the pipeline's
+    retry counter."""
     state = task.compute_dag.init_state()
     pipeline = MeasurePipeline(
         intel_cpu(),
         fault_model=RandomFaults(run_error_prob=0.5, seed=3),
         seed=0,
         n_retry=4,
-        measure_latency_sec=2.0,
     )
     results = pipeline.measure([MeasureInput(task, state)])
     retries = results[0].retry_count
     assert retries > 0  # seed 3 faults this program's first attempt
     assert results[0].valid
     assert pipeline.retry_count == retries
-    assert pipeline.elapsed_sec == pytest.approx(2.0 * (1 + retries))
 
 
 def test_pipeline_validates_n_retry():
@@ -479,14 +447,12 @@ def test_pipeline_validates_n_retry():
 @pytest.mark.parametrize(
     "make, knob",
     [
-        (lambda: MeasurePipeline(intel_cpu(), measure_latency_sec=-1.0), "measure_latency_sec"),
         (lambda: LocalRunner(intel_cpu(), noise=-0.1), "noise"),
     ],
-    ids=["pipeline-measure-latency", "runner-noise"],
+    ids=["runner-noise"],
 )
 def test_negative_measurement_knobs_raise(make, knob):
-    """A negative simulated latency would run the clock backwards, and a
-    negative noise level would be read as no noise: both are rejected."""
+    """A negative noise level would be read as no noise: it is rejected."""
     with pytest.raises(ValueError, match=knob):
         make()
 
@@ -499,7 +465,7 @@ def test_retry_counts_build_time_once(task):
     pipeline = MeasurePipeline(
         intel_cpu(),
         builder=LocalBuilder(build_latency_sec=build_latency),
-        fault_model=RandomFaults(run_error_prob=0.5, seed=3),
+        runner=LocalRunner(intel_cpu(), fault_model=RandomFaults(run_error_prob=0.5, seed=3)),
         n_retry=4,
     )
     result = pipeline.measure_one(MeasureInput(task, state))
@@ -507,14 +473,3 @@ def test_retry_counts_build_time_once(task):
     # Double-counting would push elapsed past (1 + retry_count) * latency.
     assert result.elapsed_sec < build_latency * 1.5
     assert result.elapsed_sec >= build_latency
-
-
-def test_from_options_rejects_runner_pinned_to_other_hardware():
-    """A ready runner pinned to one machine must not silently measure a
-    session targeting different hardware."""
-    from repro.hardware import arm_cpu
-
-    options = TuningOptions(runner=LocalRunner(intel_cpu()))
-    with pytest.raises(ValueError, match="pinned"):
-        MeasurePipeline.from_options(arm_cpu(), options)
-    assert MeasurePipeline.from_options(intel_cpu(), options).hardware.name == "intel-20c"

@@ -27,6 +27,7 @@ from repro import (
 )
 from repro.hardware import (
     LocalBuilder,
+    LocalRunner,
     MeasureErrorNo,
     MeasureInput,
     MeasurePipeline,
@@ -329,8 +330,9 @@ def test_stop_tuning_mid_round_drains_and_cancels_cleanly(task, tmp_path):
     measurer = MeasurePipeline(
         intel_cpu(),
         builder=LocalBuilder(build_latency_sec=0.02),
-        fault_model=RandomFaults(run_error_prob=0.5, seed=7),
-        seed=0,
+        runner=LocalRunner(
+            intel_cpu(), seed=0, fault_model=RandomFaults(run_error_prob=0.5, seed=7)
+        ),
     )
     stopper = _StopAfter(2)
     Tuner(task, policy=policy, measurer=measurer,

@@ -73,13 +73,13 @@ def test_device_profile_validation():
 
 def test_device_list_normalization():
     runner = LocalRunner(intel_cpu(), devices=3)
-    assert [d.name for d in runner.devices] == ["dev0", "dev1", "dev2"]
+    assert [d.name for d in runner.fleet.devices] == ["dev0", "dev1", "dev2"]
     runner = LocalRunner(
         intel_cpu(),
         devices=["a", {"name": "b", "run_error_prob": 0.5}, DeviceProfile("c")],
     )
-    assert [d.name for d in runner.devices] == ["a", "b", "c"]
-    assert runner.devices[1].run_error_prob == 0.5
+    assert [d.name for d in runner.fleet.devices] == ["a", "b", "c"]
+    assert runner.fleet.devices[1].run_error_prob == 0.5
     with pytest.raises(ValueError, match="duplicate"):
         LocalRunner(intel_cpu(), devices=["a", "a"])
     with pytest.raises(ValueError, match="at least one"):
@@ -343,9 +343,9 @@ def test_from_options_builds_rpc_stack():
     assert isinstance(pipeline.builder, LocalBuilder)
     assert pipeline.builder.n_parallel == 4
     assert isinstance(pipeline.runner, LocalRunner)
-    assert [d.name for d in pipeline.runner.devices] == ["a", "b"]
+    assert [d.name for d in pipeline.runner.fleet.devices] == ["a", "b"]
     assert pipeline.n_retry == 2
-    assert pipeline.seed == 9
+    assert pipeline.runner.seed == 9
 
 
 def test_local_runner_options_build_a_two_board_pool():
@@ -354,8 +354,8 @@ def test_local_runner_options_build_a_two_board_pool():
     )
     runner = MeasurePipeline.from_options(intel_cpu(), options).runner
     assert isinstance(runner, LocalRunner)
-    assert [d.name for d in runner.devices] == ["dev0", "dev1"]
-    assert runner.dispatch == "least-loaded"
+    assert [d.name for d in runner.fleet.devices] == ["dev0", "dev1"]
+    assert runner.fleet.dispatch == "least-loaded"
     assert runner.fleet.breaker == CircuitBreakerConfig()
 
 
@@ -369,12 +369,6 @@ def test_malformed_device_entry_surfaces_the_real_error():
         MeasurePipeline.from_options(
             intel_cpu(), TuningOptions(runner="rpc", devices=[{"name": "a", "capacity": 3}])
         )
-
-
-def test_devices_rejected_with_ready_runner_instance():
-    options = TuningOptions(runner=LocalRunner(intel_cpu()), devices=2)
-    with pytest.raises(ValueError, match="devices"):
-        MeasurePipeline.from_options(intel_cpu(), options)
 
 
 def test_options_validate_n_retry():

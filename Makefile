@@ -12,7 +12,7 @@
 
 PYTEST = PYTHONPATH=src python -m pytest
 
-.PHONY: test test-fast bench examples throughput measure-throughput store-bench fleet-bench model-bench variant-bench profile install help
+.PHONY: test test-fast bench bench-smoke examples throughput measure-throughput store-bench fleet-bench model-bench variant-bench profile install help
 
 install:
 	pip install -e .
@@ -28,6 +28,18 @@ test-fast:
 # Only the paper-figure benchmarks (all marked slow).
 bench:
 	$(PYTEST) -q benchmarks
+
+# One short pass of every perfbench workload at seed 0; fails unless each run
+# exits 0 and its last line (a JSON object) reports "correct": true.
+bench-smoke:
+	@for w in matmul-search fleet-random conv2d-variants mobilenet-store; do \
+		out=$$(python3 perfbench/run.py --workload $$w --seed 0 --seconds 1) \
+			|| { echo "bench-smoke: $$w exited non-zero"; exit 1; }; \
+		last=$$(printf '%s\n' "$$out" | tail -n 1); \
+		printf '%s\n' "$$last" | python3 -c 'import json, sys; sys.exit(json.load(sys.stdin)["correct"] is not True)' \
+			|| { echo "bench-smoke: $$w did not report correct: true: $$last"; exit 1; }; \
+		echo "bench-smoke: $$w correct"; \
+	done
 
 # Run all six examples end to end; the conv2d and network examples get a
 # 32-trial budget.
@@ -81,6 +93,7 @@ help:
 	@echo "make test        - tier-1 gate: full suite, stop at first failure"
 	@echo "make test-fast   - quick loop, skips tests marked slow"
 	@echo "make bench       - paper-figure benchmarks (slow)"
+	@echo "make bench-smoke - one short perfbench pass per workload; each must report correct: true"
 	@echo "make examples    - run all six examples end to end (short budgets)"
 	@echo "make throughput  - search states/sec baseline -> BENCH_search_throughput.json"
 	@echo "make measure-throughput - measured trials/sec: parallel vs serial, async overlap vs sync"

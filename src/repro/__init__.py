@@ -102,14 +102,14 @@ with its own fault profile, and the pool is *elastic and self-healing*
 (:class:`repro.hardware.fleet.DeviceFleet`): every result is attributed to
 the device that ran it (``MeasureResult.device`` / per-attempt
 ``MeasureResult.attempts``, persisted via ``TuningRecord.device``) and
-feeds an online :class:`repro.hardware.fleet.EstimatedProfile` that
-replaces declared profiles in least-loaded dispatch; a circuit breaker
+feeds an online :class:`repro.hardware.fleet.EstimatedProfile`; runs go
+to the healthy boards round-robin, and each board charges the busy time of
+its own attempts; a circuit breaker
 (``TuningOptions(circuit_breaker=...)``) quarantines boards whose
 estimated fault rate spikes, re-admits them after canary probes, and
 ejects dead ones; devices join and leave mid-session
 (``runner.fleet.add_device`` / ``remove_device(drain=True)``) without losing or
-double-counting results; ``dispatch="affinity"`` pins workloads to home
-devices by rendezvous hashing; and ``TuningOptions(retry_timeouts=True)``
+double-counting results; and ``TuningOptions(retry_timeouts=True)``
 extends transparent retry to per-device ``RUN_TIMEOUT`` faults.  The fleet
 benchmark (``benchmarks/test_fleet_resilience.py``) gates >= 2x measured
 trials/sec over a breaker-off pool under a 50%-fault storm (best cost

@@ -25,8 +25,7 @@ Layout:
   :class:`EstimatedProfile` from every result, quarantines / re-admits /
   ejects misbehaving boards through a circuit breaker
   (:class:`CircuitBreakerConfig`), supports join/leave mid-session with
-  clean drain, and dispatches round-robin, least-loaded or by sticky
-  workload affinity.
+  clean drain, and hands runs to its healthy boards round-robin.
 """
 
 from .measure import (

@@ -9,11 +9,10 @@ forever, nor assume fixed membership:
 
 * **Online fault-profile estimation** — every run attempt is attributed to
   the device that executed it and folded into an :class:`EstimatedProfile`
-  (EWMA fault rate, timeout rate, slowdown, queue latency, busy-seconds per
-  run).  Estimates warm-start from the declared profile and drift with
-  evidence, so dispatch decisions track how a board *actually* behaves —
-  including behaviour the operator never declared (a board degrading
-  mid-session).
+  (EWMA fault rate, timeout rate, slowdown, queue latency).  Estimates
+  warm-start from the declared profile and drift with evidence, so the
+  circuit breaker tracks how a board *actually* behaves — including
+  behaviour the operator never declared (a board degrading mid-session).
 * **Circuit breaker** — a device whose estimated transient-fault + timeout
   rate crosses :attr:`CircuitBreakerConfig.fault_rate_threshold` is
   *quarantined*: it receives no new work, while results already in flight
@@ -31,15 +30,9 @@ forever, nor assume fixed membership:
   first marks the device draining (no new work), then optionally blocks
   until its in-flight runs land; those runs complete on the ticket they
   already hold, so no result is lost and none is counted twice.
-* **Affinity dispatch** — ``dispatch="affinity"`` gives each workload a
-  sticky home device via rendezvous (highest-random-weight) hashing over the
-  currently healthy pool, with load-aware spill: measurements of one
-  workload land on one board whenever possible, so its noise samples stay
-  comparable, without letting a popular workload starve the rest of the
-  fleet.
 
 Concurrency contract (the rely-guarantee view): all fleet state —
-membership, breaker states, load ledgers, estimators — is mutated only under
+membership, breaker states, busy ledgers, estimators — is mutated only under
 one internal lock, by the two narrow entry points :meth:`DeviceFleet.acquire`
 and :meth:`DeviceFleet.record`.  A dispatch ticket taken while a device was
 admissible stays valid across any interleaved quarantine/removal: the run it
@@ -49,14 +42,13 @@ covers completes on that device and is recorded against it.  Observers
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
-from .measure import BuildResult, MeasureErrorNo, MeasureInput, MeasureResult
+from .measure import BuildResult, MeasureErrorNo, MeasureResult
 
 __all__ = [
     "DeviceProfile",
@@ -181,17 +173,15 @@ class EstimatedProfile:
     observations (fast, unbiased convergence from cold) and like a classic
     EWMA afterwards (stays responsive to drift — a board that degrades after
     an hour is re-estimated, not averaged away).  ``_PRIOR_WEIGHT`` pseudo-
-    observations anchor the warm start at the *declared* profile, so a pool
-    whose operator declared a 5% fault rate is dispatched accordingly before
-    the first result lands, while the declaration washes out under real
-    evidence.
+    observations anchor the warm start at the *declared* profile, so the
+    breaker starts from a board's declared 5% fault rate before the first
+    result lands, while the declaration washes out under real evidence.
     """
 
     fault_rate: float = 0.0
     timeout_rate: float = 0.0
     slowdown: float = 1.0
     queue_latency_sec: float = 0.0
-    busy_per_run_sec: float = 0.0
     samples: int = 0
 
     @classmethod
@@ -217,18 +207,16 @@ class EstimatedProfile:
         *,
         faulted: bool,
         timed_out: bool,
-        busy_sec: float,
         cost: Optional[float] = None,
-        clean_base: Optional[float] = None,
+        clean_runtime: Optional[float] = None,
         queue_latency: Optional[float] = None,
     ) -> None:
         """Fold one run attempt into the estimates."""
         a = self._alpha()
         self.fault_rate += a * ((1.0 if faulted else 0.0) - self.fault_rate)
         self.timeout_rate += a * ((1.0 if timed_out else 0.0) - self.timeout_rate)
-        self.busy_per_run_sec += a * (busy_sec - self.busy_per_run_sec)
-        if cost is not None and clean_base is not None and clean_base > 0:
-            self.slowdown += a * (cost / clean_base - self.slowdown)
+        if cost is not None and clean_runtime is not None and clean_runtime > 0:
+            self.slowdown += a * (cost / clean_runtime - self.slowdown)
         if queue_latency is not None:
             self.queue_latency_sec += a * (queue_latency - self.queue_latency_sec)
         self.samples += 1
@@ -298,10 +286,9 @@ class _ManagedDevice:
     """One fleet member: declared profile, live runner, evidence, ledgers."""
 
     profile: DeviceProfile
-    runner: object  # the board: run_one(), .timeout, .profile
+    runner: object  # the board: run_one(), .profile
     estimate: EstimatedProfile
     state: str = DeviceState.HEALTHY
-    load: float = 0.0
     inflight: int = 0
     trips: int = 0
     probe_successes: int = 0
@@ -321,12 +308,6 @@ class _ManagedDevice:
     def name(self) -> str:
         return self.profile.name
 
-    @property
-    def actual_profile(self) -> DeviceProfile:
-        """The profile the live runner embodies (diverges from ``profile``
-        after :meth:`DeviceFleet.inject_profile` degrades the board)."""
-        return self.runner.profile
-
 
 @dataclass(frozen=True)
 class DispatchTicket:
@@ -340,67 +321,34 @@ class DispatchTicket:
     canary: bool = False
 
 
-#: load imbalance (in units of the device's typical busy-seconds per run)
-#: a sticky workload tolerates before affinity dispatch spills it to the
-#: next device in its rendezvous order
-_AFFINITY_SPILL_FACTOR = 4.0
-
-
-def _affinity_score(device_name: str, workload_key: str) -> int:
-    """Rendezvous (highest-random-weight) hash: every (device, workload)
-    pair gets a stable pseudo-random score; a workload's home is the live
-    device with the highest score.  Membership churn only moves workloads
-    whose home actually left — no global reshuffle."""
-    digest = hashlib.sha256(f"{device_name}::{workload_key}".encode()).digest()
-    return int.from_bytes(digest[:8], "little")
-
-
 class DeviceFleet:
     """An elastic, self-healing pool of measurement devices.
 
     The fleet owns membership, dispatch, per-device evidence and the circuit
-    breaker; executing a run on a device stays the caller's job (the
-    :class:`~repro.hardware.measure.LocalRunner`).  The protocol per run::
+    breaker; executing a run on a device, and pricing what that attempt
+    cost the board, stay the board's job (the
+    :class:`~repro.hardware.measure.LocalRunner`'s boards).  The protocol
+    per run::
 
-        ticket = fleet.acquire(inp)            # pick a device, count it in flight
-        result, clean_base = ticket.device.runner.run_one(inp, build)
-        occupancy = fleet.record(ticket, inp, build, result, clean_base)
+        ticket = fleet.acquire()               # pick a device, count it in flight
+        result, clean_runtime, occupancy = ticket.device.runner.run_one(inp, build)
+        fleet.record(ticket, build, result, clean_runtime, occupancy)
 
     ``runner_factory(profile)`` builds the per-device board — injected so
     the fleet stays agnostic of how runs are simulated or transported.
 
-    Dispatch policies (over the currently *healthy* members):
-
-    * ``"round-robin"`` — cycle in membership order.
-    * ``"least-loaded"`` — minimize accumulated busy-seconds **plus** the
-      expected waste of the device's estimated fault rate (a board that
-      loses every other run effectively costs double per useful result).
-      With no fault evidence the penalty is exactly zero, so a clean static
-      pool dispatches bit-identically to plain least-loaded.
-    * ``"affinity"`` — rendezvous-hash each workload to a sticky home
-      device, spilling to the workload's next-preferred device only when the
-      home's load runs ahead of the pool by more than a few typical runs.
-
-    With ``circuit_breaker=None`` (the default) no state transitions ever
-    happen and every member stays healthy — the breaker is strictly opt-in.
+    Healthy members take runs round-robin, in membership order.  With
+    ``circuit_breaker=None`` (the default) no state transitions ever happen
+    and every member stays healthy — the breaker is strictly opt-in.
     """
 
     def __init__(
         self,
         devices: Union[None, int, Sequence[DeviceLike]],
         runner_factory: Callable[[DeviceProfile], object],
-        dispatch: str = "round-robin",
         circuit_breaker: Union[None, bool, dict, CircuitBreakerConfig] = None,
-        repeats: int = 3,
     ):
-        if dispatch not in ("round-robin", "least-loaded", "affinity"):
-            raise ValueError(
-                f"unknown dispatch {dispatch!r}; use 'round-robin', "
-                "'least-loaded' or 'affinity'"
-            )
-        self.dispatch = dispatch
         self.breaker = CircuitBreakerConfig.coerce(circuit_breaker)
-        self.repeats = repeats
         self._runner_factory = runner_factory
         self._lock = threading.RLock()
         self._drained = threading.Condition(self._lock)
@@ -488,7 +436,7 @@ class DeviceFleet:
             device = self._devices.get(name)
             if device is None or device.state == DeviceState.REMOVED:
                 raise KeyError(f"no such device in the pool: {name!r}")
-            profile = replace(device.actual_profile, **overrides)
+            profile = replace(device.runner.profile, **overrides)
             device.runner = self._runner_factory(profile)
             return profile
 
@@ -503,13 +451,14 @@ class DeviceFleet:
             )
 
     # -- dispatch --------------------------------------------------------
-    def acquire(self, inp: MeasureInput) -> DispatchTicket:
+    def acquire(self) -> DispatchTicket:
         """Pick the device for one run and count it in flight.
 
-        Preference order: a due canary to a quarantined board; a healthy
-        device per the dispatch policy; a forced canary when quarantine has
-        emptied the healthy pool (probing is then the only way forward).
-        Raises :class:`RuntimeError` when every member is ejected/removed.
+        Preference order: a due canary to a quarantined board; the next
+        healthy device, round-robin in membership order; a forced canary
+        when quarantine has emptied the healthy pool (probing is then the
+        only way forward).  Raises :class:`RuntimeError` when every member
+        is ejected/removed.
         """
         with self._lock:
             self._dispatch_count += 1
@@ -522,7 +471,8 @@ class DeviceFleet:
                 d for d in self._devices.values() if d.state == DeviceState.HEALTHY
             ]
             if healthy:
-                device = self._select(healthy, inp)
+                device = healthy[self._cursor % len(healthy)]
+                self._cursor += 1
                 device.inflight += 1
                 return DispatchTicket(device, canary=False)
             quarantined = [
@@ -548,74 +498,22 @@ class DeviceFleet:
                 return device
         return None
 
-    def _select(self, healthy: List[_ManagedDevice], inp: MeasureInput) -> _ManagedDevice:
-        # called with the lock held; healthy is non-empty, in membership order
-        if self.dispatch == "round-robin":
-            device = healthy[self._cursor % len(healthy)]
-            self._cursor += 1
-            return device
-        if self.dispatch == "least-loaded":
-            return min(healthy, key=self._effective_load)
-        return self._select_affinity(healthy, inp)
-
-    def _effective_load(self, device: _ManagedDevice) -> float:
-        """Busy-seconds already committed plus the expected waste of the
-        device's estimated fault rate: a board losing a fraction ``r`` of
-        its attempts needs ``r / (1 - r)`` extra attempts per useful result,
-        each costing its typical busy time.  Exactly zero extra when the
-        evidence shows no faults, preserving plain least-loaded dispatch
-        (and its bit-for-bit behaviour) for clean pools."""
-        est = device.estimate
-        r = min(0.95, max(0.0, est.error_rate))
-        if r <= 0.0:
-            return device.load
-        return device.load + est.busy_per_run_sec * (r / (1.0 - r))
-
-    def _select_affinity(
-        self, healthy: List[_ManagedDevice], inp: MeasureInput
-    ) -> _ManagedDevice:
-        workload_key = inp.task.workload_key
-        ranked = sorted(
-            healthy,
-            key=lambda d: _affinity_score(d.name, workload_key),
-            reverse=True,
-        )
-        min_load = min(d.load for d in healthy)
-        # The spill margin scales with how much work one run represents; with
-        # no cost evidence yet every load is ~0 and the home device sticks.
-        # The plain busy/runs average is used over the EWMA estimate because
-        # the estimator's warm-start prior damps the first few observations,
-        # which would shrink the margin and spill straight after run one.
-        busy_scale = max(
-            (d.stats["busy_sec"] / d.stats["runs"])
-            if d.stats["runs"]
-            else d.estimate.busy_per_run_sec
-            for d in healthy
-        )
-        if busy_scale <= 0.0:
-            return ranked[0]
-        margin = _AFFINITY_SPILL_FACTOR * busy_scale
-        for device in ranked:
-            if device.load - min_load <= margin:
-                return device
-        return min(healthy, key=lambda d: d.load)  # pragma: no cover - margin>=0 guarantees a hit
-
     # -- result attribution ---------------------------------------------
     def record(
         self,
         ticket: DispatchTicket,
-        inp: MeasureInput,
         build: BuildResult,
         result: MeasureResult,
-        clean_base: Optional[float] = None,
-    ) -> float:
-        """Hand a finished run back: charge the device, update its estimate,
-        and advance the circuit breaker.  Returns the busy-seconds charged.
+        clean_runtime: Optional[float],
+        occupancy: float,
+    ) -> None:
+        """Hand a finished run back: book the busy-seconds its board charged
+        for it (``occupancy``), update the device's estimate, and advance
+        the circuit breaker.
 
-        ``clean_base`` is the slowdown-free estimated runtime of the program
-        (the machine model's view), used to observe the device's real
-        slowdown and to charge a failed run; ``None`` skips the slowdown
-        update.
+        ``clean_runtime`` is the slowdown-free estimated runtime of the
+        program (the machine model's view), used to observe the device's
+        real slowdown; ``None`` skips the slowdown update.
         """
         device = ticket.device
         kind = result.error_kind
@@ -625,8 +523,6 @@ class DeviceFleet:
             device.inflight -= 1
             if device.inflight == 0:
                 self._drained.notify_all()
-            occupancy = self._occupancy(device, result, clean_base)
-            device.load += occupancy
             stats = device.stats
             stats["runs"] += 1
             stats["busy_sec"] += occupancy
@@ -648,36 +544,12 @@ class DeviceFleet:
             device.estimate.observe(
                 faulted=faulted,
                 timed_out=timed_out,
-                busy_sec=occupancy,
                 cost=cost,
-                clean_base=clean_base,
+                clean_runtime=clean_runtime,
                 queue_latency=queue_obs,
             )
             if self.breaker is not None:
                 self._advance_breaker(device, ok=not (faulted or timed_out))
-            return occupancy
-
-    def _occupancy(
-        self, device: _ManagedDevice, result: MeasureResult, clean_base: Optional[float]
-    ) -> float:
-        """Simulated seconds the run occupied its device.  A faulted run
-        still held the board for about the program's runtime — charging it
-        zero would make least-loaded dispatch treat a permanently failing
-        board as 'free' and funnel every run (and every retry) into it.  A
-        timed-out run is charged the timeout budget when one is configured:
-        the watchdog killed it at the budget, so charging the program's full
-        estimated runtime would overstate how long the board was actually
-        held (and skew both dispatch and the busy-share log)."""
-        profile = device.actual_profile
-        queue = profile.queue_latency_sec
-        if result.valid:
-            return queue + sum(result.costs)
-        runner_timeout = device.runner.timeout
-        if result.error_kind == MeasureErrorNo.RUN_TIMEOUT and runner_timeout is not None:
-            return queue + runner_timeout
-        if clean_base is None:
-            return queue
-        return queue + clean_base * profile.slowdown * self.repeats
 
     # -- circuit breaker -------------------------------------------------
     def _advance_breaker(self, device: _ManagedDevice, ok: bool) -> None:

@@ -76,10 +76,10 @@ queue-limited and not necessarily identical.  :class:`LocalRunner` sends
 every run through a :class:`~repro.hardware.fleet.DeviceFleet` of boards,
 each with its own :class:`~repro.hardware.fleet.DeviceProfile` (noise,
 transient-fault and timeout rates, queue latency, relative slowdown)
-instead of averaging the fleet's behaviour away.  The fleet dispatches each
-run (``"round-robin"``, ``"least-loaded"`` or ``"affinity"``), learns every
-board's fault profile from its results and, when asked, trips a circuit
-breaker on a misbehaving board.  A board asks the session's
+instead of averaging the fleet's behaviour away.  The fleet hands runs to
+its healthy boards round-robin, learns every board's fault profile from its
+results and, when asked, trips a circuit breaker on a misbehaving board.
+Each board prices the device time of its own attempts, and asks the session's
 :class:`FaultModel` first and its own profile's faults second.  The default
 pool is one clean board, ``"dev0"``, whose costs equal a plain run on the
 machine model bit for bit::
@@ -294,11 +294,12 @@ class BuildResult:
 # ---------------------------------------------------------------------------
 
 
-def _program_rng(inp: MeasureInput, seed: int, salt: str) -> np.random.Generator:
-    """A deterministic RNG derived from the program itself (and a salt), so
-    fault injection is reproducible per candidate, independent of ordering."""
-    key = repr(inp.state.serialize_steps()).encode()
-    digest = hashlib.sha256(key + f"{seed}/{salt}".encode()).digest()
+def _program_rng(state: State, suffix: str) -> np.random.Generator:
+    """A deterministic RNG derived from the program itself (its serialized
+    steps) and a suffix, so fault and noise draws are reproducible per
+    candidate, independent of ordering."""
+    key = repr(state.serialize_steps()).encode()
+    digest = hashlib.sha256(key + suffix.encode()).digest()
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 
@@ -408,25 +409,27 @@ class RandomFaults(FaultModel):
     def build_fault(self, inp: MeasureInput) -> Optional[Tuple[MeasureErrorNo, str]]:
         if self.build_error_prob <= 0:
             return None
-        rng = _program_rng(inp, self.seed, "build")
+        rng = _program_rng(inp.state, f"{self.seed}/build")
         if rng.random() < self.build_error_prob:
             return (MeasureErrorNo.BUILD_ERROR, "FaultModel: injected build failure")
         return None
 
     def run_fault(self, inp: MeasureInput) -> Optional[Tuple[MeasureErrorNo, str]]:
+        # The retry counters key on the program's fingerprint, a digest of
+        # the same serialized steps that the state computes once and keeps.
         if self.run_timeout_prob > 0:
             # Attempt 0 keeps the historical fixed salt (bit-compatible with
             # every seeded session recorded before timeout retries existed);
             # re-draws are salted with the attempt counter so a retried
             # timeout can genuinely clear, like the transient-error draw.
-            attempt = self._next_attempt(self._timeout_draws, self._program_key(inp))
+            attempt = self._next_attempt(self._timeout_draws, inp.state.fingerprint())
             salt = "timeout" if attempt == 0 else f"timeout/{attempt}"
-            rng = _program_rng(inp, self.seed, salt)
+            rng = _program_rng(inp.state, f"{self.seed}/{salt}")
             if rng.random() < self.run_timeout_prob:
                 return (MeasureErrorNo.RUN_TIMEOUT, "FaultModel: injected run timeout")
         if self.run_error_prob > 0:
-            attempt = self._next_attempt(self._transient_draws, self._program_key(inp))
-            rng = _program_rng(inp, self.seed, f"run/{attempt}")
+            attempt = self._next_attempt(self._transient_draws, inp.state.fingerprint())
+            rng = _program_rng(inp.state, f"{self.seed}/run/{attempt}")
             if rng.random() < self.run_error_prob:
                 return (
                     MeasureErrorNo.RUN_ERROR,
@@ -434,16 +437,10 @@ class RandomFaults(FaultModel):
                 )
         return None
 
-    @staticmethod
-    def _program_key(inp: MeasureInput) -> str:
-        # Digest key: a long session measures many distinct programs, and
-        # full step reprs would retain multi-KB strings per program.
-        return hashlib.sha256(repr(inp.state.serialize_steps()).encode()).hexdigest()
-
     def cost_scale(self, inp: MeasureInput, repeats: int) -> Optional[np.ndarray]:
         if self.extra_noise <= 0:
             return None
-        rng = _program_rng(inp, self.seed, "flaky")
+        rng = _program_rng(inp.state, f"{self.seed}/flaky")
         return np.clip(1.0 + rng.normal(0.0, self.extra_noise, size=repeats), 0.25, 4.0)
 
 
@@ -607,19 +604,25 @@ class _Board:
         """Deterministic pseudo-random noise derived from the program itself."""
         if self.noise <= 0:
             return np.ones(self.repeats)
-        key = repr(state.serialize_steps()).encode()
-        digest = hashlib.sha256(key + str(self.seed).encode()).digest()
-        rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
+        rng = _program_rng(state, str(self.seed))
         return 1.0 + rng.normal(0.0, self.noise, size=self.repeats)
 
     def run_one(
         self, inp: MeasureInput, build: BuildResult
-    ) -> Tuple[MeasureResult, Optional[float]]:
-        """Run one successfully built program on this board.  Returns the
-        result and the program's slowdown-free runtime, also when a fault
-        fired before the program was timed (the fleet charges the board
-        with it); ``None`` when the machine model could not estimate it."""
+    ) -> Tuple[MeasureResult, Optional[float], float]:
+        """Run one successfully built program on this board.
+
+        Returns the result, the program's slowdown-free runtime (``None``
+        when the machine model was not asked or could not estimate it) and
+        the simulated seconds the attempt occupied the board.  That charge
+        is the board's queue latency plus: the repeats' costs of a timed
+        run; the budget of a run killed at the run timeout (the program is
+        then not estimated); for any other fault, the repeats the program
+        would have taken (a faulted run still held the board); nothing for
+        a program the machine model could not estimate.
+        """
         start = time.perf_counter()
+        queue = self.profile.queue_latency_sec
 
         def failed(error_no: int, msg: str) -> MeasureResult:
             return MeasureResult(
@@ -632,18 +635,24 @@ class _Board:
             if fault is not None:
                 faulted = failed(*fault)
                 break
+        if (
+            faulted is not None
+            and faulted.error_kind == MeasureErrorNo.RUN_TIMEOUT
+            and self.timeout is not None
+        ):
+            return faulted, None, queue + self.timeout
         try:
             clean = self.simulator.estimate_lowered(build.program).total_seconds
         except Exception as exc:  # device-side analysis failure
             if faulted is None:
                 faulted = failed(MeasureErrorNo.RUN_ERROR, f"{type(exc).__name__}: {exc}")
-            return faulted, None
+            return faulted, None, queue
         if faulted is not None:
-            return faulted, clean
+            return faulted, clean, queue + clean * self.profile.slowdown * self.repeats
         base = clean * self.profile.slowdown
         if self.timeout is not None and base > self.timeout:
             msg = f"simulated runtime {base:.3e}s exceeded the {self.timeout}s budget"
-            return failed(MeasureErrorNo.RUN_TIMEOUT, msg), clean
+            return failed(MeasureErrorNo.RUN_TIMEOUT, msg), clean, queue + self.timeout
         factors = np.clip(self._noise_factors(inp.state), 0.5, 2.0)
         scale = None
         for model in self.faults:
@@ -653,7 +662,8 @@ class _Board:
         if scale is not None:
             factors = factors * scale
         costs = [float(base * f) for f in factors]
-        return MeasureResult(costs=costs, elapsed_sec=self._elapsed(build, start)), clean
+        result = MeasureResult(costs=costs, elapsed_sec=self._elapsed(build, start))
+        return result, clean, queue + sum(costs)
 
     def _elapsed(self, build: BuildResult, start: float) -> float:
         return build.elapsed_sec + (time.perf_counter() - start) + self.profile.queue_latency_sec
@@ -673,12 +683,12 @@ class LocalRunner:
     Every run goes through :attr:`fleet`, a
     :class:`~repro.hardware.fleet.DeviceFleet` of the boards ``devices``
     names (profiles, names, dicts or a count; ``None`` is the one board
-    ``"dev0"``).  The fleet dispatches each run (``dispatch="round-robin"``,
-    ``"least-loaded"`` or ``"affinity"``), learns each board's fault
-    profile, runs the optional circuit breaker and changes membership
-    mid-session (``fleet.add_device``, ``fleet.remove_device``,
-    ``fleet.inject_profile``; :meth:`device_stats` reports it all).  Each
-    result is stamped with the board that ran its final attempt
+    ``"dev0"``).  The fleet hands runs to its healthy boards round-robin,
+    learns each board's fault profile, runs the optional circuit breaker
+    and changes membership mid-session (``fleet.add_device``,
+    ``fleet.remove_device``, ``fleet.inject_profile``; :meth:`device_stats`
+    reports it all); each board charges the busy time of its own attempts.
+    Each result is stamped with the board that ran its final attempt
     (``result.device``) and a per-attempt ledger (``result.attempts``).
     Build failures never reach a board: they are reported straight through.
     """
@@ -687,7 +697,6 @@ class LocalRunner:
         self,
         hardware: HardwareParams,
         devices: "Union[None, int, Sequence[DeviceLike]]" = None,
-        dispatch: str = "round-robin",
         noise: float = 0.03,
         repeats: int = 3,
         seed: int = 0,
@@ -711,11 +720,7 @@ class LocalRunner:
         self.timeout = timeout
         self.fault_model = fault_model or NoFaults()
         self.fleet = DeviceFleet(
-            devices,
-            lambda profile: _Board(self, profile),
-            dispatch=dispatch,
-            circuit_breaker=circuit_breaker,
-            repeats=repeats,
+            devices, lambda profile: _Board(self, profile), circuit_breaker=circuit_breaker
         )
 
     # -- the pool --------------------------------------------------------
@@ -741,10 +746,10 @@ class LocalRunner:
                     )
                 )
                 continue
-            ticket = self.fleet.acquire(inp)
+            ticket = self.fleet.acquire()
             device = ticket.device
-            result, clean = device.runner.run_one(inp, build)
-            occupancy = self.fleet.record(ticket, inp, build, result, clean)
+            result, clean, occupancy = device.runner.run_one(inp, build)
+            self.fleet.record(ticket, build, result, clean, occupancy)
             result.device = device.name
             result.attempts = [
                 {
@@ -1222,7 +1227,6 @@ class MeasurePipeline:
                 seed=options.seed,
                 timeout=options.run_timeout,
                 devices=options.devices,
-                dispatch=options.dispatch or "round-robin",
                 circuit_breaker=options.circuit_breaker,
             ),
             n_retry=options.n_retry,

@@ -115,7 +115,8 @@ class TuningOptions:
     ``builder`` / ``runner`` name ``"local"`` (or ``"rpc"``, another name
     for the same stage) selects :class:`~repro.hardware.measure.LocalBuilder`
     / :class:`~repro.hardware.measure.LocalRunner`, and ``n_parallel``, the
-    timeouts and the device-pool knobs configure the resulting
+    timeouts, the retry knobs and the device-pool knobs (``devices``, which
+    take runs round-robin, and ``circuit_breaker``) configure the resulting
     :class:`~repro.hardware.measure.MeasurePipeline`.  The options only name
     stages: ready stages go in as
     ``Tuner(measurer=MeasurePipeline(hw, builder=..., runner=...))``.
@@ -156,11 +157,6 @@ class TuningOptions:
     #: int (that many default devices); None = the single default device
     #: ``"dev0"``
     devices: "Optional[Union[int, Sequence[DeviceLike]]]" = None
-    #: device-pool dispatch policy of the runner: ``"round-robin"``,
-    #: ``"least-loaded"`` (busy-seconds plus the estimated fault-rate
-    #: waste) or ``"affinity"`` (sticky workload→device rendezvous
-    #: hashing); None = round-robin
-    dispatch: Optional[str] = None
     #: circuit breaker of the runner's device pool: ``True`` enables the
     #: default :class:`~repro.hardware.fleet.CircuitBreakerConfig`, a dict
     #: or config instance overrides it, None leaves the breaker off
@@ -235,15 +231,6 @@ class TuningOptions:
             raise ValueError("run_timeout must be positive (or None to disable)")
         if self.n_retry < 0:
             raise ValueError("n_retry must be >= 0")
-        if self.dispatch is not None and self.dispatch not in (
-            "round-robin",
-            "least-loaded",
-            "affinity",
-        ):
-            raise ValueError(
-                f"unknown dispatch {self.dispatch!r}; use 'round-robin', "
-                "'least-loaded' or 'affinity' (or None for the runner default)"
-            )
         if self.cost_model_retrain_interval < 1:
             raise ValueError("cost_model_retrain_interval must be >= 1")
         if self.cost_model_window is not None and self.cost_model_window < 2:

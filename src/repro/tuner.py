@@ -77,7 +77,6 @@ _MEASURE_PIPELINE_KNOBS = (
     "n_retry",
     "retry_timeouts",
     "devices",
-    "dispatch",
     "circuit_breaker",
 )
 

@@ -1,20 +1,21 @@
 """Tests for the self-healing device fleet (learned fault profiles, circuit
-breakers, elastic membership, affinity dispatch) and its satellites.
+breakers, elastic membership) and its satellites.
 
 Covers the fleet acceptance surface: online fault-rate estimation converging
 on injected (undeclared) device behaviour, breaker trip / canary re-admission
 / permanent ejection under seeded fault storms, a board degrading mid-session
 without hurting the session's best cost, elastic add/remove with zero lost or
-double-counted results under an async ``as_completed`` consumer, sticky
-workload-affinity dispatch with load-aware spill, the timeout-retry policy
-(``TuningOptions(retry_timeouts=True)``) and its record round-trip, and the
-per-attempt busy-seconds attribution that keeps ``device_stats()`` honest
-when retries land on a different device.
+double-counted results under an async ``as_completed`` consumer, the
+timeout-retry policy (``TuningOptions(retry_timeouts=True)``) and its record
+round-trip, and the per-attempt busy-seconds attribution that keeps
+``device_stats()`` honest when retries land on a different device (each
+board charges its own attempts; the fleet books the charge).
 """
 
 import io
 import json
 
+import numpy as np
 import pytest
 
 from repro import Tuner, TuningOptions
@@ -22,6 +23,7 @@ from repro.callbacks import MeasureCallback, ProgressLogger, RecordToFile
 from repro.cost_model import LearnedCostModel
 from repro.hardware import (
     CircuitBreakerConfig,
+    CostSimulator,
     DeviceFleet,
     DeviceProfile,
     DeviceState,
@@ -30,6 +32,7 @@ from repro.hardware import (
     MeasureErrorNo,
     MeasureInput,
     MeasurePipeline,
+    RandomFaults,
     intel_cpu,
 )
 from repro.records import TuningRecord, load_records, save_records
@@ -37,6 +40,7 @@ from repro.scheduler import TaskScheduler
 from repro.search import generate_sketches, sample_initial_population
 from repro.search.baselines import random_search_policy
 from repro.task import SearchTask
+from repro.workloads import matmul_relu
 
 from ..conftest import make_matmul_relu_dag, make_norm_dag
 
@@ -94,13 +98,6 @@ def test_estimated_profile_warm_starts_from_declared():
     assert est.slowdown == pytest.approx(2.0)
     assert est.queue_latency_sec == pytest.approx(0.5)
     assert est.samples == 0
-
-
-def test_fleet_dispatch_validation():
-    with pytest.raises(ValueError, match="dispatch"):
-        LocalRunner(intel_cpu(), dispatch="random")
-    with pytest.raises(ValueError, match="dispatch"):
-        TuningOptions(dispatch="random")
 
 
 # ---------------------------------------------------------------------------
@@ -355,49 +352,6 @@ def test_remove_device_mid_as_completed_loses_zero_results(task, rng):
 
 
 # ---------------------------------------------------------------------------
-# Affinity dispatch
-# ---------------------------------------------------------------------------
-
-
-def test_affinity_keeps_a_workload_on_one_device(task, inputs):
-    runner = LocalRunner(intel_cpu(), devices=["a", "b", "c"], dispatch="affinity", seed=0)
-    pipeline = MeasurePipeline(intel_cpu(), runner=runner)
-    pipeline.measure(inputs[:3])
-    runs = {name: entry["runs"] for name, entry in runner.device_stats().items()}
-    assert sorted(runs.values()) == [0, 0, 3]  # one sticky home device
-
-
-def test_affinity_spills_under_load_but_keeps_the_majority(task, rng):
-    runner = LocalRunner(intel_cpu(), devices=["a", "b", "c"], dispatch="affinity", seed=0)
-    pipeline = MeasurePipeline(intel_cpu(), runner=runner)
-    pipeline.measure(_many_inputs(task, rng, 30))
-    runs = sorted(
-        (entry["runs"] for entry in runner.device_stats().values()), reverse=True
-    )
-    assert sum(runs) == 30
-    assert runs[0] > runs[-1] > 0  # home keeps the plurality, others help
-
-
-def test_affinity_homes_differ_across_workloads(rng):
-    """Different workloads rendezvous to (generally) different homes — the
-    two tasks here are chosen so they do — so affinity does not collapse
-    a multi-workload session onto one board."""
-    task_a = SearchTask(make_matmul_relu_dag(), intel_cpu(), desc="mm")
-    task_b = SearchTask(make_norm_dag(), intel_cpu(), desc="norm")
-    runner = LocalRunner(intel_cpu(), devices=["a", "b", "c"], dispatch="affinity", seed=0)
-    pipeline = MeasurePipeline(intel_cpu(), runner=runner)
-
-    def home_for(task):
-        before = {n: e["runs"] for n, e in runner.device_stats().items()}
-        states = sample_initial_population(task, generate_sketches(task), 2, rng)
-        pipeline.measure([MeasureInput(task, s) for s in states])
-        after = runner.device_stats()
-        return next(n for n, e in after.items() if e["runs"] > before[n])
-
-    assert home_for(task_a) != home_for(task_b)
-
-
-# ---------------------------------------------------------------------------
 # Satellite: timeout retries (TuningOptions.retry_timeouts)
 # ---------------------------------------------------------------------------
 
@@ -437,11 +391,10 @@ def test_retry_timeouts_recovers_transient_timeouts(task, rng):
 def test_retry_timeouts_threads_through_options(task):
     options = TuningOptions(
         runner="rpc", devices=["a", "b"], n_retry=2, retry_timeouts=True,
-        dispatch="least-loaded", circuit_breaker={"min_samples": 3},
+        circuit_breaker={"min_samples": 3},
     )
     pipeline = MeasurePipeline.from_options(intel_cpu(), options)
     assert pipeline.retry_timeouts is True
-    assert pipeline.runner.fleet.dispatch == "least-loaded"
     assert pipeline.runner.fleet.breaker.min_samples == 3
 
 
@@ -563,6 +516,8 @@ def test_busy_seconds_follow_the_executing_device_sync(task, rng):
     assert any(
         len({a["device"] for a in r.attempts}) > 1 for r in results
     )  # some retries migrated devices
+    # A faulted attempt held its board too, so it is charged.
+    assert all(a["occupancy_sec"] > 0 for r in results for a in r.attempts)
     _assert_stats_match_attempt_ledger(runner, results)
 
 
@@ -584,7 +539,7 @@ def test_busy_seconds_follow_the_executing_device_async(task, rng):
 def test_timed_out_run_is_charged_the_budget_not_the_program(task, inputs):
     """Regression (satellite 2): a watchdog kills a slow candidate at the
     timeout budget — charging its full estimated runtime (x repeats) was
-    overstating the board's busy time and skewing least-loaded dispatch."""
+    overstating the board's busy time."""
     budget = 1e-9
     runner = LocalRunner(intel_cpu(), devices=["a"], seed=0, timeout=budget)
     pipeline = MeasurePipeline(intel_cpu(), runner=runner)
@@ -593,6 +548,38 @@ def test_timed_out_run_is_charged_the_budget_not_the_program(task, inputs):
     stats = runner.device_stats()["a"]
     assert stats["timeouts"] == 3
     assert stats["busy_sec"] == pytest.approx(3 * budget)
+
+
+def test_injected_timeout_under_a_budget_is_not_estimated(monkeypatch):
+    """An injected RUN_TIMEOUT on a runner with a run budget is charged the
+    budget, so its board never asks the machine model for the program's
+    runtime; every other attempt is estimated once."""
+    task = SearchTask(matmul_relu(64, 64, 64), intel_cpu())
+    states = sample_initial_population(
+        task, generate_sketches(task), 40, np.random.default_rng(0)
+    )
+    calls = []
+    estimate = CostSimulator.estimate_lowered
+
+    def counting(self, program):
+        calls.append(program)
+        return estimate(self, program)
+
+    monkeypatch.setattr(CostSimulator, "estimate_lowered", counting)
+    runner = LocalRunner(
+        intel_cpu(), timeout=10.0, fault_model=RandomFaults(run_timeout_prob=0.5, seed=1)
+    )
+    results = MeasurePipeline(intel_cpu(), runner=runner).measure(
+        [MeasureInput(task, s) for s in states]
+    )
+    stats = runner.device_stats()["dev0"]
+    timed_out = [r for r in results if r.error_kind == MeasureErrorNo.RUN_TIMEOUT]
+    assert stats["timeouts"] == len(timed_out) > 0
+    assert len(calls) == 40 - len(timed_out)
+    busy = 0.0  # the ledger, booked in run order
+    for r in results:
+        busy += 10.0 if r.error_kind == MeasureErrorNo.RUN_TIMEOUT else sum(r.costs)
+    assert stats["busy_sec"] == busy
 
 
 # ---------------------------------------------------------------------------
@@ -642,26 +629,23 @@ def test_scheduler_aggregates_device_stats():
     assert set(scheduler.device_stats()) == {"0/a", "0/b", "1/dev0"}
 
 
-def test_fleet_direct_protocol_roundtrip(task, inputs):
+def test_fleet_direct_protocol_roundtrip():
     """The DeviceFleet acquire/record protocol stands alone (no LocalRunner):
     what custom runners would build on."""
 
     class _FakeRunner:
         def __init__(self, profile):
             self.profile = profile
-            self.timeout = None
 
-    fleet = DeviceFleet(["x", "y"], _FakeRunner, dispatch="round-robin")
-    ticket = fleet.acquire(inputs[0])
+    fleet = DeviceFleet(["x", "y"], _FakeRunner)
+    ticket = fleet.acquire()
     assert ticket.device.name == "x" and not ticket.canary
     from repro.hardware import BuildResult, MeasureResult
 
     build = BuildResult(program=None)
-    occupancy = fleet.record(
-        ticket, inputs[0], build, MeasureResult(costs=[2.0]), clean_base=1.0
-    )
-    assert occupancy == pytest.approx(2.0)
+    fleet.record(ticket, build, MeasureResult(costs=[2.0]), 1.0, 2.5)
     stats = fleet.device_stats()
+    assert stats["x"]["busy_sec"] == 2.5  # the charge the caller handed in
     assert stats["x"]["runs"] == 1 and stats["x"]["inflight"] == 0
     assert stats["x"]["est_slowdown"] == pytest.approx(2.0, rel=0.9)
     assert stats["y"]["runs"] == 0

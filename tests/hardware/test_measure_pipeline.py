@@ -12,6 +12,7 @@ import pytest
 
 from repro.hardware import (
     CostSimulator,
+    DeviceProfile,
     LocalBuilder,
     LocalRunner,
     MeasureErrorNo,
@@ -21,6 +22,7 @@ from repro.hardware import (
     RandomFaults,
     intel_cpu,
 )
+from repro.hardware.measure import _Board
 from repro.search import generate_sketches, sample_initial_population
 from repro.task import SearchTask, TuningOptions
 
@@ -414,6 +416,88 @@ def test_fault_model_reset_clears_counters(task, states):
 def test_fault_model_validates_tracking_bound():
     with pytest.raises(ValueError, match="max_tracked_programs"):
         RandomFaults(run_error_prob=0.5, max_tracked_programs=0)
+
+
+# ---------------------------------------------------------------------------
+# Program-derived randomness: one helper hashes a program's steps for every
+# fault and noise draw.  The per-call hashing it replaced is kept here as the
+# reference.
+# ---------------------------------------------------------------------------
+
+
+def _reference_program_rng(inp, seed, salt):
+    key = repr(inp.state.serialize_steps()).encode()
+    digest = hashlib.sha256(key + f"{seed}/{salt}".encode()).digest()
+    return np.random.default_rng(int.from_bytes(digest[:8], "little"))
+
+
+class _ReferenceRandomFaults(RandomFaults):
+    """The fault draws with their own hashing, and retry counters keyed on a
+    SHA-256 of the serialized steps."""
+
+    def build_fault(self, inp):
+        if self.build_error_prob <= 0:
+            return None
+        rng = _reference_program_rng(inp, self.seed, "build")
+        if rng.random() < self.build_error_prob:
+            return (MeasureErrorNo.BUILD_ERROR, "FaultModel: injected build failure")
+        return None
+
+    def run_fault(self, inp):
+        if self.run_timeout_prob > 0:
+            attempt = self._next_attempt(self._timeout_draws, self._program_key(inp))
+            salt = "timeout" if attempt == 0 else f"timeout/{attempt}"
+            rng = _reference_program_rng(inp, self.seed, salt)
+            if rng.random() < self.run_timeout_prob:
+                return (MeasureErrorNo.RUN_TIMEOUT, "FaultModel: injected run timeout")
+        if self.run_error_prob > 0:
+            attempt = self._next_attempt(self._transient_draws, self._program_key(inp))
+            rng = _reference_program_rng(inp, self.seed, f"run/{attempt}")
+            if rng.random() < self.run_error_prob:
+                return (
+                    MeasureErrorNo.RUN_ERROR,
+                    f"FaultModel: transient device error (attempt {attempt})",
+                )
+        return None
+
+    @staticmethod
+    def _program_key(inp):
+        return hashlib.sha256(repr(inp.state.serialize_steps()).encode()).hexdigest()
+
+    def cost_scale(self, inp, repeats):
+        if self.extra_noise <= 0:
+            return None
+        rng = _reference_program_rng(inp, self.seed, "flaky")
+        return np.clip(1.0 + rng.normal(0.0, self.extra_noise, size=repeats), 0.25, 4.0)
+
+
+def test_program_randomness_matches_the_reference_hashing(task, rng):
+    """Every fault draw, cost scale and noise factor of a program equals the
+    reference's, for retried draws too and when the retry counters evict a
+    program between draws (40 programs, 7 tracked)."""
+    states = sample_initial_population(task, generate_sketches(task), 40, rng)
+    inputs = [MeasureInput(task, s) for s in states]
+    knobs = dict(
+        build_error_prob=0.3, run_error_prob=0.4, run_timeout_prob=0.3,
+        extra_noise=0.2, seed=5, max_tracked_programs=7,
+    )
+    faults, reference = RandomFaults(**knobs), _ReferenceRandomFaults(**knobs)
+    for inp in inputs:
+        assert faults.build_fault(inp) == reference.build_fault(inp)
+        assert faults.cost_scale(inp, 3).tolist() == reference.cost_scale(inp, 3).tolist()
+    draws = []
+    for _ in range(2):  # every program is evicted between the two passes
+        for inp in inputs:
+            for _ in range(2):  # a first draw and a retry
+                draws.append(faults.run_fault(inp))
+                assert draws[-1] == reference.run_fault(inp)
+    assert len(faults._transient_draws) == 7
+    assert any(d is not None and "(attempt 1)" in d[1] for d in draws)
+
+    board = _Board(LocalRunner(intel_cpu(), seed=5), DeviceProfile("b"))
+    serial = _ReferenceSerialMeasurer(intel_cpu(), seed=5)
+    for state in states:
+        assert board._noise_factors(state).tolist() == serial._noise_factors(state, 3).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -86,8 +86,6 @@ def test_device_list_normalization():
         LocalRunner(intel_cpu(), devices=[])
     with pytest.raises(TypeError, match="DeviceProfile"):
         LocalRunner(intel_cpu(), devices=[42])
-    with pytest.raises(ValueError, match="dispatch"):
-        LocalRunner(intel_cpu(), dispatch="random")
 
 
 # ---------------------------------------------------------------------------
@@ -142,39 +140,6 @@ def test_failed_builds_never_reach_a_device(task, inputs):
     pipeline.measure([MeasureInput(task, _incomplete_state(task))])
     stats = runner.device_stats()
     assert stats["a"]["runs"] == 0 and stats["b"]["runs"] == 0
-
-
-def test_least_loaded_still_charges_faulted_runs(inputs):
-    """A permanently failing board must not look 'free' to least-loaded
-    dispatch: faulted runs are charged their estimated occupation, so the
-    healthy device keeps receiving work and retries can recover there."""
-    runner = LocalRunner(
-        intel_cpu(),
-        devices=[DeviceProfile("bad", run_error_prob=1.0), DeviceProfile("ok")],
-        dispatch="least-loaded",
-        seed=0,
-    )
-    pipeline = MeasurePipeline(intel_cpu(), runner=runner, n_retry=3)
-    results = pipeline.measure(inputs)
-    stats = runner.device_stats()
-    assert stats["ok"]["runs"] > 0
-    assert stats["bad"]["busy_sec"] > 0  # faulted runs occupied the board
-    assert all(r.valid for r in results)  # every trial recovered on "ok"
-
-
-def test_least_loaded_prefers_the_fast_device(inputs):
-    """With one device 10x slower, least-loaded dispatch should route most
-    runs to the fast device (its simulated busy time stays lower)."""
-    runner = LocalRunner(
-        intel_cpu(),
-        devices=[DeviceProfile("fast"), DeviceProfile("slow", slowdown=10.0)],
-        dispatch="least-loaded",
-        seed=0,
-    )
-    pipeline = MeasurePipeline(intel_cpu(), runner=runner)
-    pipeline.measure(inputs)
-    stats = runner.device_stats()
-    assert stats["fast"]["runs"] > stats["slow"]["runs"]
 
 
 def test_slowdown_scales_costs(task):
@@ -349,13 +314,10 @@ def test_from_options_builds_rpc_stack():
 
 
 def test_local_runner_options_build_a_two_board_pool():
-    options = TuningOptions(
-        runner="local", devices=2, dispatch="least-loaded", circuit_breaker=True
-    )
+    options = TuningOptions(runner="local", devices=2, circuit_breaker=True)
     runner = MeasurePipeline.from_options(intel_cpu(), options).runner
     assert isinstance(runner, LocalRunner)
     assert [d.name for d in runner.fleet.devices] == ["dev0", "dev1"]
-    assert runner.fleet.dispatch == "least-loaded"
     assert runner.fleet.breaker == CircuitBreakerConfig()
 
 

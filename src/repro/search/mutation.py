@@ -306,7 +306,10 @@ def node_based_crossover(
         parent_a, parent_b = parent_b, parent_a
         node_scores_a, node_scores_b = node_scores_b, node_scores_a
 
-    nodes = {
+    # Visit nodes in the DAG's topological order, not in set order: the RNG
+    # draws inside the loop would otherwise follow the interpreter's string
+    # hash seed.
+    named = {
         node
         for node in (
             [_node_of_step(s) for s in parent_a.transform_steps]
@@ -314,6 +317,8 @@ def node_based_crossover(
         )
         if node is not None
     }
+    rank = {op.name: i for i, op in enumerate(parent_a.dag.ops)}
+    nodes = sorted(named, key=lambda node: (rank.get(node, len(rank)), node))
     take_from_b = set()
     for node in nodes:
         score_a = node_scores_a.get(node)
@@ -343,7 +348,7 @@ def node_based_crossover(
             continue
         merged.append(step)
     # Nodes present only in parent_b's history.
-    for node in take_from_b - inserted_b_nodes:
+    for node in [n for n in nodes if n in take_from_b and n not in inserted_b_nodes]:
         for other in parent_b.transform_steps:
             if _node_of_step(other) == node:
                 merged.append(other)

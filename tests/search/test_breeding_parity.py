@@ -16,7 +16,11 @@ These references are kept here verbatim from the code they replaced:
   ``rng.choice(seq)``; the library shares the parent's steps before the
   first one a child changes, replays the child from the stages its parent
   recorded there, draws the operator from one CDF and draws list elements
-  as ``seq[int(rng.integers(len(seq)))]``;
+  as ``seq[int(rng.integers(len(seq)))]``.  The library and
+  ``reference_node_based_crossover`` both visit crossover's nodes in the
+  DAG's topological order: the reference does not pin that order, and
+  ``tests/search/test_mutation.py`` checks that a seeded session does not
+  follow the interpreter's hash seed;
 * ``reference_node_scores`` scores a crossover parent's nodes from the
   parent itself, so a re-discovered program (a state bred again with the
   steps of a program the search already scored, which carries that score
@@ -240,7 +244,7 @@ def reference_node_based_crossover(
         parent_a, parent_b = parent_b, parent_a
         node_scores_a, node_scores_b = node_scores_b, node_scores_a
 
-    nodes = {
+    named = {
         node
         for node in (
             [mutation._node_of_step(s) for s in parent_a.transform_steps]
@@ -248,6 +252,8 @@ def reference_node_based_crossover(
         )
         if node is not None
     }
+    rank = {op.name: i for i, op in enumerate(parent_a.dag.ops)}
+    nodes = sorted(named, key=lambda node: (rank.get(node, len(rank)), node))
     take_from_b = set()
     for node in nodes:
         score_a = node_scores_a.get(node)
@@ -277,7 +283,7 @@ def reference_node_based_crossover(
             continue
         merged.append(step.copy())
     # Nodes present only in parent_b's history.
-    for node in take_from_b - inserted_b_nodes:
+    for node in [n for n in nodes if n in take_from_b and n not in inserted_b_nodes]:
         for other in parent_b.transform_steps:
             if mutation._node_of_step(other) == node:
                 merged.append(other.copy())
@@ -693,8 +699,7 @@ def _search_breeding(task, seed, monkeypatch):
 def test_rediscovered_crossover_parent_costs_no_booster_call(name, monkeypatch):
     """A re-discovered program's node scores come from the rows batched
     prediction kept on the state the search scored for it.  The first
-    crossover, which comes before any draw that depends on the
-    interpreter's hash order, has a re-discovered parent."""
+    crossover has a re-discovered parent."""
     task = TASKS[name]()
     best, rng_state, model_rng_state, booster_calls, children, rediscovered = _search_breeding(
         task, 4, monkeypatch

@@ -1,7 +1,14 @@
 """Tests for the evolution operators: mutations and crossover (§5.1)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.hardware import intel_cpu
 from repro.ir.steps import PragmaStep, SplitStep
@@ -166,3 +173,33 @@ def test_crossover_many_random_pairs_mostly_valid(task, sampled, rng):
                 valid += 1
     assert trials > 0
     assert valid / trials > 0.3
+
+
+_SEEDED_SESSION = """
+from repro.hardware import intel_cpu
+from repro.task import SearchTask, TuningOptions
+from repro.tuner import Tuner
+from repro.workloads import matmul_relu
+
+options = TuningOptions(seed=0, num_measure_trials=48, num_measures_per_round=8)
+result = Tuner(SearchTask(matmul_relu(64, 64, 64), intel_cpu()), options=options).tune()
+print(repr(result.history), result.best_states[0].fingerprint())
+"""
+
+
+def test_seeded_session_does_not_follow_the_hash_seed():
+    """Crossover draws from the RNG once per node it visits, so the order it
+    visits nodes in must not come from the interpreter's string hash seed.
+    When it iterated a set of node names, this session's trajectory under
+    hash seeds 6 and 7 differed from the one under 0."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    outputs = set()
+    for hash_seed in ("0", "6", "7"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", _SEEDED_SESSION], env=env,
+            capture_output=True, text=True, timeout=300, check=True,
+        )
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1, outputs
